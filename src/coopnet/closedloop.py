@@ -1,5 +1,14 @@
-"""Closed-loop assembly: the simulation-form state matrix, the per-regime
+"""Closed-loop assembly: the simulation-form state matrix, the
 error-coordinate matrix, and the coupling-gain stability boundary search.
+
+Every regime's loop is made of node loops, edge systems and a layer of
+coupling-driven reference generators (empty for tracking).  The layer is
+described once, by :func:`coopnet.synthesis.reference_layer`; the
+simulation-form rows, the error-coordinate matrix and the steady-state maps
+are all built from that description.  The error-coordinate matrix is affine
+in the coupling gain, ``A(eps) = A0 + eps A1``: the pencil is built once
+and then evaluated, by :func:`assemble` at one gain and by every probe of
+:func:`epsilon_star`; the Lemma-1 block split reads its blocks.
 
 Both assembled matrices carry index maps from (entity kind, entity id) to
 state offsets; assembly is deterministic, so re-assembly reproduces them
@@ -9,7 +18,6 @@ entrywise.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .analysis import lemma1_certificate, spectral_abscissa
 from .errors import (
@@ -24,6 +32,9 @@ from .synthesis import (
     CooperationMaps,
     MasterSlaveMaps,
     TrackingMaps,
+    _blkdiag,
+    edge_reference_block,
+    reference_layer,
 )
 from .topology import assemble_weighted_blocks
 
@@ -61,9 +72,6 @@ class _Layout:
     def sl(self, kind, entity):
         return self._slices[(kind, int(entity))]
 
-    def has(self, kind, entity):
-        return (kind, int(entity)) in self._slices
-
 
 @dataclass(frozen=True)
 class ClosedLoop:
@@ -72,9 +80,9 @@ class ClosedLoop:
     ``A_full``/``index_map`` describe the simulation-form state (actual
     node, controller, edge, reference and command states); ``A_error`` /
     ``error_index_map`` the regime's error-coordinate system whose spectral
-    abscissa decides stability.  The output maps extract stacked node
-    outputs y, neighboring inputs v, references and errors from the
-    simulation-form state.
+    abscissa decides stability, the pencil ``A0 + eps A1`` evaluated at
+    ``eps``.  The output maps extract stacked node outputs y, neighboring
+    inputs v, references and errors from the simulation-form state.
     """
 
     regime: str
@@ -83,7 +91,6 @@ class ClosedLoop:
     index_map: tuple
     A_error: np.ndarray
     error_index_map: tuple
-    error_block_ids: tuple
     y_map: np.ndarray
     v_map: np.ndarray
     ref_map: np.ndarray
@@ -129,10 +136,11 @@ def assemble(regime, network, cset, maps=None, eps=None):
     eps = cset.eps if eps is None else float(eps)
     if eps < 0:
         raise ValidationError("eps", "coupling gain must be >= 0")
-    dyn, ctrls = _hat_lists(network, cset)
+    dyn, _ = _hat_lists(network, cset)
     topo = network.topology
     exo = cset.exo
     p, q = network.p, exo.q
+    layer = reference_layer(network, cset)
     e_list = [e.A for e in network.edges]
     f_list = [e.B for e in network.edges]
     g_list = [e.C for e in network.edges]
@@ -146,26 +154,14 @@ def assemble(regime, network, cset, maps=None, eps=None):
         lay.add("controller_state", i + 1, cset.controllers[i].im.c)
     for j in range(topo.M):
         lay.add("edge_state", j + 1, network.edges[j].n)
-    if regime == "sync":
-        for i in range(topo.N):
-            lay.add("reference_state", i + 1, q)
-    elif regime == "cooperation":
-        for i in range(topo.N):
-            lay.add("reference_state", i + 1, p * q)
-        for i in range(topo.N):
+    for i in layer.nodes:
+        lay.add("reference_state", i + 1, layer.S.shape[0])
+    if layer.command is not None:
+        for i in layer.nodes:
             lay.add("exo_state", i + 1, q)
-    elif regime == "tracking":
-        for i in dyn:
+    for i, ctrl in enumerate(cset.controllers):
+        if ctrl is None or ctrl.regime in ("tracking", "master"):
             lay.add("exo_state", i + 1, q)
-    elif regime == "master_slave":
-        for i in cset.slaves:
-            lay.add("reference_state", i + 1, p * q)
-        for i in cset.slaves:
-            lay.add("exo_state", i + 1, q)
-        for i in cset.masters:
-            lay.add("exo_state", i + 1, q)
-    else:
-        raise ValidationError("regime", f"unknown regime {regime!r}")
 
     def xsl(i):
         a = lay.sl("node_state", i + 1)
@@ -194,26 +190,15 @@ def assemble(regime, network, cset, maps=None, eps=None):
             if h[i, j] != 0.0:
                 a_full[zj, lay.sl("exo_state", i + 1)] += \
                     h[i, j] * (f_list[j] @ exo.Q_eta)
-    # driven reference generators
-    if regime == "sync":
-        for i in range(topo.N):
-            ri = lay.sl("reference_state", i + 1)
-            a_full[ri, ri] = exo.S
-            for j in range(topo.M):
-                if h[i, j] != 0.0:
-                    zj = lay.sl("edge_state", j + 1)
-                    a_full[ri, zj] += -eps * h[i, j] * (exo.B_eta @ g_list[j])
-    if regime in ("cooperation", "master_slave"):
-        driven = range(topo.N) if regime == "cooperation" else cset.slaves
-        for i in driven:
-            ri = lay.sl("reference_state", i + 1)
-            a_full[ri, ri] = cset.G_S
-            for j in range(topo.M):
-                if h[i, j] != 0.0:
-                    zj = lay.sl("edge_state", j + 1)
-                    a_full[ri, zj] += -eps * h[i, j] * (cset.G_B @ g_list[j])
-            a_full[ri, lay.sl("exo_state", i + 1)] = \
-                -eps * (cset.G_B @ exo.Q_v)
+    for i in layer.nodes:
+        ri = lay.sl("reference_state", i + 1)
+        a_full[ri, ri] = layer.S
+        for j in range(topo.M):
+            if h[i, j] != 0.0:
+                zj = lay.sl("edge_state", j + 1)
+                a_full[ri, zj] += -eps * h[i, j] * (layer.B @ g_list[j])
+        if layer.command is not None:
+            a_full[ri, lay.sl("exo_state", i + 1)] = -eps * layer.command
     for entry in lay.entries:
         if entry.kind == "exo_state":
             si = lay.sl("exo_state", entry.entity)
@@ -253,124 +238,84 @@ def assemble(regime, network, cset, maps=None, eps=None):
         err_map[rows] = base[rows] - ref_map[rows]
 
     # ----- error-coordinate form -------------------------------------------
-    a_err, err_lay = _error_matrix(regime, network, cset, maps, eps)
+    pencil = _error_pencil(network, cset, maps)
 
     return ClosedLoop(
         regime=regime, eps=eps, A_full=a_full, index_map=tuple(lay.entries),
-        A_error=a_err, error_index_map=tuple(err_lay.entries),
-        error_block_ids=tuple(range(len(err_lay.entries))),
+        A_error=pencil.A0 + eps * pencil.A1,
+        error_index_map=pencil.index_map,
         y_map=y_map, v_map=v_map, ref_map=ref_map, err_map=err_map,
         node_ids=node_ids, p=p, err_kind=err_kind)
 
 
-def _coupling_unit(regime, network, cset, maps):
-    """Coefficient matrix of eps in the (node, edge) off-diagonal block.
+#: regulation maps holding each driven node's reference-generator map
+_NODE_REFERENCE_MAPS = {"sync": (TrackingMaps, "Pi"),
+                        "cooperation": (CooperationMaps, "Pi_bar1"),
+                        "master_slave": (MasterSlaveMaps, "Pi_f_ref")}
 
-    Returns the matrix scaled per unit eps (zero for tracking).
+
+@dataclass(frozen=True)
+class _Pencil:
+    """Error-coordinate matrix ``A(eps) = A0 + eps A1``.
+
+    The first ``n_node`` states are node errors, the next ``n_edge`` edge
+    errors, the rest reference errors.
+    """
+
+    A0: np.ndarray
+    A1: np.ndarray
+    index_map: tuple
+    n_node: int
+    n_edge: int
+
+
+def _error_pencil(network, cset, maps):
+    """The regime's error-coordinate matrix as a pencil in eps.
+
+    A1 holds the two coupling-gain paths: the reference layer's drive from
+    the edges, and its image in the node errors through each driven node's
+    reference map (W5 per unit eps).
     """
     dyn, ctrls = _hat_lists(network, cset)
-    g_list = [e.C for e in network.edges]
-    h_dyn = network.topology.H[dyn, :]
-    if regime == "tracking":
-        rows = sum(c.nc for c in ctrls)
-        cols = sum(e.n for e in network.edges)
-        return np.zeros((rows, cols))
-    if regime == "sync":
-        if not isinstance(maps, TrackingMaps):
-            raise MissingMaps("sync assembly needs the regulator maps")
-        left = [maps.Pi[i + 1] @ cset.exo.B_eta for i in dyn]
-    elif regime == "cooperation":
-        if not isinstance(maps, CooperationMaps):
-            raise MissingMaps("cooperation assembly needs cooperation maps")
-        left = [maps.Pi_bar1[i + 1] @ cset.G_B for i in dyn]
-    elif regime == "master_slave":
-        if not isinstance(maps, MasterSlaveMaps):
-            raise MissingMaps("master-slave assembly needs master-slave maps")
-        left = []
-        for i in dyn:
-            if i in cset.slaves:
-                left.append(maps.Pi_f_ref[i + 1] @ cset.G_B)
-            else:
-                left.append(np.zeros((cset.controllers[i].nc,
-                                      network.p)))
-    else:
-        raise ValidationError("regime", f"unknown regime {regime!r}")
-    return assemble_weighted_blocks(h_dyn, left=left, right=g_list)
-
-
-def _error_matrix(regime, network, cset, maps, eps):
-    dyn, ctrls = _hat_lists(network, cset)
-    topo = network.topology
-    exo = cset.exo
-    p, q = network.p, exo.q
-    e_list = [e.A for e in network.edges]
+    layer = reference_layer(network, cset)
     f_list = [e.B for e in network.edges]
     g_list = [e.C for e in network.edges]
-    h_dyn = topo.H[dyn, :]
-
-    an = scipy.linalg.block_diag(*[c.Ahat for c in ctrls]) if ctrls \
-        else np.zeros((0, 0))
-    em = scipy.linalg.block_diag(*e_list) if e_list else np.zeros((0, 0))
-    hdg = assemble_weighted_blocks(
-        h_dyn, left=[c.Dhat for c in ctrls], right=g_list)
-    htfc = assemble_weighted_blocks(
-        h_dyn.T, left=f_list, right=[c.Chat for c in ctrls])
+    h_dyn = network.topology.H[dyn, :]
+    pi = {}
+    if cset.regime in _NODE_REFERENCE_MAPS:
+        kind, attr = _NODE_REFERENCE_MAPS[cset.regime]
+        if not isinstance(maps, kind):
+            raise MissingMaps(
+                f"{cset.regime} assembly needs {kind.__name__}")
+        pi = getattr(maps, attr)
+    drive = [pi[i + 1] @ layer.B if i in layer.nodes
+             else np.zeros((c.nc, network.p)) for i, c in zip(dyn, ctrls)]
+    er0, er1, _ = edge_reference_block(network, layer)
 
     lay = _Layout()
-    for i in dyn:
-        lay.add("node_error", i + 1, cset.controllers[i].nc)
-    for j in range(topo.M):
-        lay.add("edge_error", j + 1, network.edges[j].n)
+    for i, c in zip(dyn, ctrls):
+        lay.add("node_error", i + 1, c.nc)
+    nn = lay.size
+    for j, edge in enumerate(network.edges):
+        lay.add("edge_error", j + 1, edge.n)
+    nz = lay.size - nn
+    for k in layer.row_ids:
+        lay.add("reference_error", k, layer.S.shape[0])
 
-    if regime == "tracking":
-        a_err = np.block([[an, -hdg], [htfc, em]])
-        return a_err, lay
-
-    w5 = _coupling_unit(regime, network, cset, maps)
-    if regime == "sync":
-        n1 = topo.N - 1
-        for k in range(n1):
-            lay.add("reference_error", k + 1, q)
-        htf_q = assemble_weighted_blocks(topo.Hbar.T, left=f_list,
-                                         right=exo.Q_eta)
-        bg_hg = assemble_weighted_blocks(topo.Hbar, left=exo.B_eta,
-                                         right=g_list)
-        tail = np.kron(np.eye(n1), exo.S)
-        a_err = np.block([
-            [an, -hdg + eps * w5, np.zeros((an.shape[0], n1 * q))],
-            [htfc, em, htf_q],
-            [np.zeros((n1 * q, an.shape[0])), -eps * bg_hg, tail]])
-        return a_err, lay
-    if regime == "cooperation":
-        n1 = topo.N - 1
-        for k in range(n1):
-            lay.add("reference_error", k + 1, p * q)
-        htf_gq = assemble_weighted_blocks(topo.Hbar.T, left=f_list,
-                                          right=cset.G_Q)
-        gb_hg = assemble_weighted_blocks(topo.Hbar, left=cset.G_B,
-                                         right=g_list)
-        tail = np.kron(np.eye(n1), cset.G_S)
-        a_err = np.block([
-            [an, -hdg + eps * w5, np.zeros((an.shape[0], n1 * p * q))],
-            [htfc, em, htf_gq],
-            [np.zeros((n1 * p * q, an.shape[0])), -eps * gb_hg, tail]])
-        return a_err, lay
-    if regime == "master_slave":
-        slaves = list(cset.slaves)
-        l = len(slaves)
-        for i in slaves:
-            lay.add("reference_error", i + 1, p * q)
-        h_s = topo.H[slaves, :] if l else np.zeros((0, topo.M))
-        htf_gq = assemble_weighted_blocks(h_s.T, left=f_list,
-                                          right=cset.G_Q)
-        gb_hg = assemble_weighted_blocks(h_s, left=cset.G_B, right=g_list)
-        tail = np.kron(np.eye(l), cset.G_S) if l else np.zeros((0, 0))
-        a_err = np.block([
-            [an, -hdg + eps * w5, np.zeros((an.shape[0], l * p * q))],
-            [htfc, em, htf_gq],
-            [np.zeros((l * p * q, an.shape[0])), -eps * gb_hg, tail]])
-        return a_err, lay
-    raise ValidationError("regime", f"unknown regime {regime!r}")
+    node, edge = slice(0, nn), slice(nn, nn + nz)
+    a0 = np.zeros((lay.size, lay.size))
+    a1 = np.zeros_like(a0)
+    a0[node, node] = _blkdiag([c.Ahat for c in ctrls])
+    a0[node, edge] = -assemble_weighted_blocks(
+        h_dyn, left=[c.Dhat for c in ctrls], right=g_list)
+    a0[edge, node] = assemble_weighted_blocks(
+        h_dyn.T, left=f_list, right=[c.Chat for c in ctrls])
+    a0[nn:, nn:] = er0
+    a1[node, edge] = assemble_weighted_blocks(h_dyn, left=drive,
+                                              right=g_list)
+    a1[nn:, nn:] = er1
+    return _Pencil(A0=a0, A1=a1, index_map=tuple(lay.entries), n_node=nn,
+                   n_edge=nz)
 
 
 # ---------------------------------------------------------------------------
@@ -395,27 +340,23 @@ class EpsilonStar:
     probe_abscissas: tuple
 
 
-def _blkdiag(mats):
-    mats = [np.atleast_2d(m) for m in mats]
-    return scipy.linalg.block_diag(*mats) if mats else np.zeros((0, 0))
-
-
 def lemma1_block_split(network, cset, maps, eps):
-    """The (W1, W2, W3, W4, W5, P_w, Q_w) split of the node/edge block system."""
-    dyn, ctrls = _hat_lists(network, cset)
-    g_list = [e.C for e in network.edges]
-    f_list = [e.B for e in network.edges]
-    h_dyn = network.topology.H[dyn, :]
-    w1 = _blkdiag([c.Ahat for c in ctrls])
-    w4 = _blkdiag([e.A for e in network.edges])
-    w2 = -assemble_weighted_blocks(h_dyn, left=[c.Dhat for c in ctrls],
-                                   right=g_list)
-    w3 = assemble_weighted_blocks(h_dyn.T, left=f_list,
-                                  right=[c.Chat for c in ctrls])
-    w5 = eps * _coupling_unit(cset.regime, network, cset, maps)
-    p_w = _blkdiag([c.Phat.P for c in ctrls])
+    """The (W1, W2, W3, W4, W5, P_w, Q_w) split of the node/edge block system.
+
+    W1-W4 are the node/edge blocks of the error pencil's A0, W5 is eps times
+    the node/edge block of A1.
+    """
+    return _lemma1_split(_error_pencil(network, cset, maps), cset, eps)
+
+
+def _lemma1_split(pencil, cset, eps):
+    node = slice(0, pencil.n_node)
+    edge = slice(pencil.n_node, pencil.n_node + pencil.n_edge)
+    a0 = pencil.A0
+    p_w = _blkdiag([c.Phat.P for c in cset.controllers if c is not None])
     q_w = _blkdiag([cert.P for cert in cset.edge_certificates])
-    return w1, w2, w3, w4, w5, p_w, q_w
+    return (a0[node, node], a0[node, edge], a0[edge, node], a0[edge, edge],
+            eps * pencil.A1[node, edge], p_w, q_w)
 
 
 def analytic_eps_bound(network, cset, maps):
@@ -426,11 +367,14 @@ def analytic_eps_bound(network, cset, maps):
     when the certificate hypotheses are not satisfied; infinity when the
     regime has no eps-coupling (tracking).
     """
-    w5_unit = _coupling_unit(cset.regime, network, cset, maps)
+    return _analytic_bound(_error_pencil(network, cset, maps), cset)
+
+
+def _analytic_bound(pencil, cset):
+    w1, w2, w3, w4, w5_unit, p_w, q_w = _lemma1_split(pencil, cset, 1.0)
     norm = float(np.linalg.norm(w5_unit, 2)) if w5_unit.size else 0.0
     if norm == 0.0:
         return float("inf")  # no coupling path at all
-    w1, w2, w3, w4, _, p_w, q_w = lemma1_block_split(network, cset, maps, 0.0)
     try:
         _, eps_bar = lemma1_certificate(
             w1, w2, w3, w4, np.zeros_like(w2), p_w, q_w)
@@ -448,7 +392,9 @@ def epsilon_star(network, cset, maps, eps_hi, rel_width=1e-3, n_probes=16,
     A coarse log-spaced grid locates the stable bracket containing the
     largest stable probe; bisection refines the boundary to relative width
     ``rel_width``.  Stability means the error-coordinate matrix has
-    spectral abscissa below ``-stability_tol``.
+    spectral abscissa below ``-stability_tol``.  The matrix is built once,
+    as the pencil ``A0 + eps A1``; each probe only evaluates it and takes
+    its eigenvalues.
 
     Raises
     ------
@@ -458,9 +404,10 @@ def epsilon_star(network, cset, maps, eps_hi, rel_width=1e-3, n_probes=16,
     if eps_hi <= 0:
         raise ValidationError("eps_hi", "search ceiling must be > 0")
 
+    pencil = _error_pencil(network, cset, maps)
+
     def abscissa(eps):
-        cl = assemble(cset.regime, network, cset, maps, eps=eps)
-        return spectral_abscissa(cl.A_error)
+        return spectral_abscissa(pencil.A0 + eps * pencil.A1)
 
     probes = np.geomspace(eps_hi * 1e-4, eps_hi, n_probes)
     aabs = np.array([abscissa(e) for e in probes])
@@ -470,7 +417,7 @@ def epsilon_star(network, cset, maps, eps_hi, rel_width=1e-3, n_probes=16,
             f"no stable coupling gain among probes in "
             f"[{probes[0]:.3e}, {probes[-1]:.3e}]")
     k = int(np.max(np.nonzero(stable)[0]))
-    analytic = analytic_eps_bound(network, cset, maps)
+    analytic = _analytic_bound(pencil, cset)
     if k == len(probes) - 1:
         return EpsilonStar(
             eps_bisect=float(probes[-1]), eps_analytic=analytic,

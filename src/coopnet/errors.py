@@ -152,6 +152,11 @@ class StepTooLarge(NumericalFailure):
     """The fixed integration step is unstable for the assembled system."""
 
 
+class UnstableLoop(NumericalFailure):
+    """The closed loop itself is unstable at its coupling gain, so no
+    integration step can be stable."""
+
+
 class NonFiniteState(NumericalFailure):
     """Simulation overflowed; carries the first bad step index."""
 

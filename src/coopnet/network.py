@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionMismatch, ValidationError
 from .topology import Topology
 
@@ -74,8 +72,7 @@ class Network:
     @property
     def p(self):
         """Common output dimension."""
-        first = self.nodes[0]
-        return first.p if not is_static(first) else first.p
+        return self.nodes[0].p
 
     @property
     def n_nodes(self):
@@ -91,16 +88,3 @@ class Network:
 
     def static_indices(self):
         return [i for i, nd in enumerate(self.nodes) if is_static(nd)]
-
-    def edge_state_dims(self):
-        return [e.n for e in self.edges]
-
-
-def edge_output_matrix(network):
-    """Map from stacked edge states z to stacked edge outputs w (block diag G_j)."""
-    import scipy.linalg
-
-    mats = [e.C for e in network.edges]
-    if not mats:
-        return np.zeros((0, 0))
-    return scipy.linalg.block_diag(*mats)

@@ -11,7 +11,7 @@ from .analysis import build_exosystem, edge_system, node_system
 from .closedloop import assemble
 from .errors import InfeasibleDims, ValidationError
 from .network import Network, StaticNode, is_static
-from .synthesis import NodeGains, build_controllers, build_maps
+from .synthesis import NodeGains, _blkdiag, build_controllers, build_maps
 from .topology import Topology
 
 
@@ -200,12 +200,6 @@ def _random_marginal_exosystem(rng, q, p):
     q_v = rng.uniform(0.5, 1.5, size=(p, q)) * rng.choice(
         [-1.0, 1.0], size=(p, q))
     return s, q_eta, q_v
-
-
-def _blkdiag(mats):
-    import scipy.linalg
-
-    return scipy.linalg.block_diag(*mats) if mats else np.zeros((0, 0))
 
 
 def _random_node(rng, n, p):

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .analysis import spectral_abscissa
 from .errors import (
     DimensionMismatch,
     EmptyWindow,
     NonFiniteState,
     StepTooLarge,
+    UnstableLoop,
     ValidationError,
 )
 
@@ -94,7 +96,11 @@ def integrate(cl, x0, t_end, dt, store_every=None):
     ------
     StepTooLarge
         If the one-step propagator has spectral radius above 1 + 1e-6
-        (the fixed step is unstable for this system).
+        (the fixed step is unstable for this system) and a smaller step
+        resolves the loop's fastest mode.
+    UnstableLoop
+        If the propagator is unstable although ``dt`` already resolves the
+        fastest mode: the loop itself grows at its coupling gain.
     NonFiniteState
         On overflow, reporting the first bad step.
     """
@@ -110,9 +116,16 @@ def integrate(cl, x0, t_end, dt, store_every=None):
     r = rk4_propagator(cl.A_full, dt)
     radius = float(np.abs(np.linalg.eigvals(r)).max(initial=0.0))
     if radius > 1.0 + PROPAGATOR_RADIUS_TOL:
-        raise StepTooLarge(
-            f"propagator spectral radius {radius:.6f} > 1: reduce dt "
-            f"(suggestion: {suggest_dt(cl):.3e})")
+        hint = suggest_dt(cl)
+        if hint < dt:
+            raise StepTooLarge(
+                f"propagator spectral radius {radius:.6f} > 1: reduce dt "
+                f"(suggestion: {hint:.3e})")
+        raise UnstableLoop(
+            f"closed loop is unstable at eps={cl.eps:g}: A_full has "
+            f"spectral abscissa {spectral_abscissa(cl.A_full):+.4e}, and "
+            f"dt={dt:g} already resolves its fastest mode; find the stable "
+            f"coupling gains with `coopnet eps`")
     s = _pick_store_every(n_steps, store_every)
     r_s = np.linalg.matrix_power(r, s)
     n_stored = n_steps // s

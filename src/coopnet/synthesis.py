@@ -18,6 +18,7 @@ from .analysis import (
     Exosystem,
     LtiSystem,
     STRICT_MARGIN,
+    _sym,
     controllable,
     hyper_min_phase_check,
     is_hurwitz,
@@ -51,10 +52,6 @@ NODE_REGIMES = ("tracking", "sync", "cooperation", "master", "slave")
 MAP_IDENTITY_TOL = 1e-8
 #: tolerance for the passivity identities of assumption A5
 PASSIVITY_TOL = 1e-9
-
-
-def _sym(a):
-    return 0.5 * (a + a.T)
 
 
 def _blkdiag(mats):
@@ -560,9 +557,80 @@ def cooperation_node_maps(ctrl, exo, g_s, g_q, tol=MAP_IDENTITY_TOL):
     return pi1, pi2
 
 
-def _edge_block_rows(network):
-    return [e.A for e in network.edges], [e.B for e in network.edges], \
-        [e.C for e in network.edges]
+@dataclass(frozen=True)
+class ReferenceLayer:
+    """A regime's layer of coupling-driven reference generators.
+
+    Every closed-loop construction that involves the layer reads it from
+    here: the simulation-form rows of :func:`coopnet.closedloop.assemble`,
+    the error-coordinate matrix, and the edge/reference steady-state maps.
+
+    Node ``i`` in ``nodes`` (0-based) carries a generator
+    ``r_i' = S r_i - eps B sum_j H[i, j] G_j z_j - eps command nu_i`` with
+    reference output ``Q r_i``; there is no command term when ``command`` is
+    None.  In error coordinates the generators couple to the edges through
+    the incidence rows ``rows`` (``Hbar`` when the network-average mode is
+    split off, ``H[slaves]`` for master-slave); ``row_ids`` label the
+    resulting reference-error blocks.  Tracking's layer is empty: no nodes
+    and no rows.
+    """
+
+    nodes: tuple
+    rows: np.ndarray
+    row_ids: tuple
+    S: np.ndarray
+    B: np.ndarray
+    Q: np.ndarray
+    command: np.ndarray = None
+
+
+def reference_layer(network, cset):
+    """The :class:`ReferenceLayer` of the controller set's regime."""
+    exo, topo = cset.exo, network.topology
+    if cset.regime == "tracking":
+        nodes, rows, row_ids = (), topo.H[:0], ()
+    elif cset.regime in ("sync", "cooperation"):
+        nodes, rows = tuple(range(topo.N)), topo.Hbar
+        row_ids = tuple(range(1, topo.N))
+    elif cset.regime == "master_slave":
+        nodes, rows = tuple(cset.slaves), topo.H[list(cset.slaves)]
+        row_ids = tuple(i + 1 for i in cset.slaves)
+    else:
+        raise ValidationError("regime", f"unknown regime {cset.regime!r}")
+    if cset.regime in ("tracking", "sync"):
+        return ReferenceLayer(nodes, rows, row_ids, exo.S, exo.B_eta,
+                              exo.Q_eta)
+    return ReferenceLayer(nodes, rows, row_ids, cset.G_S, cset.G_B,
+                          cset.G_Q, cset.G_B @ exo.Q_v)
+
+
+def edge_reference_block(network, layer):
+    """Edge systems plus the reference layer in error coordinates.
+
+    Returns ``(A0, A1, B1)``: ``A0 + eps A1`` is the block
+    ``[[E, R.T F Q], [-eps B R G, I (x) S]]`` (R = ``layer.rows``; E, F, G
+    the stacked edge matrices) and ``eps B1`` its input from the stacked
+    commands, ``-eps I (x) command`` on the reference rows (no columns when
+    the layer has no command).
+    """
+    f_list = [e.B for e in network.edges]
+    g_list = [e.C for e in network.edges]
+    em = _blkdiag([e.A for e in network.edges])
+    nz = em.shape[0]
+    k = layer.rows.shape[0]
+    n = nz + k * layer.S.shape[0]
+    a0, a1 = np.zeros((n, n)), np.zeros((n, n))
+    a0[:nz, :nz] = em
+    a0[:nz, nz:] = assemble_weighted_blocks(layer.rows.T, left=f_list,
+                                            right=layer.Q)
+    a0[nz:, nz:] = np.kron(np.eye(k), layer.S)
+    a1[nz:, :nz] = -assemble_weighted_blocks(layer.rows, left=layer.B,
+                                             right=g_list)
+    if layer.command is None:
+        return a0, a1, np.zeros((n, 0))
+    b1 = np.vstack([np.zeros((nz, k * layer.command.shape[1])),
+                    np.kron(np.eye(k), -layer.command)])
+    return a0, a1, b1
 
 
 def cooperation_network_maps(network, cset, tol=MAP_IDENTITY_TOL):
@@ -574,26 +642,17 @@ def cooperation_network_maps(network, cset, tol=MAP_IDENTITY_TOL):
     the commanded neighboring inputs.
     """
     topo = network.topology
-    e_list, f_list, g_list = _edge_block_rows(network)
     eps = cset.eps
     if eps <= 0:
         raise ValidationError("eps", "cooperation maps need eps > 0")
-    g_s, g_b, g_q = cset.G_S, cset.G_B, cset.G_Q
     exo = cset.exo
     n1 = topo.N - 1
-    em = _blkdiag(e_list)
-    htf_gq = assemble_weighted_blocks(topo.Hbar.T, left=f_list, right=g_q)
-    gb_hg = assemble_weighted_blocks(topo.Hbar, left=g_b, right=g_list)
-    a_nu = np.block([
-        [em, htf_gq],
-        [-eps * gb_hg, np.kron(np.eye(n1), g_s)]])
-    b_nu = np.vstack([
-        np.zeros((em.shape[0], n1 * exo.q)),
-        np.kron(np.eye(n1), -eps * (g_b @ exo.Q_v))])
-    pi = sylvester_solve(a_nu, np.kron(np.eye(n1), exo.S), b_nu)
-    nz = em.shape[0]
+    a0, a1, b1 = edge_reference_block(network, reference_layer(network, cset))
+    pi = sylvester_solve(a0 + eps * a1, np.kron(np.eye(n1), exo.S), eps * b1)
+    nz = sum(e.n for e in network.edges)
     pi_z, pi_eta = pi[:nz, :], pi[nz:, :]
-    hg_bar = assemble_weighted_blocks(topo.Hbar, left=None, right=g_list)
+    hg_bar = assemble_weighted_blocks(topo.Hbar, left=None,
+                                      right=[e.C for e in network.edges])
     resid = np.abs(-hg_bar @ pi_z - np.kron(np.eye(n1), exo.Q_v)).max()
     if resid > tol * max(1.0, np.abs(exo.Q_v).max()):
         raise IdentityViolated(
@@ -617,24 +676,16 @@ def master_slave_maps(network, cset, tol=MAP_IDENTITY_TOL):
     slaves, masters = cset.slaves, cset.masters
     l = len(slaves)
     n_masters = len(masters)
-    e_list, f_list, g_list = _edge_block_rows(network)
-    g_s, g_b, g_q = cset.G_S, cset.G_B, cset.G_Q
-    em = _blkdiag(e_list)
-    nz = em.shape[0]
+    f_list = [e.B for e in network.edges]
+    g_list = [e.C for e in network.edges]
+    g_s, g_q = cset.G_S, cset.G_Q
+    nz = sum(e.n for e in network.edges)
     h = topo.H
     q = exo.q
 
-    h_slave = h[slaves, :] if l else np.zeros((0, topo.M))
-    htf_gq = assemble_weighted_blocks(h_slave.T, left=f_list, right=g_q)
-    gb_hg = assemble_weighted_blocks(h_slave, left=g_b, right=g_list)
-    a_ms = np.block([
-        [em, htf_gq],
-        [-eps * gb_hg, np.kron(np.eye(l), g_s)]]) if l else em
+    a0, a1, b1 = edge_reference_block(network, reference_layer(network, cset))
+    a_ms, b_nu = a0 + eps * a1, eps * b1
 
-    b_nu = np.vstack([
-        np.zeros((nz, l * q)),
-        np.kron(np.eye(l), -eps * (g_b @ exo.Q_v))]) if l else \
-        np.zeros((nz, 0))
     h_master = h[masters, :] if n_masters else np.zeros((0, topo.M))
     b_eta_top = assemble_weighted_blocks(
         h_master.T, left=f_list, right=exo.Q_eta)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from coopnet.analysis import (
     build_exosystem,
@@ -182,6 +183,42 @@ def test_demo_error_abscissa_regression():
     rz = realize(demo_power_network())
     assert spectral_abscissa(rz.cl.A_error) == pytest.approx(
         -1.1648108262697718, abs=1e-6)
+
+
+def _assert_error_spectrum_inside_full(cl, n_extra):
+    """spec(A_full) = spec(A_error) plus ``n_extra`` marginal modes, matched
+    one to one."""
+    lam_err = np.linalg.eigvals(cl.A_error)
+    lam_full = np.linalg.eigvals(cl.A_full)
+    assert lam_full.size - lam_err.size == n_extra
+    cost = np.abs(lam_err[:, None] - lam_full[None, :]) / np.maximum(
+        1.0, np.abs(lam_err))[:, None]
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    assert cost[rows, cols].max(initial=0.0) <= 1e-10
+    extra = np.delete(lam_full, cols)
+    assert extra.size == n_extra
+    assert np.abs(extra.real).max(initial=0.0) <= 1e-9
+
+
+def test_spectral_identity_demo():
+    # the three autonomous reference/command generators, q = 2 each
+    _assert_error_spectrum_inside_full(realize(demo_power_network()).cl, 6)
+
+
+# extra modes (N = 5, q = 2): tracking and master-slave keep one autonomous
+# generator per node, sync the network-average reference, cooperation one
+# command generator per node plus the average reference
+@pytest.mark.parametrize("seed,regime,n_extra", [
+    (0, "tracking", 10), (1, "tracking", 10), (100, "sync", 2),
+    (101, "sync", 2), (200, "cooperation", 12), (201, "cooperation", 12),
+    (300, "master_slave", 10), (301, "master_slave", 10)])
+def test_spectral_identity_random(seed, regime, n_extra):
+    scn = random_network(seed, n_nodes=5, m_edges=6, dims=3, regime=regime)
+    rz = realize(scn)
+    est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=10.0)
+    cl = assemble(regime, rz.network, rz.cset, rz.maps,
+                  eps=0.5 * est.eps_bisect)
+    _assert_error_spectrum_inside_full(cl, n_extra)
 
 
 def test_demo_coupling_is_stabilizing_then_destabilizing():

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from coopnet.analysis import spectral_abscissa
 from coopnet.closedloop import assemble, epsilon_star
 from coopnet.errors import (
     EmptyWindow,
     NonFiniteState,
+    NumericalFailure,
     StepTooLarge,
+    UnstableLoop,
     ValidationError,
 )
 from coopnet.scenarios import (
@@ -72,6 +75,29 @@ def test_integrate_observed_order_at_least_3_5():
 def test_integrate_rejects_unstable_step():
     with pytest.raises(StepTooLarge):
         integrate(_Plain([[-100.0]]), [1.0], t_end=1.0, dt=0.05)
+
+
+def test_step_too_large_suggests_a_smaller_step():
+    with pytest.raises(StepTooLarge) as exc:
+        integrate(_Plain([[-100.0]]), [1.0], t_end=1.0, dt=0.05)
+    assert float(str(exc.value).split("suggestion: ")[1].rstrip(")")) < 0.05
+
+
+def test_integrate_names_unstable_loop():
+    # random_network's default eps = 1 is beyond this network's eps*; a
+    # smaller step cannot help, so the error must say so
+    rz = realize(random_network(seed=100, regime="sync"))
+    x0 = initial_state(rz.cl, eta0=rz.scenario.eta0)
+    assert suggest_dt(rz.cl) >= 1e-3
+    with pytest.raises(UnstableLoop) as exc:
+        integrate(rz.cl, x0, t_end=1.0, dt=1e-3)
+    assert isinstance(exc.value, NumericalFailure)
+    assert not isinstance(exc.value, StepTooLarge)
+    msg = str(exc.value)
+    assert "eps=1:" in msg and "coopnet eps" in msg
+    absc = float(msg.split("spectral abscissa ")[1].split(",")[0])
+    assert absc == pytest.approx(spectral_abscissa(rz.cl.A_full), rel=1e-4)
+    assert absc > 0
 
 
 def test_integrate_reports_non_finite_state():
