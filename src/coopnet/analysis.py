@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     DimensionMismatch,
@@ -525,6 +524,10 @@ def spr_certificate(edge, Q=None, seed=0, margin=STRICT_MARGIN):
         raise Infeasible(
             f"Q F = G^T has the unique solution with lambda_max "
             f"{lmax(p0):.2e}, lambda_min {lmin(p0):.2e}")
+
+    # imported only here, so that runs needing no search (such as the
+    # demo, whose edges have one state) do not pay its ~0.2 s import
+    import scipy.optimize
 
     delta = 1e-3 * scale
 

@@ -3,8 +3,14 @@ predictions of the regulation theory, and error metrics.
 
 The closed loop is autonomous and linear, so one classical fourth-order
 step equals multiplication by the degree-4 Taylor polynomial of the matrix
-exponential; the propagator is built once and powered between stored
-samples, which keeps long stiff runs cheap and bit-deterministic.
+exponential, and the step between stored samples is that propagator's
+power.  Likewise the predicted limits on a uniform grid follow from one
+exact ``expm`` step, applied to the output matrices under the adjoint.
+Both are the linear recurrence x_{j+1} = step x_j,
+run by one kernel (``_propagate``): after a short sequential head, each
+block of samples is one matrix-matrix product with step^B applied to the
+block before it, so long stiff runs cost level-3 BLAS, not one Python
+mat-vec per sample, and stay bit-deterministic.
 """
 
 from dataclasses import dataclass
@@ -24,6 +30,9 @@ from .errors import (
 
 #: allowed excess of the one-step propagator's spectral radius over 1
 PROPAGATOR_RADIUS_TOL = 1e-6
+
+#: samples per block of ``_propagate``
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,47 @@ def _pick_store_every(n_steps, store_every, max_stored=200_000):
     return 1
 
 
+def _check_finite(rows, lo, hi):
+    finite = np.isfinite(rows[lo:hi]).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteState(lo + int(np.argmin(finite)))
+
+
+def _propagate(step, x0, n):
+    """All ``n + 1`` samples of the recurrence x_{j+1} = step x_j.
+
+    ``x0`` is an n_x x k block of columns, each propagated independently.
+    Returns an ``(n + 1, k, n_x)`` row buffer: ``rows[j]`` is sample j,
+    transposed.  The first ``_BLOCK`` samples are stepped one at a time;
+    each later block of ``_BLOCK`` samples is one matrix-matrix product of
+    the block before it with step^_BLOCK.  Finiteness is checked once per
+    block.
+
+    Raises
+    ------
+    NonFiniteState
+        Naming the first non-finite sample j >= 1 (x0 itself is not
+        checked).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n_x, k = x0.shape
+    rows = np.empty((n + 1, k, n_x))
+    rows[0] = x0.T
+    head = min(n, _BLOCK)
+    for j in range(head):
+        rows[j + 1] = rows[j] @ step.T
+    _check_finite(rows, 1, head + 1)
+    if n > _BLOCK:
+        flat = rows.reshape((n + 1) * k, n_x)
+        jump = np.linalg.matrix_power(step, _BLOCK).T
+        for lo in range(_BLOCK + 1, n + 1, _BLOCK):
+            hi = min(lo + _BLOCK, n + 1)
+            np.matmul(flat[(lo - _BLOCK) * k:(hi - _BLOCK) * k], jump,
+                      out=flat[lo * k:hi * k])
+            _check_finite(rows, lo, hi)
+    return rows
+
+
 def integrate(cl, x0, t_end, dt, store_every=None):
     """Integrate the closed loop with the classical fourth-order fixed step.
 
@@ -127,16 +177,13 @@ def integrate(cl, x0, t_end, dt, store_every=None):
             f"dt={dt:g} already resolves its fastest mode; find the stable "
             f"coupling gains with `coopnet eps`")
     s = _pick_store_every(n_steps, store_every)
-    r_s = np.linalg.matrix_power(r, s)
     n_stored = n_steps // s
-    states = np.empty((cl.n_states, n_stored + 1))
-    states[:, 0] = x0
-    x = x0.copy()
-    for k in range(n_stored):
-        x = r_s @ x
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState((k + 1) * s)
-        states[:, k + 1] = x
+    try:
+        rows = _propagate(np.linalg.matrix_power(r, s), x0[:, None],
+                          n_stored)
+    except NonFiniteState as exc:
+        raise NonFiniteState(exc.step * s) from None
+    states = rows[:, 0, :].T
     t = np.arange(n_stored + 1) * (dt * s)
     p = cl.p
     y_all = cl.y_map @ states
@@ -200,24 +247,6 @@ def initial_state(cl, nu0=None, eta0=None, etabar0=None, node0=None,
 # steady-state predictions
 
 
-def _exp_on_grid(s, t):
-    """e^{S t_k} for a uniform grid, by powering one exact step."""
-    t = np.asarray(t, dtype=float)
-    if t.size > 1:
-        steps = np.diff(t)
-        if np.abs(steps - steps[0]).max() > 1e-9 * max(steps[0], 1e-300):
-            raise ValidationError("t", "prediction grid must be uniform")
-        phi_step = scipy.linalg.expm(s * steps[0])
-    else:
-        phi_step = np.eye(s.shape[0])
-    phis = np.empty((t.size, s.shape[0], s.shape[1]))
-    phis[0] = scipy.linalg.expm(s * t[0]) if t[0] != 0.0 else np.eye(
-        s.shape[0])
-    for k in range(1, t.size):
-        phis[k] = phi_step @ phis[k - 1]
-    return phis
-
-
 @dataclass(frozen=True)
 class SteadyStatePrediction:
     """Closed-form limits of the regulation theorems on the stored grid.
@@ -245,58 +274,62 @@ def steady_state_prediction(cset, t, nu0=None, eta0=None, etabar0=None):
     reference generator from the sum of etabar_i(0).
     """
     exo = cset.exo
+    t = np.asarray(t, dtype=float)
+    h = 0.0
+    if t.size > 1:
+        steps = np.diff(t)
+        if np.abs(steps - steps[0]).max() > 1e-9 * max(steps[0], 1e-300):
+            raise ValidationError("t", "prediction grid must be uniform")
+        h = steps[0]
+
+    def on_grid(a, out):
+        """out e^{A t_k} for every grid point, as a (T p) x n matrix.
+
+        The kernel propagates out^T under e^{A^T h}, so it stores T x p x n
+        numbers rather than one n-vector per signal and sample.
+        """
+        cols = out.T
+        if t[0] != 0.0:
+            cols = scipy.linalg.expm(a.T * t[0]) @ cols
+        rows = _propagate(scipy.linalg.expm(a.T * h), cols, t.size - 1)
+        return rows.reshape(-1, a.shape[0])
+
+    def signal(gains, vec):
+        return (gains @ vec).reshape(t.size, -1).T
+
     nu0 = {i: np.asarray(v, dtype=float).ravel()
            for i, v in (nu0 or {}).items()}
     eta0 = {i: np.asarray(v, dtype=float).ravel()
             for i, v in (eta0 or {}).items()}
     etabar0 = {i: np.asarray(v, dtype=float).ravel()
                for i, v in (etabar0 or {}).items()}
-    n_nodes = len(cset.controllers)
-    phis = _exp_on_grid(exo.S, t)
-    per_node, bias, output_sum = {}, None, None
-
-    def track(vec):
-        return np.einsum("pq,tqr->pt", exo.Q_eta,
-                         phis @ vec.reshape(-1, 1))
-
-    def command(vec):
-        return np.einsum("pq,tqr->pt", exo.Q_v, phis @ vec.reshape(-1, 1))
-
+    ids = range(1, len(cset.controllers) + 1)
+    zero = np.zeros(exo.q)
+    bias, output_sum = None, None
     if cset.regime == "sync":
-        total = np.zeros(exo.q)
-        for i in range(1, n_nodes + 1):
-            total = total + eta0.get(i, np.zeros(exo.q))
-        mean = total / n_nodes
-        for i in range(1, n_nodes + 1):
-            per_node[i] = track(mean)
+        track = on_grid(exo.S, exo.Q_eta)
+        mean = sum(eta0.get(i, zero) for i in ids) / len(ids)
+        per_node = {i: signal(track, mean) for i in ids}
     elif cset.regime == "tracking":
-        for i in range(1, n_nodes + 1):
-            per_node[i] = track(eta0.get(i, np.zeros(exo.q)))
+        track = on_grid(exo.S, exo.Q_eta)
+        per_node = {i: signal(track, eta0.get(i, zero)) for i in ids}
     elif cset.regime == "cooperation":
-        total = np.zeros(exo.q)
-        for i in range(1, n_nodes + 1):
-            vec = nu0.get(i, np.zeros(exo.q))
-            total = total + vec
-            per_node[i] = command(vec)
-        nu_bias = -total / n_nodes
-        bias = command(nu_bias)
-        phis_gs = _exp_on_grid(cset.G_S, t)
-        total_ref = np.zeros(cset.G_S.shape[0])
-        for i in range(1, n_nodes + 1):
-            total_ref = total_ref + etabar0.get(
-                i, np.zeros(cset.G_S.shape[0]))
-        output_sum = np.einsum("pq,tqr->pt", cset.G_Q,
-                               phis_gs @ total_ref.reshape(-1, 1))
+        command = on_grid(exo.S, exo.Q_v)
+        per_node = {i: signal(command, nu0.get(i, zero)) for i in ids}
+        bias = signal(command,
+                      -sum(nu0.get(i, zero) for i in ids) / len(ids))
+        total_ref = sum(etabar0.get(i, np.zeros(cset.G_S.shape[0]))
+                        for i in ids)
+        output_sum = signal(on_grid(cset.G_S, cset.G_Q), total_ref)
     elif cset.regime == "master_slave":
-        for i in range(1, n_nodes + 1):
-            if (i - 1) in cset.slaves:
-                per_node[i] = command(nu0.get(i, np.zeros(exo.q)))
-            else:
-                per_node[i] = track(eta0.get(i, np.zeros(exo.q)))
+        track = on_grid(exo.S, exo.Q_eta)
+        command = on_grid(exo.S, exo.Q_v)
+        per_node = {i: signal(command, nu0.get(i, zero))
+                    if (i - 1) in cset.slaves
+                    else signal(track, eta0.get(i, zero)) for i in ids}
     else:
         raise ValidationError("regime", f"unknown regime {cset.regime!r}")
-    return SteadyStatePrediction(t=np.asarray(t, dtype=float),
-                                 per_node=per_node, bias=bias,
+    return SteadyStatePrediction(t=t, per_node=per_node, bias=bias,
                                  output_sum=output_sum)
 
 

@@ -19,6 +19,7 @@ from coopnet.scenarios import (
     with_zero_sum,
 )
 from coopnet.sim import (
+    _BLOCK,
     error_metrics,
     initial_state,
     integrate,
@@ -104,6 +105,64 @@ def test_integrate_reports_non_finite_state():
     with pytest.raises(NonFiniteState) as exc:
         integrate(_Plain([[-1.0]]), [np.nan], t_end=1.0, dt=1e-2)
     assert exc.value.step >= 1
+
+
+def _sequential(r_s, x0, n):
+    """Reference: n stored samples of x <- r_s @ x, one at a time."""
+    states = [np.asarray(x0, dtype=float)]
+    for _ in range(n):
+        states.append(r_s @ states[-1])
+    return np.column_stack(states)
+
+
+def _demo_loop():
+    scn = demo_power_network()
+    rz = realize(scn)
+    return rz.cl, initial_state(rz.cl, nu0=scn.nu0, eta0=scn.eta0), 1e-6
+
+
+def _random_loop():
+    scn = random_network(seed=2, regime="tracking")
+    rz = realize(scn)
+    return rz.cl, initial_state(rz.cl, eta0=scn.eta0), 1e-2
+
+
+@pytest.mark.parametrize("n_stored",
+                         [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("loop", [_demo_loop, _random_loop],
+                         ids=["demo", "random"])
+def test_blocked_propagation_matches_sequential_loop(loop, n_stored):
+    cl, x0, dt = loop()
+    s = 3
+    res = integrate(cl, x0, t_end=n_stored * s * dt, dt=dt, store_every=s)
+    r_s = np.linalg.matrix_power(rk4_propagator(cl.A_full, dt), s)
+    expect = _sequential(r_s, x0, n_stored)
+    assert res.states.shape == expect.shape
+    assert np.abs(res.states - expect).max() <= 1e-10 * np.abs(expect).max()
+    assert res.store_every == s
+    assert np.array_equal(res.t, np.arange(n_stored + 1) * (dt * s))
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_non_finite_step_is_exact_inside_a_block(store_every):
+    # stable but non-normal: the first component passes through ~1e6*t*x2
+    # and overflows after a few blocks, not at a block boundary
+    cl = _Plain([[-1.0, 1e6], [0.0, -1.0]])
+    x0 = np.array([0.0, 1e303])
+    dt = 1e-4
+    r_s = np.linalg.matrix_power(rk4_propagator(cl.A_full, dt),
+                                 store_every)
+    x, bad = x0, None
+    with np.errstate(over="ignore"):
+        for j in range(1, 10_000):
+            x = r_s @ x
+            if not np.all(np.isfinite(x)):
+                bad = j
+                break
+        assert bad is not None and bad > _BLOCK and (bad - 1) % _BLOCK
+        with pytest.raises(NonFiniteState) as exc:
+            integrate(cl, x0, t_end=0.3, dt=dt, store_every=store_every)
+    assert exc.value.step == bad * store_every
 
 
 def test_integrate_requires_matching_grid():
@@ -200,6 +259,56 @@ def test_sync_prediction_zero_average():
     pred = steady_state_prediction(rz.cset, t, eta0=eta0)
     for i in pred.per_node:
         assert np.abs(pred.per_node[i]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("seed,regime", [(0, "tracking"), (100, "sync"),
+                                         (200, "cooperation"),
+                                         (300, "master_slave")])
+def test_prediction_matches_direct_expm(seed, regime):
+    rz = realize(random_network(seed=seed, regime=regime))
+    cset, exo = rz.cset, rz.cset.exo
+    rng = np.random.default_rng(seed)
+    ids = range(1, len(cset.controllers) + 1)
+    nu0 = {i: rng.standard_normal(exo.q) for i in ids}
+    eta0 = {i: rng.standard_normal(exo.q) for i in ids}
+    ref_dim = cset.G_S.shape[0] if regime == "cooperation" else 0
+    etabar0 = {i: rng.standard_normal(ref_dim) for i in ids}
+    t = 0.37 + 1e-2 * np.arange(3 * _BLOCK + 5)
+    pred = steady_state_prediction(cset, t, nu0=nu0, eta0=eta0,
+                                   etabar0=etabar0)
+    assert pred.t[0] == 0.37
+    picks = [0, 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, t.size - 1]
+
+    def direct(a, out, vec):
+        return np.column_stack([out @ scipy.linalg.expm(a * t[k]) @ vec
+                                for k in picks])
+
+    expect = {}
+    for i in ids:
+        if regime == "sync":
+            vec = sum(eta0.values()) / len(ids)
+            expect[i] = direct(exo.S, exo.Q_eta, vec)
+        elif regime == "cooperation" or (i - 1) in cset.slaves:
+            expect[i] = direct(exo.S, exo.Q_v, nu0[i])
+        else:
+            expect[i] = direct(exo.S, exo.Q_eta, eta0[i])
+    got = {i: pred.per_node[i][:, picks] for i in ids}
+    if regime == "cooperation":
+        expect["bias"] = direct(exo.S, exo.Q_v, -sum(nu0.values()) / len(ids))
+        got["bias"] = pred.bias[:, picks]
+        expect["sum"] = direct(cset.G_S, cset.G_Q, sum(etabar0.values()))
+        got["sum"] = pred.output_sum[:, picks]
+    else:
+        assert pred.bias is None and pred.output_sum is None
+    assert set(pred.per_node) == set(ids)
+    for key, want in expect.items():
+        assert np.abs(got[key] - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_prediction_rejects_non_uniform_grid():
+    rz = realize(random_network(seed=0, regime="tracking"))
+    with pytest.raises(ValidationError):
+        steady_state_prediction(rz.cset, np.array([0.0, 0.1, 0.3]))
 
 
 def test_cooperation_bias_two_equal_commands():
