@@ -31,8 +31,13 @@ from .topology import full_column_rank, full_row_rank, matrix_rank
 SOLVE_RESID_RTOL = 1e-10
 #: |Re lambda| threshold for "on the imaginary axis"
 MARGINAL_RE_TOL = 1e-9
-#: margin required of strict LMIs found by search
+#: margin required of strict LMIs
 STRICT_MARGIN = 1e-8
+#: fraction of the largest SPR margin an edge certificate is built at (nearer
+#: the largest margin, Q sits on the boundary with far smaller slacks)
+SPR_CENTRE = 0.75
+#: relative width of the bisection for the largest SPR margin
+SPR_BISECT_RTOL = 1e-3
 #: threshold below which eigenvalues count as "stable" in PBH-style tests
 PBH_RE_TOL = 1e-9
 
@@ -423,67 +428,62 @@ def lyapunov_kernel_basis(g1, rtol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# affine-constrained symmetric solves (shared by SPR and passivity searches)
+# strict positive realness
 
 
-def symmetric_affine_solutions(f, g_t, rtol=1e-10):
-    """Particular symmetric P0 with ``P0 @ f = g_t`` plus a kernel basis.
+def _spr_riccati_test(k, et, w, delta):
+    """Whether some Y gives ``Q E + E.T Q <= -delta I``, in normal form.
 
-    Returns ``(P0, basis)`` where ``basis`` spans the symmetric matrices N
-    with ``N @ f = 0``.  Raises Infeasible when no symmetric solution exists.
+    With ``et = U^{-1} E U``, ``w = U.T U`` and ``U.T Q U = blkdiag(k, Y)``
+    the margin reads ``L(Y) = blkdiag(k, Y) et + et.T blkdiag(k, Y) + delta w
+    <= 0``.  Its (1,1) block -R must be negative definite; the Schur
+    complement is then ``A_bar.T Y + Y A_bar + Y S Y + Q_c < 0``, solvable
+    with Y > 0 exactly when A_bar is Hurwitz and the Hamiltonian
+    ``[[A_bar, S], [-Q_c, -A_bar.T]]`` has no imaginary-axis eigenvalue
+    (bounded real lemma).  Returns ``(reason, H)``: the failing condition or
+    None, and H when the test passes with a non-empty Y.
     """
-    f = np.atleast_2d(np.asarray(f, dtype=float))
-    g_t = np.atleast_2d(np.asarray(g_t, dtype=float))
-    n = f.shape[0]
-    if g_t.shape != (n, f.shape[1]):
-        raise DimensionMismatch("target must be n x m like F")
-    sym = []
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0
-            sym.append((e @ f).ravel())
-    mat = np.array(sym).T  # (n*m) x s
-    sol, *_ = np.linalg.lstsq(mat, g_t.ravel(), rcond=None)
-    idx = 0
-    p0 = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            p0[i, j] = p0[j, i] = sol[idx]
-            idx += 1
-    resid = np.abs(p0 @ f - g_t).max()
-    if resid > rtol * max(1.0, np.abs(g_t).max(), np.abs(f).max()):
-        raise Infeasible(
-            f"no symmetric solution of P F = G^T (residual {resid:.2e})")
-    u, sv, vt = np.linalg.svd(mat)
-    cutoff = (sv > 1e-10 * max(1.0, sv.max())).sum() if sv.size else 0
-    null = vt.T[:, cutoff:]
-    basis = []
-    for k in range(null.shape[1]):
-        p = np.zeros((n, n))
-        idx = 0
-        for i in range(n):
-            for j in range(i, n):
-                p[i, j] = p[j, i] = null[idx, k]
-                idx += 1
-        basis.append(p)
-    return p0, basis
+    m = k.shape[0]
+    a11, a12, a21, a22 = et[:m, :m], et[:m, m:], et[m:, :m], et[m:, m:]
+    r = -_sym(k @ a11 + a11.T @ k + delta * w[:m, :m])
+    if np.linalg.eigvalsh(r)[0] <= 0:
+        return "the (1,1) block is not negative definite", None
+    if a22.size == 0:
+        return None, None
+    c0 = a12.T @ k + delta * w[m:, :m]
+    abar = a22 + a21 @ np.linalg.solve(r, c0.T)
+    s = _sym(a21 @ np.linalg.solve(r, a21.T))
+    qc = _sym(c0 @ np.linalg.solve(r, c0.T) + delta * w[m:, m:])
+    h = np.block([[abar, s], [-qc, -abar.T]])
+    tol = MARGINAL_RE_TOL * max(1.0, _norm2(h))
+    if spectral_abscissa(abar) >= -tol:
+        return "the Riccati A_bar is not Hurwitz", None
+    if np.abs(np.linalg.eigvals(h).real).min() <= tol:
+        return "the Riccati Hamiltonian has an imaginary eigenvalue", None
+    return None, h
 
 
-def spr_certificate(edge, Q=None, seed=0, margin=STRICT_MARGIN):
+def spr_certificate(edge, Q=None, margin=STRICT_MARGIN):
     """Strict-positive-real certificate for an edge system (E, F, G).
 
-    Finds (or verifies) symmetric ``Q > 0`` with ``Q F = G.T`` and
+    Constructs (or verifies) symmetric ``Q > 0`` with ``Q F = G.T`` and
     ``lambda_max(Q E + E.T Q) < -margin``; the achieved slack is recorded
-    on the returned certificate.
+    on the returned certificate.  With U = [F, null(G)], exactly the Q with
+    ``U.T Q U = blkdiag((G F).T, Y)`` meet the equality, so a certificate
+    exists iff (G F).T is symmetric positive definite and
+    :func:`_spr_riccati_test` passes.  The largest margin is bisected on
+    that test; Y is the stabilizing Riccati solution at ``SPR_CENTRE`` times
+    it (kept above ``margin``), which is then the slack.
 
     Raises
     ------
     NotHurwitz
         If E is not Hurwitz (no SPR certificate can exist).
     Infeasible
-        If the search terminates without a certificate.  Reported with the
-        best margins found; not a proof of infeasibility.
+        If no certificate with slack above ``margin`` exists, or a supplied
+        Q is not one; the message names the condition that fails.
+    CertificateFailed
+        If the constructed Q fails its re-verification.
     """
     e, f, g = edge.A, edge.B, edge.C
     if spectral_abscissa(e) >= -MARGINAL_RE_TOL:
@@ -492,67 +492,60 @@ def spr_certificate(edge, Q=None, seed=0, margin=STRICT_MARGIN):
     if not full_column_rank(f) or not full_row_rank(g):
         raise ValidationError("edge", "F must have full column rank and "
                                       "G full row rank")
-
-    def lmax(q):
-        return float(np.linalg.eigvalsh(_sym(q @ e + e.T @ q))[-1])
-
-    def lmin(q):
-        return float(np.linalg.eigvalsh(q)[0])
-
     if Q is not None:
-        q = _sym(_as_square(Q, "Q"))
-        eq_resid = np.abs(q @ f - g.T).max()
-        if eq_resid > 1e-10 * max(1.0, np.abs(g).max()):
-            raise Infeasible(f"supplied Q violates Q F = G^T "
-                             f"(residual {eq_resid:.2e})")
-        if lmin(q) <= 0:
-            raise Infeasible("supplied Q is not positive definite")
-        if lmax(q) >= -margin:
-            raise Infeasible(f"supplied Q gives lambda_max "
-                             f"{lmax(q):.2e} >= {-margin:.2e}")
-        return Certificate(P=q, slack=-lmax(q), kind="spr")
+        return _checked_spr(_sym(_as_square(Q, "Q")), e, f, g, margin,
+                            "supplied Q", Infeasible)
+    n, m = f.shape
+    gf = g @ f
+    if np.abs(gf - gf.T).max() > 1e-10 * max(1.0, np.abs(gf).max()):
+        raise Infeasible("G F is not symmetric, so no symmetric Q has "
+                         "Q F = G^T")
+    k = _sym(gf)
+    if np.linalg.eigvalsh(k)[0] <= 0:
+        raise Infeasible("G F is not positive definite, so no Q > 0 has "
+                         "Q F = G^T")
+    u = np.hstack([f, scipy.linalg.null_space(g)])
+    ui = np.linalg.inv(u)
+    et, w = ui @ e @ u, u.T @ u
+    reason, _ = _spr_riccati_test(k, et, w, margin)
+    if reason is not None:
+        raise Infeasible(f"no SPR certificate with margin {margin:.1e}: "
+                         f"{reason}")
+    q_t = k  # Y is empty when G is square
+    if n > m:
+        # the (1,1) block fails from the generalized eigenvalue hi on
+        lo = margin
+        hi = float(scipy.linalg.eigh(-_sym(k @ et[:m, :m] + et[:m, :m].T @ k),
+                                     w[:m, :m], eigvals_only=True)[0])
+        while hi > (1.0 + SPR_BISECT_RTOL) * lo:
+            mid = float(np.sqrt(lo * hi))
+            if _spr_riccati_test(k, et, w, mid)[0] is None:
+                lo = mid
+            else:
+                hi = mid
+        centre = max(SPR_CENTRE * lo, 0.5 * (margin + lo))
+        reason, h = _spr_riccati_test(k, et, w, centre)
+        if reason is not None:
+            raise CertificateFailed(f"at margin {centre:.3e}: {reason}")
+        # the stable invariant subspace [Z1; Z2] of H gives Y = Z2 Z1^{-1}
+        z = scipy.linalg.schur(h, output="real", sort="lhp")[1]
+        y = np.linalg.solve(z[:n - m, :n - m].T, z[n - m:, :n - m].T).T
+        q_t = scipy.linalg.block_diag(k, _sym(y))
+    return _checked_spr(_sym(ui.T @ q_t @ ui), e, f, g, margin,
+                        "constructed Q", CertificateFailed)
 
-    p0, basis = symmetric_affine_solutions(f, g.T)
-    scale = max(1.0, np.abs(p0).max())
 
-    def accept(q):
-        return lmin(q) > 0 and lmax(q) < -margin
-
-    if accept(p0):
-        return Certificate(P=_sym(p0), slack=-lmax(p0), kind="spr")
-    if not basis:
-        raise Infeasible(
-            f"Q F = G^T has the unique solution with lambda_max "
-            f"{lmax(p0):.2e}, lambda_min {lmin(p0):.2e}")
-
-    # imported only here, so that runs needing no search (such as the
-    # demo, whose edges have one state) do not pay its ~0.2 s import
-    import scipy.optimize
-
-    delta = 1e-3 * scale
-
-    def objective(theta):
-        q = p0 + sum(t * b for t, b in zip(theta, basis))
-        return max(lmax(q) + 2.0 * margin, -lmin(q) + delta)
-
-    rng = np.random.default_rng(seed)
-    best = None
-    starts = [np.zeros(len(basis))] + \
-        [rng.standard_normal(len(basis)) * scale for _ in range(4)]
-    for x0 in starts:
-        res = scipy.optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxiter": 4000, "xatol": 1e-12, "fatol": 1e-14})
-        q = _sym(p0 + sum(t * b for t, b in zip(res.x, basis)))
-        if accept(q) and (best is None or lmax(q) < lmax(best)):
-            best = q
-        if best is not None:
-            break
-    if best is None:
-        raise Infeasible(
-            f"SPR search exhausted; best lambda_max {lmax(q):.2e}, "
-            f"lambda_min {lmin(q):.2e}")
-    return Certificate(P=best, slack=-lmax(best), kind="spr")
+def _checked_spr(q, e, f, g, margin, what, error):
+    """Re-verify ``Q F = G.T``, ``Q > 0`` and the margin, else ``error``."""
+    eq_resid = np.abs(q @ f - g.T).max()
+    if eq_resid > 1e-10 * max(1.0, np.abs(g).max()):
+        raise error(f"{what} violates Q F = G^T (residual {eq_resid:.2e})")
+    if np.linalg.eigvalsh(q)[0] <= 0:
+        raise error(f"{what} is not positive definite")
+    lmax = float(np.linalg.eigvalsh(_sym(q @ e + e.T @ q))[-1])
+    if lmax >= -margin:
+        raise error(f"{what} gives lambda_max {lmax:.2e} >= {-margin:.2e}")
+    return Certificate(P=q, slack=-lmax, kind="spr")
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,8 @@ class SingularPencil(NumericalFailure):
 
 
 class Infeasible(NumericalFailure):
-    """A certificate search terminated without a certificate.
-
-    Carries the best margins found; this is not a proof of infeasibility.
-    """
+    """No certificate with the required margin exists, or a supplied one
+    fails; the message names the condition that fails."""
 
 
 class SynthesisFailed(NumericalFailure):

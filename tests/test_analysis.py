@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -201,6 +203,27 @@ def test_spr_with_free_direction():
     assert np.linalg.eigvalsh(m)[-1] < -1e-8
     # equality constraint pins the first column
     assert np.allclose(q[:, 0], [1.0, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("E,F,G,cause", [
+    # G F = [[1, 1], [0, 1]]: Q F = G^T would need a non-symmetric Q
+    (-np.eye(2), np.eye(2), [[1.0, 1.0], [0.0, 1.0]], "not symmetric"),
+    # G F = -1: Q = F^{-T} (G F) F^{-1} is negative
+    ([[-1.0]], [[1.0]], [[-1.0]], "not positive definite"),
+    # E Hurwitz, but E11 = 1 > 0 makes Q E + E^T Q positive on e1
+    ([[1.0, 1.0], [-5.0, -3.0]], [[1.0], [0.0]], [[1.0, 0.0]],
+     "(1,1) block"),
+    # A_bar = E22 - E21 E12 / (2 E11) = 0.125; DC gain -2 < 0
+    ([[-1.0, 1.0], [-0.75, 0.5]], [[1.0], [0.0]], [[1.0, 0.0]],
+     "not Hurwitz"),
+    # A_bar = -0.25 Hurwitz, but A_bar^2 < S Q_c; DC gain -1/3 < 0
+    ([[-1.0, 1.0], [-1.0, 0.25]], [[1.0], [0.0]], [[1.0, 0.0]],
+     "imaginary eigenvalue"),
+])
+def test_spr_infeasible_names_its_cause(E, F, G, cause):
+    edge = edge_system(E=E, F=F, G=G)
+    with pytest.raises(Infeasible, match=re.escape(cause)):
+        spr_certificate(edge)
 
 
 def test_spr_accepts_supplied_certificate():

@@ -233,3 +233,26 @@ def test_write_csv_17_digit_roundtrip(tmp_path):
     assert np.array_equal(rows[:, 1], res.y[1][0])
     # node 2's y column starts after node 1's 4 signal columns
     assert np.array_equal(rows[:, 5], res.y[2][0])
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    from types import SimpleNamespace
+
+    from coopnet.cli import CSV_BLOCK_ROWS
+
+    rng = np.random.default_rng(3)
+    n_rows = 2 * CSV_BLOCK_ROWS + 7  # two full blocks and a partial one
+    sig = {i: rng.standard_normal((2, n_rows)) * 10.0 ** rng.integers(
+        -300, 300, size=(2, n_rows)) for i in (1, 2)}
+    sig[1][0, :4] = [0.0, -0.0, np.inf, np.nan]
+    res = SimpleNamespace(
+        t=np.linspace(0.0, 1.0, n_rows), y=sig, v=sig, refs=sig,
+        errors=sig)
+    path = write_csv(tmp_path / "x.csv", res)
+    cols = [res.t] + [sig[i][k] for i in (1, 2) for _ in range(4)
+                      for k in range(2)]
+    expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                       for row in np.column_stack(cols))
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        assert fh.read() == expected
