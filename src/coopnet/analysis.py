@@ -4,14 +4,16 @@ Everything here is a small dense-linear-algebra routine with an explicit
 numerical contract: solvers check their residuals, certificate constructors
 re-verify the inequalities they claim before returning, and every strict
 inequality carries a certified slack.  Tolerances are module constants and
-can be overridden per call.
+can be overridden per call.  scipy is imported only inside the routines
+that need it (the Lyapunov solver, the Riccati branch of the SPR
+certificate and the invariant zeros), so importing the package loads numpy
+alone.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -25,7 +27,13 @@ from .errors import (
     CertificateFailed,
     ValidationError,
 )
-from .topology import full_column_rank, full_row_rank, matrix_rank
+from .topology import (
+    block_diag,
+    full_column_rank,
+    full_row_rank,
+    matrix_rank,
+    null_space,
+)
 
 #: residual tolerance (relative) for the Lyapunov and Sylvester solvers
 SOLVE_RESID_RTOL = 1e-10
@@ -248,6 +256,8 @@ def lyapunov_solve(a, q, rtol=SOLVE_RESID_RTOL):
     pair_sums = np.abs(lam[:, None] + lam[None, :])
     if pair_sums.min() <= 1e-12 * scale:
         raise SingularPencil("A and -A.T share an eigenvalue")
+    import scipy.linalg
+
     q = np.asarray(q, dtype=float)
     p = _sym(scipy.linalg.solve_continuous_lyapunov(a.T, -q))
     # one round of iterative refinement recovers digits on stiff scales
@@ -267,6 +277,12 @@ def lyapunov_solve(a, q, rtol=SOLVE_RESID_RTOL):
 def sylvester_solve(a, s, r, rtol=SOLVE_RESID_RTOL):
     """Solve ``X S = A X + R`` (regulator-equation orientation).
 
+    S is diagonalised, ``S V = V diag(lam)``; each column of ``Y = X V``
+    then solves ``(lam_j I - A) y_j = (R V)_j``, one complex LU per distinct
+    eigenvalue shared by the columns that have it, and ``X = Y V^{-1}``.  S
+    is small and diagonalisable wherever the toolkit calls this: an
+    exosystem with simple spectrum, or copies of one.
+
     Raises
     ------
     SingularPencil
@@ -279,12 +295,23 @@ def sylvester_solve(a, s, r, rtol=SOLVE_RESID_RTOL):
     if r.shape != (a.shape[0], s.shape[0]):
         raise DimensionMismatch(
             f"R must be {(a.shape[0], s.shape[0])}, got {r.shape}")
-    la, ls = np.linalg.eigvals(a), np.linalg.eigvals(s)
+    la = np.linalg.eigvals(a)
+    ls, v = np.linalg.eig(s)
     scale = max(1.0, np.abs(la).max(initial=0.0), np.abs(ls).max(initial=0.0))
     if np.abs(la[:, None] - ls[None, :]).min() <= 1e-12 * scale:
         raise SingularPencil("A and S share an eigenvalue")
-    # A X + X (-S) = -R
-    x = scipy.linalg.solve_sylvester(a, -s, -r)
+    vi = np.linalg.inv(v)
+    groups = [(lam, ls == lam) for lam in dict.fromkeys(ls.tolist())]
+    eye = np.eye(a.shape[0])
+
+    def solve(rhs):
+        """The X with ``X S - A X = rhs``."""
+        y = rhs @ v
+        for lam, cols in groups:
+            y[:, cols] = np.linalg.solve(lam * eye - a, y[:, cols])
+        return (y @ vi).real
+
+    x = solve(r)
     bound = rtol * (_norm2(a) + _norm2(s)) * max(1.0, np.linalg.norm(x)) \
         + 1e-12
     # iterative refinement recovers digits lost to stiff scalings
@@ -292,11 +319,12 @@ def sylvester_solve(a, s, r, rtol=SOLVE_RESID_RTOL):
         res_mat = x @ s - a @ x - r
         if np.linalg.norm(res_mat) <= 0.5 * bound:
             break
-        x = x + scipy.linalg.solve_sylvester(a, -s, res_mat)
+        x = x - solve(res_mat)
     resid = np.linalg.norm(x @ s - a @ x - r)
     if resid > bound:
         raise SingularPencil(
-            f"Sylvester residual {resid:.2e} exceeds tolerance {bound:.2e}")
+            f"Sylvester residual {resid:.2e} exceeds tolerance {bound:.2e} "
+            f"(eigenvector condition of S {np.linalg.cond(v):.1e})")
     return x
 
 
@@ -504,7 +532,7 @@ def spr_certificate(edge, Q=None, margin=STRICT_MARGIN):
     if np.linalg.eigvalsh(k)[0] <= 0:
         raise Infeasible("G F is not positive definite, so no Q > 0 has "
                          "Q F = G^T")
-    u = np.hstack([f, scipy.linalg.null_space(g)])
+    u = np.hstack([f, null_space(g)])
     ui = np.linalg.inv(u)
     et, w = ui @ e @ u, u.T @ u
     reason, _ = _spr_riccati_test(k, et, w, margin)
@@ -513,6 +541,8 @@ def spr_certificate(edge, Q=None, margin=STRICT_MARGIN):
                          f"{reason}")
     q_t = k  # Y is empty when G is square
     if n > m:
+        import scipy.linalg
+
         # the (1,1) block fails from the generalized eigenvalue hi on
         lo = margin
         hi = float(scipy.linalg.eigh(-_sym(k @ et[:m, :m] + et[:m, :m].T @ k),
@@ -530,7 +560,7 @@ def spr_certificate(edge, Q=None, margin=STRICT_MARGIN):
         # the stable invariant subspace [Z1; Z2] of H gives Y = Z2 Z1^{-1}
         z = scipy.linalg.schur(h, output="real", sort="lhp")[1]
         y = np.linalg.solve(z[:n - m, :n - m].T, z[n - m:, :n - m].T).T
-        q_t = scipy.linalg.block_diag(k, _sym(y))
+        q_t = block_diag([k, _sym(y)])
     return _checked_spr(_sym(ui.T @ q_t @ ui), e, f, g, margin,
                         "constructed Q", CertificateFailed)
 
@@ -608,6 +638,8 @@ def invariant_zeros(a, b, c):
     a = _as_square(a, "A")
     b = np.atleast_2d(np.asarray(b, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
+    import scipy.linalg
+
     n, m, p = a.shape[0], b.shape[1], c.shape[0]
     pencil = np.block([[a, b], [c, np.zeros((p, m))]])
     weight = np.block([[np.eye(n), np.zeros((n, m))],
@@ -716,7 +748,7 @@ def lemma1_certificate(w1, w2, w3, w4, w5, p_w, q_w, tol=1e-9):
         raise HypothesisViolated(
             f"||W5|| = {_norm2(w5):.3e} >= eps_bar = {eps_bar:.3e}")
 
-    p_bar = scipy.linalg.block_diag(p_w + eps_bar * p_r, q_w)
+    p_bar = block_diag([p_w + eps_bar * p_r, q_w])
     w = np.block([[w1, w2 + w5], [w3, w4]])
     lmax = float(np.linalg.eigvalsh(_sym(p_bar @ w + w.T @ p_bar))[-1])
     if lmax >= 0:

@@ -35,6 +35,9 @@ DEMO_WINDOW = 0.1
 #: rows formatted per write in :func:`write_csv`; larger blocks are no
 #: faster and raise the peak memory of a long run
 CSV_BLOCK_ROWS = 256
+#: exit code when the reader of stdout goes away: 128 + SIGPIPE, what a
+#: shell reports for a writer the signal ends
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_scenario(source):
@@ -200,10 +203,15 @@ def cmd_eps(args):
     eps_hi = args.eps if args.eps is not None else 1000.0
     est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=eps_hi)
     print(f"coupling-gain boundary for {scn.name!r} (ceiling {eps_hi:g})")
-    print(f"  eps_bisect   = {est.eps_bisect:.6g}  (bisection to relative "
-          f"width 1e-03; abscissa there {est.abscissa_at_bisect:.3e})")
-    print(f"  eps_analytic = {est.eps_analytic:.6g}  (constructive bound; "
-          f"conservative by design)")
+    how = ("bisection to relative width 1e-03" if est.crossed else
+           f"no crossing found up to the ceiling: all {len(est.probes)} "
+           f"probes are stable")
+    print(f"  eps_bisect   = {est.eps_bisect:.6g}  ({how}; abscissa there "
+          f"{est.abscissa_at_bisect:.3e})")
+    why = (f"constructive bound unavailable: {est.analytic_failure}"
+           if est.analytic_failure else
+           "constructive bound; conservative by design")
+    print(f"  eps_analytic = {est.eps_analytic:.6g}  ({why})")
     for eps, absc in zip(est.probes, est.probe_abscissas):
         print(f"    probe eps={eps:12.6g}  abscissa={absc:+.6e}")
     return 0
@@ -369,7 +377,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``coopnet eps ... | head -4``): point it
+        # at devnull so the flush at exit cannot fail again, as the Python
+        # docs on SIGPIPE advise, and exit like a writer killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3

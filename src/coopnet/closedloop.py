@@ -32,11 +32,10 @@ from .synthesis import (
     CooperationMaps,
     MasterSlaveMaps,
     TrackingMaps,
-    _blkdiag,
     edge_reference_block,
     reference_layer,
 )
-from .topology import assemble_weighted_blocks
+from .topology import assemble_weighted_blocks, block_diag
 
 #: spectral abscissa below which the error system counts as stable
 STABILITY_TOL = 1e-9
@@ -305,7 +304,7 @@ def _error_pencil(network, cset, maps):
     node, edge = slice(0, nn), slice(nn, nn + nz)
     a0 = np.zeros((lay.size, lay.size))
     a1 = np.zeros_like(a0)
-    a0[node, node] = _blkdiag([c.Ahat for c in ctrls])
+    a0[node, node] = block_diag([c.Ahat for c in ctrls])
     a0[node, edge] = -assemble_weighted_blocks(
         h_dyn, left=[c.Dhat for c in ctrls], right=g_list)
     a0[edge, node] = assemble_weighted_blocks(
@@ -328,9 +327,13 @@ class EpsilonStar:
 
     ``eps_bisect`` is the operative value (largest stable gain found by the
     probe + bisection scheme, or ``eps_hi`` when the whole grid is stable);
-    ``eps_analytic`` is the conservative constructive bound from the block
-    certificate (NaN when its hypotheses fail), reported for comparison and
-    never used as the operative value.
+    ``crossed`` says whether a stable-to-unstable crossing was found below
+    the ceiling, so False means ``eps_bisect`` is the ceiling and not a
+    boundary.  ``eps_analytic`` is the conservative constructive bound from
+    the block certificate, reported for comparison and never used as the
+    operative value; when it is NaN, ``analytic_failure`` says why (a
+    violated Lemma-1 hypothesis or a numerical failure of the
+    construction), and it is empty otherwise.
     """
 
     eps_bisect: float
@@ -338,6 +341,8 @@ class EpsilonStar:
     abscissa_at_bisect: float
     probes: tuple
     probe_abscissas: tuple
+    crossed: bool
+    analytic_failure: str
 
 
 def lemma1_block_split(network, cset, maps, eps):
@@ -353,8 +358,8 @@ def _lemma1_split(pencil, cset, eps):
     node = slice(0, pencil.n_node)
     edge = slice(pencil.n_node, pencil.n_node + pencil.n_edge)
     a0 = pencil.A0
-    p_w = _blkdiag([c.Phat.P for c in cset.controllers if c is not None])
-    q_w = _blkdiag([cert.P for cert in cset.edge_certificates])
+    p_w = block_diag([c.Phat.P for c in cset.controllers if c is not None])
+    q_w = block_diag([cert.P for cert in cset.edge_certificates])
     return (a0[node, node], a0[node, edge], a0[edge, node], a0[edge, edge],
             eps * pencil.A1[node, edge], p_w, q_w)
 
@@ -367,22 +372,26 @@ def analytic_eps_bound(network, cset, maps):
     when the certificate hypotheses are not satisfied; infinity when the
     regime has no eps-coupling (tracking).
     """
-    return _analytic_bound(_error_pencil(network, cset, maps), cset)
+    return _analytic_bound(_error_pencil(network, cset, maps), cset)[0]
 
 
 def _analytic_bound(pencil, cset):
+    """``(bound, why)``: the analytic bound, and why it is NaN (else "")."""
     w1, w2, w3, w4, w5_unit, p_w, q_w = _lemma1_split(pencil, cset, 1.0)
     norm = float(np.linalg.norm(w5_unit, 2)) if w5_unit.size else 0.0
     if norm == 0.0:
-        return float("inf")  # no coupling path at all
+        return float("inf"), ""  # no coupling path at all
+    # the constructive bound is report-only, so its failure is reported, not
+    # raised: either a hypothesis fails or the scales defeat the tolerances
     try:
         _, eps_bar = lemma1_certificate(
             w1, w2, w3, w4, np.zeros_like(w2), p_w, q_w)
-    except (HypothesisViolated, NumericalFailure):
-        # hypotheses fail or the scales defeat the solver tolerances: the
-        # constructive bound is unavailable (it is report-only anyway)
-        return float("nan")
-    return eps_bar / norm
+    except HypothesisViolated as exc:
+        return float("nan"), f"Lemma-1 hypothesis violated: {exc}"
+    except NumericalFailure as exc:
+        return float("nan"), (f"numerical failure, not a violated Lemma-1 "
+                              f"hypothesis: {type(exc).__name__}: {exc}")
+    return eps_bar / norm, ""
 
 
 def epsilon_star(network, cset, maps, eps_hi, rel_width=1e-3, n_probes=16,
@@ -417,12 +426,13 @@ def epsilon_star(network, cset, maps, eps_hi, rel_width=1e-3, n_probes=16,
             f"no stable coupling gain among probes in "
             f"[{probes[0]:.3e}, {probes[-1]:.3e}]")
     k = int(np.max(np.nonzero(stable)[0]))
-    analytic = _analytic_bound(pencil, cset)
+    analytic, why = _analytic_bound(pencil, cset)
     if k == len(probes) - 1:
         return EpsilonStar(
             eps_bisect=float(probes[-1]), eps_analytic=analytic,
             abscissa_at_bisect=float(aabs[-1]),
-            probes=tuple(probes), probe_abscissas=tuple(aabs))
+            probes=tuple(probes), probe_abscissas=tuple(aabs),
+            crossed=False, analytic_failure=why)
     lo, hi = float(probes[k]), float(probes[k + 1])
     while (hi - lo) > rel_width * lo:
         mid = 0.5 * (lo + hi)
@@ -433,4 +443,5 @@ def epsilon_star(network, cset, maps, eps_hi, rel_width=1e-3, n_probes=16,
     return EpsilonStar(
         eps_bisect=lo, eps_analytic=analytic,
         abscissa_at_bisect=float(abscissa(lo)),
-        probes=tuple(probes), probe_abscissas=tuple(aabs))
+        probes=tuple(probes), probe_abscissas=tuple(aabs),
+        crossed=True, analytic_failure=why)

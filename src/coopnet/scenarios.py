@@ -11,8 +11,8 @@ from .analysis import build_exosystem, edge_system, node_system
 from .closedloop import assemble
 from .errors import InfeasibleDims, ValidationError
 from .network import Network, StaticNode, is_static
-from .synthesis import NodeGains, _blkdiag, build_controllers, build_maps
-from .topology import Topology
+from .synthesis import NodeGains, build_controllers, build_maps
+from .topology import Topology, block_diag
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def _random_marginal_exosystem(rng, q, p):
     blocks = [np.array([[0.0, -w], [w, 0.0]]) for w in freqs]
     if q % 2:
         blocks.append(np.zeros((1, 1)))
-    j = _blkdiag(blocks)
+    j = block_diag(blocks)
     v = np.eye(q) + 0.3 * rng.standard_normal((q, q))
     while np.linalg.cond(v) > 10.0:
         v = np.eye(q) + 0.3 * rng.standard_normal((q, q))

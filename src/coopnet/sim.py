@@ -16,7 +16,6 @@ mat-vec per sample, and stay bit-deterministic.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .analysis import spectral_abscissa
 from .errors import (
@@ -273,6 +272,8 @@ def steady_state_prediction(cset, t, nu0=None, eta0=None, etabar0=None):
     nu_0(0) = -(sum nu_i(0))/N; the output sum follows the cooperation
     reference generator from the sum of etabar_i(0).
     """
+    import scipy.linalg
+
     exo = cset.exo
     t = np.asarray(t, dtype=float)
     h = 0.0

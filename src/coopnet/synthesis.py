@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .analysis import (
     Certificate,
@@ -43,7 +42,12 @@ from .errors import (
     ValidationError,
 )
 from .network import Network, is_static
-from .topology import assemble_weighted_blocks, check_connected
+from .topology import (
+    assemble_weighted_blocks,
+    block_diag,
+    check_connected,
+    null_space,
+)
 
 REGIMES = ("tracking", "sync", "cooperation", "master_slave")
 NODE_REGIMES = ("tracking", "sync", "cooperation", "master", "slave")
@@ -52,13 +56,6 @@ NODE_REGIMES = ("tracking", "sync", "cooperation", "master", "slave")
 MAP_IDENTITY_TOL = 1e-8
 #: tolerance for the passivity identities of assumption A5
 PASSIVITY_TOL = 1e-9
-
-
-def _blkdiag(mats):
-    mats = [np.atleast_2d(m) for m in mats]
-    if not mats:
-        return np.zeros((0, 0))
-    return scipy.linalg.block_diag(*mats)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +266,7 @@ def _check_passivity(p, ahat, dhat, chat, tol):
 
 def _normal_form(b, c):
     """Change of basis T = [C; W] with W spanning the left null space of B."""
-    w = scipy.linalg.null_space(b.T).T
+    w = null_space(b.T).T
     t = np.vstack([c, w])
     if np.linalg.matrix_rank(t) < t.shape[0]:
         raise NotHyperMinPhase("output map and input complement do not span")
@@ -299,7 +296,7 @@ def _storage_candidates(a_k, b, c, rho_grid):
     # A22 P2 + P2 A22.T = -I   (dual orientation)
     p2_unit = lyapunov_solve(a22.T, np.eye(n - p_dim))
     for rho in rho_grid:
-        p_prime = scipy.linalg.block_diag(b1, rho * p2_unit)
+        p_prime = block_diag([b1, rho * p2_unit])
         m = _sym(ap @ p_prime + p_prime @ ap.T)
         p_s = _sym(ti @ p_prime @ ti.T)
         yield p_s, float(np.linalg.eigvalsh(m)[-1])
@@ -382,7 +379,7 @@ def _finish_passification(node, im, exo, regime, k_x, p_s, seed):
     else:
         raise SynthesisFailed(
             "closed node not Hurwitz for any internal-model completion")
-    p_tilde = scipy.linalg.block_diag(p_s, p_g)
+    p_tilde = block_diag([p_s, p_g])
     phat_mat = _sym(np.linalg.inv(p_tilde))
     ahat, dhat, _, chat = hat_matrices(node, k_x, k_zeta, im_try)
     lmax = _check_passivity(phat_mat, ahat, dhat, chat, PASSIVITY_TOL)
@@ -461,7 +458,7 @@ def verify_A5(node, k_x, k_zeta, im, phat=None, tol=PASSIVITY_TOL):
             f"state-loop storage inequality fails "
             f"(best relative margin {best[0]:.3e})" if best else
             "no storage candidate")
-    p_tilde = scipy.linalg.block_diag(best[1], p_g)
+    p_tilde = block_diag([best[1], p_g])
     phat_mat = _sym(np.linalg.inv(p_tilde))
     lmax = _check_passivity(phat_mat, ahat, dhat, chat, tol)
     return Certificate(P=phat_mat, slack=-lmax, kind="passivity")
@@ -541,7 +538,7 @@ def cooperation_node_maps(ctrl, exo, g_s, g_q, tol=MAP_IDENTITY_TOL):
     both output identities: the reference part reproduces G_Q and the
     command part is output-invisible.
     """
-    s_blk = scipy.linalg.block_diag(g_s, exo.S)
+    s_blk = block_diag([g_s, exo.S])
     r = np.hstack([ctrl.Dhat_ref, ctrl.Dhat @ exo.Q_v])
     pi = sylvester_solve(ctrl.Ahat, s_blk, r)
     pq = g_s.shape[0]
@@ -615,7 +612,7 @@ def edge_reference_block(network, layer):
     """
     f_list = [e.B for e in network.edges]
     g_list = [e.C for e in network.edges]
-    em = _blkdiag([e.A for e in network.edges])
+    em = block_diag([e.A for e in network.edges])
     nz = em.shape[0]
     k = layer.rows.shape[0]
     n = nz + k * layer.S.shape[0]
@@ -849,8 +846,8 @@ def cooperation_reference_matrices(exo):
     """
     p, q = exo.p, exo.q
     g_s = np.kron(np.eye(p), exo.S)
-    g_b = _blkdiag([exo.B_eta[:, [i]] for i in range(p)])
-    g_q = _blkdiag([exo.Q_eta[[i], :] for i in range(p)])
+    g_b = block_diag([exo.B_eta[:, [i]] for i in range(p)])
+    g_q = block_diag([exo.Q_eta[[i], :] for i in range(p)])
     p_big = np.kron(np.eye(p), exo.P_eta)
     lyap = p_big @ g_s + g_s.T @ p_big
     if float(np.linalg.eigvalsh(_sym(lyap))[-1]) > 1e-9 * max(

@@ -1,5 +1,6 @@
 """Graph structure of the network: incidence matrix, connectivity and the
-block-matrix assemblers used by the closed-loop constructions.
+block-matrix assemblers used by the closed-loop constructions, plus the
+rank, null-space and block-diagonal helpers the whole toolkit shares.
 
 The network is an undirected graph of N nodes and M oriented edges.  Edge
 orientation is encoded in the N x M incidence matrix H: column j carries a
@@ -44,6 +45,33 @@ def full_column_rank(a, rtol=RANK_RTOL):
 def full_row_rank(a, rtol=RANK_RTOL):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     return matrix_rank(a, rtol) == a.shape[0]
+
+
+def null_space(a):
+    """Orthonormal basis (as columns) of the null space of ``a``.
+
+    Singular values at most ``eps * max(m, n)`` times the largest count as
+    zero, the rank rule of ``scipy.linalg.null_space``.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    _, s, vh = np.linalg.svd(a)
+    tol = np.finfo(float).eps * max(a.shape) * s.max(initial=0.0)
+    return vh[np.count_nonzero(s > tol):].T
+
+
+def block_diag(mats):
+    """Block-diagonal matrix of ``mats``, each taken as at least 2-D.
+
+    An empty sequence gives a 0 x 0 matrix.
+    """
+    mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in mats]
+    out = np.zeros((sum(m.shape[0] for m in mats),
+                    sum(m.shape[1] for m in mats)))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
 
 def incidence_from_edge_list(edges, n_nodes):

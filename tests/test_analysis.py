@@ -29,6 +29,7 @@ from coopnet.errors import (
     SingularPencil,
     SpectrumNotMarginal,
 )
+from coopnet.scenarios import demo_power_network, random_network, realize
 
 W = 100.0 * np.pi
 ROT = np.array([[0.0, -W], [W, 0.0]])
@@ -366,6 +367,63 @@ def test_marginal_certificate_on_random_transformed_spectra():
         resid = np.abs(cert.P @ s + s.T @ cert.P).max()
         assert resid <= 1e-10 * max(1.0, np.linalg.norm(cert.P, 2) *
                                     np.linalg.norm(s, 2))
+
+
+def _assert_matches_scipy_sylvester(a, s, r):
+    """``sylvester_solve`` agrees with scipy's Bartels-Stewart solver."""
+    x = sylvester_solve(a, s, r)
+    x_ref = scipy.linalg.solve_sylvester(a, -s, -r)  # A X - X S = -R
+    assert np.abs(x - x_ref).max() <= 1e-10 * max(1.0, np.abs(x_ref).max())
+
+
+@pytest.mark.parametrize("case", ["demo", "tracking", "sync", "cooperation",
+                                  "master_slave"])
+def test_sylvester_matches_scipy_on_pipeline_calls(monkeypatch, case):
+    """Every regulator equation the synthesis solves, against scipy: one
+    random network per regime, and the demo, whose node gains around 1e7
+    give the stiffest scales the pipeline meets."""
+    import coopnet.synthesis
+
+    seeds = {"tracking": 0, "sync": 100, "cooperation": 200,
+             "master_slave": 300}
+    scn = demo_power_network() if case == "demo" else random_network(
+        seed=seeds[case], regime=case, n_nodes=5, m_edges=6, dims=3)
+    calls = []
+    solve = coopnet.synthesis.sylvester_solve
+
+    def recording(a, s, r, *args, **kwargs):
+        calls.append((np.asarray(a), np.asarray(s), np.asarray(r)))
+        return solve(a, s, r, *args, **kwargs)
+
+    monkeypatch.setattr(coopnet.synthesis, "sylvester_solve", recording)
+    realize(scn)
+    assert len(calls) >= 5
+    for a, s, r in calls:
+        _assert_matches_scipy_sylvester(a, s, r)
+
+
+def test_sylvester_matches_scipy_with_repeated_eigenvalues():
+    """S = I_3 (x) S0, as the network maps pass it: each eigenvalue of S0
+    appears three times, and its columns share one solve."""
+    rng = np.random.default_rng(31)
+    s = np.kron(np.eye(3), np.array([[0.0, -2.0], [2.0, 0.0]]))
+    for n in (1, 4, 9):
+        a = rng.standard_normal((n, n)) - (1.0 + n) * np.eye(n)
+        _assert_matches_scipy_sylvester(a, s, rng.standard_normal((n, 6)))
+
+
+def test_sylvester_matches_scipy_with_non_normal_s():
+    """Companion form of (s^2 + 1)(s^2 + 4): simple spectrum +-1j, +-2j
+    with eigenvectors far from orthogonal."""
+    s = np.zeros((4, 4))
+    s[:3, 1:] = np.eye(3)
+    s[3] = [-4.0, 0.0, -5.0, 0.0]
+    assert np.allclose(np.sort_complex(np.linalg.eigvals(s)),
+                       [-2j, -1j, 1j, 2j])
+    rng = np.random.default_rng(37)
+    for n in (1, 3, 6):
+        a = rng.standard_normal((n, n)) - (1.0 + n) * np.eye(n)
+        _assert_matches_scipy_sylvester(a, s, rng.standard_normal((n, 4)))
 
 
 def test_sylvester_residuals_on_random_instances():

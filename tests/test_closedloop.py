@@ -16,7 +16,7 @@ from coopnet.closedloop import (
     epsilon_star,
     lemma1_block_split,
 )
-from coopnet.errors import MissingMaps, NoStableEps
+from coopnet.errors import HypothesisViolated, MissingMaps, NoStableEps
 from coopnet.network import Network
 from coopnet.scenarios import demo_power_network, random_network, realize
 from coopnet.synthesis import build_controllers, build_maps
@@ -160,6 +160,26 @@ def test_epsilon_star_no_stable_probe():
         with pytest.raises(NoStableEps):
             # grid entirely above the boundary
             epsilon_star(net, cset, maps, eps_hi=1e12, n_probes=3)
+
+
+def test_epsilon_star_says_why_the_analytic_bound_is_missing(monkeypatch):
+    """A finite bound carries no failure; a violated hypothesis is named as
+    one (a numerical failure is told apart from it in the CLI tests)."""
+    import coopnet.closedloop
+
+    rz = realize(random_network(seed=5, regime="sync", eps=1.0))
+    est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=10.0)
+    assert est.crossed and est.eps_bisect < 10.0
+    assert np.isfinite(est.eps_analytic) and est.analytic_failure == ""
+
+    def violated(*args, **kwargs):
+        raise HypothesisViolated("W1 is not Hurwitz")
+
+    monkeypatch.setattr(coopnet.closedloop, "lemma1_certificate", violated)
+    est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=10.0)
+    assert np.isnan(est.eps_analytic)
+    assert est.analytic_failure == \
+        "Lemma-1 hypothesis violated: W1 is not Hurwitz"
 
 
 def test_lemma1_certifies_block_split_at_small_gain():

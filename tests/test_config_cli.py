@@ -1,10 +1,15 @@
+import ast
+import glob
 import importlib.resources
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from coopnet.cli import main, write_csv
+import coopnet
+from coopnet.cli import EXIT_BROKEN_PIPE, main, write_csv
 from coopnet.config import format_config, parse_config
 from coopnet.errors import ParseError, ValidationError
 from coopnet.scenarios import demo_power_network, random_network
@@ -256,3 +261,126 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     with open(path, encoding="utf-8") as fh:
         fh.readline()
         assert fh.read() == expected
+
+
+# ---------------------------------------------------------------------------
+# the scipy-free hot path, in fresh interpreters
+
+PACKAGE_DIR = os.path.dirname(coopnet.__file__)
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this coopnet."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(PACKAGE_DIR)] +
+        ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+# runs one command through coopnet.cli.main, then lists the scipy modules
+# loaded by then
+_MAIN_THEN_LIST_SCIPY = (
+    "import sys\n"
+    "from coopnet.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('scipy modules:', sorted(m for m in sys.modules\n"
+    "                               if m.split('.')[0] == 'scipy'))\n"
+    "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["demo"], 2),
+    (["check", "--config", "power_network"], 0),
+    (["synth", "--config", "power_network"], 0),
+    (["simulate", "--config", "power_network", "--emit", "csv", "--out"], 0),
+], ids=["demo", "check", "synth", "simulate"])
+def test_cli_hot_path_loads_no_scipy(tmp_path, argv, exit_code):
+    """The built-in network's commands run on numpy alone."""
+    if argv[-1] == "--out":
+        argv = argv + [str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_LIST_SCIPY] + argv,
+        capture_output=True, text=True, env=_child_env(), timeout=300)
+    assert proc.returncode == exit_code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+    if argv[0] == "demo":
+        assert proc.stdout.count("[pass] golden") == 5
+    if argv[0] == "simulate":
+        assert (tmp_path / "power_network.csv").stat().st_size > 0
+
+
+def _module_level_imports(tree):
+    """The import statements a module runs when it is imported: all of them
+    outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_module_level():
+    """scipy is imported inside the functions that use it, never on import
+    of the package."""
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in _module_level_imports(tree):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else [node.module or ""])
+            if any(n.split(".")[0] == "scipy" for n in names):
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert not offenders, f"module-level scipy imports: {offenders}"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+def test_cli_eps_into_a_closed_pipe_exits_quietly(unbuffered):
+    """``coopnet eps ... | head`` whose reader is gone: the write fails in
+    the print loop (unbuffered stdout) or in the final flush (buffered);
+    either way the command exits without a traceback."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coopnet.cli", "eps", "--config",
+         "power_network"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before the first line
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == EXIT_BROKEN_PIPE
+    assert err == ""
+
+
+def _eps_lines(capsys):
+    assert main(["eps", "--config", "power_network"]) == 0
+    return {line.split("=")[0].strip(): line
+            for line in capsys.readouterr().out.splitlines()
+            if line.lstrip().startswith("eps_")}
+
+
+def test_cli_eps_says_when_nothing_crosses_below_the_ceiling(capsys):
+    """Every probe of the demo up to the ceiling 1000 is stable, so 1000 is
+    the ceiling, not a boundary."""
+    line = _eps_lines(capsys)["eps_bisect"]
+    assert "eps_bisect   = 1000  (no crossing found up to the ceiling: " \
+           "all 16 probes are stable;" in line
+    assert "bisection" not in line
+
+
+def test_cli_eps_explains_a_nan_analytic_bound(capsys):
+    """The demo's constructive bound fails numerically (its certificate
+    misses by 7e-9 at scales of 1e7), not on a Lemma-1 hypothesis."""
+    line = _eps_lines(capsys)["eps_analytic"]
+    assert line.startswith("  eps_analytic = nan  (constructive bound "
+                           "unavailable: numerical failure, not a violated "
+                           "Lemma-1 hypothesis: CertificateFailed: P_bar W "
+                           "+ W.T P_bar has lambda_max ")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +14,12 @@ from coopnet.errors import (
 from coopnet.topology import (
     Topology,
     assemble_weighted_blocks,
+    block_diag,
     check_connected,
     complement_basis,
     incidence_from_edge_list,
     matrix_rank,
+    null_space,
     reduced_incidence,
     validate_incidence,
 )
@@ -171,3 +174,31 @@ def test_assemble_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         assemble_weighted_blocks(h, left=[np.ones((2, 2))],
                                  right=[np.ones((3, 1))])
+
+
+def _low_rank(rng, m, n, r, scale=1.0):
+    return scale * rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+
+
+@pytest.mark.parametrize("m,n,r,scale", [
+    (1, 3, 1, 1.0), (3, 1, 1, 1.0), (2, 5, 2, 1.0), (5, 2, 2, 1.0),
+    (4, 4, 4, 1.0), (6, 6, 3, 1.0), (3, 7, 1, 1e7), (7, 3, 0, 1.0),
+    (4, 6, 2, 1e-6), (0, 3, 0, 1.0)])
+def test_null_space_matches_scipy(m, n, r, scale):
+    """Same dimension as scipy's, orthonormal, and annihilated by A."""
+    rng = np.random.default_rng(11 * m + n)
+    a = _low_rank(rng, m, n, r, scale)
+    basis = null_space(a)
+    assert basis.shape == scipy.linalg.null_space(a).shape == (n, n - r)
+    assert np.abs(basis.T @ basis - np.eye(n - r)).max(initial=0.0) <= 1e-12
+    if a.size and basis.size:
+        assert np.linalg.norm(a @ basis, 2) <= 1e-12 * np.linalg.norm(a, 2)
+
+
+def test_block_diag_matches_scipy():
+    rng = np.random.default_rng(5)
+    mats = [rng.standard_normal((2, 3)), [[1.0]], np.zeros((1, 0)),
+            rng.standard_normal(4), np.zeros((0, 2)),
+            rng.standard_normal((3, 3))]
+    assert np.array_equal(block_diag(mats), scipy.linalg.block_diag(*mats))
+    assert block_diag([]).shape == (0, 0)
