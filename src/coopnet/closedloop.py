@@ -434,14 +434,17 @@ def epsilon_star(network, cset, maps, eps_hi, rel_width=1e-3, n_probes=16,
             probes=tuple(probes), probe_abscissas=tuple(aabs),
             crossed=False, analytic_failure=why)
     lo, hi = float(probes[k]), float(probes[k + 1])
+    # the abscissa at lo moves with it, so lo is never evaluated twice
+    lo_abscissa = float(aabs[k])
     while (hi - lo) > rel_width * lo:
         mid = 0.5 * (lo + hi)
-        if abscissa(mid) < -stability_tol:
-            lo = mid
+        mid_abscissa = abscissa(mid)
+        if mid_abscissa < -stability_tol:
+            lo, lo_abscissa = mid, mid_abscissa
         else:
             hi = mid
     return EpsilonStar(
         eps_bisect=lo, eps_analytic=analytic,
-        abscissa_at_bisect=float(abscissa(lo)),
+        abscissa_at_bisect=lo_abscissa,
         probes=tuple(probes), probe_abscissas=tuple(aabs),
         crossed=True, analytic_failure=why)

@@ -10,6 +10,7 @@ from coopnet.analysis import (
     node_system,
     spectral_abscissa,
 )
+from coopnet import closedloop
 from coopnet.closedloop import (
     analytic_eps_bound,
     assemble,
@@ -251,3 +252,81 @@ def test_demo_coupling_is_stabilizing_then_destabilizing():
     assert absc(0.0) >= -1e-12          # marginal reference generators
     assert absc(20.0) < -1.0            # the operating point
     assert absc(16000.0) > 0.0          # far beyond the boundary
+
+
+def _bisection_as_first_written(network, cset, maps, eps_hi, rel_width=1e-3,
+                                n_probes=16):
+    """The probe-and-bisect search, evaluating the abscissa at the final lo
+    once more; returns its fields and the number of bisection steps."""
+    pencil = closedloop._error_pencil(network, cset, maps)
+
+    def abscissa(eps):
+        return spectral_abscissa(pencil.A0 + eps * pencil.A1)
+
+    probes = np.geomspace(eps_hi * 1e-4, eps_hi, n_probes)
+    aabs = np.array([abscissa(e) for e in probes])
+    k = int(np.max(np.nonzero(aabs < -closedloop.STABILITY_TOL)[0]))
+    analytic, why = closedloop._analytic_bound(pencil, cset)
+    fields = dict(eps_analytic=analytic, probes=tuple(probes),
+                  probe_abscissas=tuple(aabs), analytic_failure=why)
+    if k == len(probes) - 1:
+        return dict(fields, eps_bisect=float(probes[-1]),
+                    abscissa_at_bisect=float(aabs[-1]), crossed=False), 0
+    lo, hi, steps = float(probes[k]), float(probes[k + 1]), 0
+    while (hi - lo) > rel_width * lo:
+        mid = 0.5 * (lo + hi)
+        steps += 1
+        if abscissa(mid) < -closedloop.STABILITY_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return dict(fields, eps_bisect=lo, abscissa_at_bisect=abscissa(lo),
+                crossed=True), steps
+
+
+def _ring():
+    """The 30-node master-slave ring of the benchmark's ring30 workload."""
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "ring.py")
+    spec = importlib.util.spec_from_file_location("perfbench_ring", path)
+    ring = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ring)
+    return ring.ring_network(0)
+
+
+@pytest.mark.parametrize("make,eps_hi", [
+    (demo_power_network, 1000.0),
+    (lambda: random_network(0, n_nodes=5, m_edges=6, dims=3,
+                            regime="tracking"), 10.0),
+    (lambda: random_network(100, n_nodes=5, m_edges=6, dims=3,
+                            regime="sync"), 10.0),
+    (lambda: random_network(200, n_nodes=5, m_edges=6, dims=3,
+                            regime="cooperation"), 10.0),
+    (lambda: random_network(300, n_nodes=5, m_edges=6, dims=3,
+                            regime="master_slave"), 10.0),
+    (_ring, 10.0),
+], ids=["demo", "tracking-0", "sync-100", "cooperation-200",
+        "master_slave-300", "ring30"])
+def test_epsilon_star_evaluates_each_probe_once(monkeypatch, make, eps_hi):
+    """Every field is bit-identical to the search that re-evaluates the
+    final lo, and the eigenvalues are taken once per grid probe and once
+    per bisection step."""
+    rz = realize(make())
+    expected, steps = _bisection_as_first_written(
+        rz.network, rz.cset, rz.maps, eps_hi)
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return spectral_abscissa(a)
+
+    monkeypatch.setattr(closedloop, "spectral_abscissa", counted)
+    est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=eps_hi)
+    assert len(calls) == len(est.probes) + steps
+    for name, value in expected.items():
+        have = getattr(est, name)
+        assert np.array_equal(have, value, equal_nan=True) \
+            if isinstance(value, float) else have == value, name

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coopnet
 from coopnet.cli import EXIT_BROKEN_PIPE, main, write_csv
@@ -263,6 +265,121 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
         assert fh.read() == expected
 
 
+def test_cli_simulate_one_interval_run(capsys):
+    """A run of one stored interval: the metrics window is clamped to it."""
+    assert main(["simulate", "--config", "power_network", "--t-end",
+                 "1e-6"]) == 0
+    out = capsys.readouterr().out
+    assert "2 stored samples" in out and "over trailing 1e-06 s" in out
+
+
+def _g17_oracle(rows):
+    """The reference: C's ``%.17g`` of every value, one row per line."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in rows.tolist()).encode("ascii")
+
+
+def _as_rows(values, n_cols):
+    values = np.asarray(values, dtype=float).ravel()
+    values = np.concatenate([values, np.zeros(-values.size % n_cols)])
+    return values.reshape(-1, n_cols)
+
+
+def _g17_panel():
+    """Values at every boundary of the fast path and of the %g layout."""
+    vals = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1e-300, 1.7976931348623157e308,
+            1e-266, 9.9999999999999998e-267, 9.9999999999999995e-267]
+    for k in range(-300, 301):
+        p = float(f"1e{k}")
+        vals += [p, -p, np.nextafter(p, 0.0), np.nextafter(p, np.inf),
+                 float(f"9.9999999999999995e{k}"),
+                 float(f"9.9999999999999998e{k}"),
+                 float(f"1.2345678901234567e{k}")]
+    # dyadic m/2^k, many of them exact ties at the 18th digit
+    for k in range(1, 90):
+        vals += [m / 2.0 ** k for m in range(1, 400, 9)]
+    # integers up to 2^53, around 2^53 and above 1e17
+    vals += [float(i) for i in range(0, 2 ** 53, 2 ** 53 // 499)]
+    vals += [2.0 ** e + s * 2.0 ** (e - 52) for e in range(50, 70)
+             for s in (-1, 0, 1)]
+    vals += [1e17 + 16 * i for i in range(-5, 6)] + [123456789012345678.0]
+    # the notation switches: X = -5/-4 and 16/17
+    vals += [1e-5, 9.99999e-5, 1e-4, 1.5e-4, 0.00012345, 12345678901234567.0,
+             99999999999999999.0, 1e16, 1e17, 9.9999999999999998e16]
+    # three-digit exponents
+    vals += [1.5e100, -2.5e-100, 1e-280, 1e280, 9.87654321e-199]
+    return np.array(vals)
+
+
+def test_format_rows_matches_g17_on_a_deterministic_panel():
+    from coopnet._g17 import format_rows
+
+    panel = _g17_panel()
+    for n_cols in (1, 7, 13):
+        rows = _as_rows(panel, n_cols)
+        assert format_rows(rows) == _g17_oracle(rows)
+
+
+def _is_tie(value):
+    """Whether the exact decimal expansion of ``value`` ends in a 5 at its
+    18th significant digit: a tie for 17-digit rounding."""
+    from decimal import Decimal
+
+    digits = "".join(map(str, Decimal(abs(value)).as_tuple().digits))
+    digits = digits.strip("0")
+    return len(digits) == 18 and digits[-1] == "5"
+
+
+def test_format_rows_certifies_all_but_ties():
+    """Only values the scaling cannot certify leave the fast path: of the
+    finite values in its range, exactly the ties."""
+    from coopnet._g17 import _digits, _tables
+
+    rng = np.random.default_rng(5)
+    x = np.concatenate([
+        rng.standard_normal(20000) * 10.0 ** rng.integers(-270, 270, 20000),
+        np.geomspace(1e-280, 1e280, 20000), [0.0, -0.0, 2.0 ** -25]])
+    ties = np.array([_is_tie(v) for v in x])
+    assert 0 < ties.sum() < 100
+    assert np.array_equal(_digits(x, _tables()[0])[2], ~ties)
+    outside = [np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300]
+    assert not _digits(np.array(outside), _tables()[0])[2].any()
+
+
+def test_write_csv_mixes_fast_and_fallback_rows(tmp_path):
+    """Rows with a value the fast path cannot certify sit between certified
+    ones, in full blocks, across block edges and in a partial block."""
+    from types import SimpleNamespace
+
+    from coopnet.cli import CSV_BLOCK_ROWS
+
+    n_rows = 2 * CSV_BLOCK_ROWS + 5
+    rng = np.random.default_rng(11)
+    sig = {1: rng.standard_normal((1, n_rows))}
+    odd = [np.nan, np.inf, -np.inf, 2.0 ** -25, 5e-324, 1e300]
+    for row, value in zip((0, 1, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                           n_rows - 1), odd):
+        sig[1][0, row] = value
+    res = SimpleNamespace(t=np.linspace(0.0, 1.0, n_rows), y=sig, v=sig,
+                          refs=sig, errors=sig)
+    path = write_csv(tmp_path / "x.csv", res)
+    rows = np.column_stack([res.t] + [sig[1][0]] * 4)
+    with open(path, "rb") as fh:
+        assert fh.readline() == b"t,y1_1,v1_1,ref1_1,err1_1\n"
+        assert fh.read() == _g17_oracle(rows)
+
+
+@given(st.lists(st.floats(width=64), min_size=1, max_size=64),
+       st.integers(min_value=1, max_value=9))
+@settings(max_examples=300, deadline=None)
+def test_format_rows_matches_g17_on_any_doubles(values, n_cols):
+    from coopnet._g17 import format_rows
+
+    rows = _as_rows(values, n_cols)
+    assert format_rows(rows) == _g17_oracle(rows)
+
+
 # ---------------------------------------------------------------------------
 # the scipy-free hot path, in fresh interpreters
 
@@ -279,11 +396,18 @@ def _child_env():
 
 
 # runs one command through coopnet.cli.main, then lists the scipy modules
-# loaded by then
+# loaded by then; before and after the run, says whether ``fractions`` is
+# loaded and, once the CSV formatter is, how many tables it has built
 _MAIN_THEN_LIST_SCIPY = (
     "import sys\n"
     "from coopnet.cli import main\n"
+    "def lazy():\n"
+    "    g17 = sys.modules.get('coopnet._g17')\n"
+    "    return ('fractions' in sys.modules,\n"
+    "            g17 and g17._tables.cache_info().currsize)\n"
+    "print('after import:', lazy())\n"
     "code = main(sys.argv[1:])\n"
+    "print('after run:', lazy())\n"
     "print('scipy modules:', sorted(m for m in sys.modules\n"
     "                               if m.split('.')[0] == 'scipy'))\n"
     "sys.exit(code)\n")
@@ -296,18 +420,33 @@ _MAIN_THEN_LIST_SCIPY = (
     (["simulate", "--config", "power_network", "--emit", "csv", "--out"], 0),
 ], ids=["demo", "check", "synth", "simulate"])
 def test_cli_hot_path_loads_no_scipy(tmp_path, argv, exit_code):
-    """The built-in network's commands run on numpy alone."""
+    """The built-in network's commands run on numpy alone, and only a
+    command that writes a CSV builds the formatter's tables."""
     if argv[-1] == "--out":
         argv = argv + [str(tmp_path)]
     proc = subprocess.run(
         [sys.executable, "-c", _MAIN_THEN_LIST_SCIPY] + argv,
         capture_output=True, text=True, env=_child_env(), timeout=300)
     assert proc.returncode == exit_code, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "scipy modules: []"
+    assert lines[0] == "after import: (False, None)"
+    writes_csv = argv[0] == "simulate"
+    assert lines[-2] == f"after run: (False, {1 if writes_csv else None})"
     if argv[0] == "demo":
         assert proc.stdout.count("[pass] golden") == 5
-    if argv[0] == "simulate":
+    if writes_csv:
         assert (tmp_path / "power_network.csv").stat().st_size > 0
+
+
+def test_formatter_tables_are_built_on_first_use():
+    """Importing the CSV formatter builds none of its tables."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, coopnet._g17 as g; "
+         "print('fractions' in sys.modules, "
+         "g._tables.cache_info().currsize)"],
+        capture_output=True, text=True, env=_child_env(), timeout=300)
+    assert proc.stdout.split() == ["False", "0"], proc.stderr
 
 
 def _module_level_imports(tree):
