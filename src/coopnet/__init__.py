@@ -22,9 +22,7 @@ from .analysis import (
     node_system,
     spectral_abscissa,
     spr_certificate,
-    stabilizability_check,
     sylvester_solve,
-    transmission_rank_check,
 )
 from .closedloop import ClosedLoop, EpsilonStar, assemble, epsilon_star
 from .network import Network, StaticNode
@@ -70,7 +68,6 @@ __all__ = [
     "integrate", "lemma1_certificate", "lyapunov_solve",
     "marginal_spectrum_certificate", "node_system", "p_copy_internal_model",
     "passify_node", "random_network", "realize", "regulator_map",
-    "spectral_abscissa", "spr_certificate", "stabilizability_check",
-    "steady_state_prediction", "suggest_dt", "sylvester_solve",
-    "transmission_rank_check", "verify_A5",
+    "spectral_abscissa", "spr_certificate", "steady_state_prediction",
+    "suggest_dt", "sylvester_solve", "verify_A5",
 ]

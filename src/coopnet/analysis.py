@@ -46,7 +46,7 @@ STRICT_MARGIN = 1e-8
 SPR_CENTRE = 0.75
 #: relative width of the bisection for the largest SPR margin
 SPR_BISECT_RTOL = 1e-3
-#: threshold below which eigenvalues count as "stable" in PBH-style tests
+#: threshold below which invariant zeros count as stable
 PBH_RE_TOL = 1e-9
 
 
@@ -582,18 +582,6 @@ def _checked_spr(q, e, f, g, margin, what, error):
 # PBH-style checks
 
 
-def stabilizability_check(a, b):
-    """PBH test: every eigenvalue with Re >= -tol is controllable."""
-    a = _as_square(a, "A")
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    n = a.shape[0]
-    for lam in np.linalg.eigvals(a):
-        if lam.real >= -PBH_RE_TOL:
-            if _rank_c(np.hstack([a - lam * np.eye(n), b])) < n:
-                return False
-    return True
-
-
 def controllable(a, b):
     """PBH controllability over the full spectrum."""
     a = _as_square(a, "A")
@@ -616,21 +604,6 @@ def _rank_c(m, rtol=1e-10):
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))
-
-
-def transmission_rank_check(a, b, c, s):
-    """Rank of ``[[A - lambda I, B], [C, 0]]`` is n+p at every eigenvalue of S."""
-    a = _as_square(a, "A")
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    s = _as_square(s, "S")
-    n, p = a.shape[0], c.shape[0]
-    for lam in np.linalg.eigvals(s):
-        top = np.hstack([a - lam * np.eye(n), b])
-        bot = np.hstack([c, np.zeros((p, b.shape[1]))])
-        if _rank_c(np.vstack([top, bot])) < n + p:
-            return False
-    return True
 
 
 def invariant_zeros(a, b, c):

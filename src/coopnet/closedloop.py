@@ -8,7 +8,12 @@ simulation-form rows, the error-coordinate matrix and the steady-state maps
 are all built from that description.  The error-coordinate matrix is affine
 in the coupling gain, ``A(eps) = A0 + eps A1``: the pencil is built once
 and then evaluated, by :func:`assemble` at one gain and by every probe of
-:func:`epsilon_star`; the Lemma-1 block split reads its blocks.
+:func:`epsilon_star`; the Lemma-1 block split reads its blocks.  The
+simulation form shares the pencil's node/edge block: node, controller and
+edge states obey the same equations in both, so :func:`assemble` copies
+that block from A0 and adds only the reference and exosystem rows and
+columns.  Every weighted interconnection is one call of
+:func:`coopnet.topology.assemble_weighted_blocks`.
 
 Both assembled matrices carry index maps from (entity kind, entity id) to
 state offsets; assembly is deterministic, so re-assembly reproduces them
@@ -71,6 +76,12 @@ class _Layout:
     def sl(self, kind, entity):
         return self._slices[(kind, int(entity))]
 
+    def index(self, kind, entities):
+        """State indices of the ``kind`` blocks of 0-based ``entities``."""
+        sls = [self.sl(kind, i + 1) for i in entities]
+        return np.array([k for s in sls for k in range(s.start, s.stop)],
+                        dtype=int)
+
 
 @dataclass(frozen=True)
 class ClosedLoop:
@@ -80,8 +91,10 @@ class ClosedLoop:
     node, controller, edge, reference and command states); ``A_error`` /
     ``error_index_map`` the regime's error-coordinate system whose spectral
     abscissa decides stability, the pencil ``A0 + eps A1`` evaluated at
-    ``eps``.  The output maps extract stacked node outputs y, neighboring
-    inputs v, references and errors from the simulation-form state.
+    ``eps``.  The leading node/controller and edge block of ``A_full`` is
+    the node/edge block of A0.  The output maps extract stacked node
+    outputs y, neighboring inputs v, references and errors from the
+    simulation-form state.
     """
 
     regime: str
@@ -101,10 +114,6 @@ class ClosedLoop:
     @property
     def n_states(self):
         return self.A_full.shape[0]
-
-    def output_rows(self, node_id):
-        k = self.node_ids.index(node_id)
-        return slice(k * self.p, (k + 1) * self.p)
 
 
 def _hat_lists(network, cset):
@@ -140,10 +149,8 @@ def assemble(regime, network, cset, maps=None, eps=None):
     exo = cset.exo
     p, q = network.p, exo.q
     layer = reference_layer(network, cset)
-    e_list = [e.A for e in network.edges]
-    f_list = [e.B for e in network.edges]
     g_list = [e.C for e in network.edges]
-    h = topo.H
+    pencil = _error_pencil(network, cset, maps)
 
     # ----- simulation form -------------------------------------------------
     lay = _Layout()
@@ -153,61 +160,55 @@ def assemble(regime, network, cset, maps=None, eps=None):
         lay.add("controller_state", i + 1, cset.controllers[i].im.c)
     for j in range(topo.M):
         lay.add("edge_state", j + 1, network.edges[j].n)
+    nx = lay.size
     for i in layer.nodes:
         lay.add("reference_state", i + 1, layer.S.shape[0])
+    n_ref = lay.size
     if layer.command is not None:
         for i in layer.nodes:
             lay.add("exo_state", i + 1, q)
+    n_cmd = lay.size
     for i, ctrl in enumerate(cset.controllers):
         if ctrl is None or ctrl.regime in ("tracking", "master"):
             lay.add("exo_state", i + 1, q)
+    edge, refs = slice(pencil.n_node, nx), slice(nx, n_ref)
+    k = len(layer.nodes)
 
     def xsl(i):
         a = lay.sl("node_state", i + 1)
         b = lay.sl("controller_state", i + 1)
         return slice(a.start, b.stop)
 
+    def ref_kind(ctrl):
+        return "exo_state" if ctrl.regime in ("tracking", "master") \
+            else "reference_state"
+
+    # node/controller and edge states are ordered as the pencil's node and
+    # edge errors, and obey the same equations
     a_full = np.zeros((lay.size, lay.size))
+    a_full[:nx, :nx] = pencil.A0[:nx, :nx]
     for i in dyn:
         ctrl = cset.controllers[i]
-        a_full[xsl(i), xsl(i)] = ctrl.Ahat
-        for j in range(topo.M):
-            if h[i, j] != 0.0:
-                zj = lay.sl("edge_state", j + 1)
-                a_full[xsl(i), zj] += -h[i, j] * (ctrl.Dhat @ g_list[j])
-        ref_kind = "exo_state" if ctrl.regime in ("tracking", "master") \
-            else "reference_state"
-        a_full[xsl(i), lay.sl(ref_kind, i + 1)] = ctrl.Dhat_ref
-    for j in range(topo.M):
-        zj = lay.sl("edge_state", j + 1)
-        a_full[zj, zj] = e_list[j]
-        for i in dyn:
-            if h[i, j] != 0.0:
-                a_full[zj, xsl(i)] += h[i, j] * (f_list[j] @
-                                                 cset.controllers[i].Chat)
-        for i in network.static_indices():
-            if h[i, j] != 0.0:
-                a_full[zj, lay.sl("exo_state", i + 1)] += \
-                    h[i, j] * (f_list[j] @ exo.Q_eta)
-    for i in layer.nodes:
-        ri = lay.sl("reference_state", i + 1)
-        a_full[ri, ri] = layer.S
-        for j in range(topo.M):
-            if h[i, j] != 0.0:
-                zj = lay.sl("edge_state", j + 1)
-                a_full[ri, zj] += -eps * h[i, j] * (layer.B @ g_list[j])
-        if layer.command is not None:
-            a_full[ri, lay.sl("exo_state", i + 1)] = -eps * layer.command
-    for entry in lay.entries:
-        if entry.kind == "exo_state":
-            si = lay.sl("exo_state", entry.entity)
-            a_full[si, si] = exo.S
+        a_full[xsl(i), lay.sl(ref_kind(ctrl), i + 1)] = ctrl.Dhat_ref
+    static = network.static_indices()
+    a_full[edge, lay.index("exo_state", static)] = assemble_weighted_blocks(
+        topo.H[static].T, [e.B for e in network.edges],
+        [exo.Q_eta] * len(static))
+    a_full[refs, refs] = block_diag([layer.S] * k)
+    a_full[refs, edge] = -eps * assemble_weighted_blocks(
+        topo.H[list(layer.nodes)], [layer.B] * k, g_list)
+    if layer.command is not None:
+        a_full[refs, n_ref:n_cmd] = block_diag([-eps * layer.command] * k)
+    # every state after the references is an exosystem copy
+    a_full[n_ref:, n_ref:] = block_diag([exo.S] * ((lay.size - n_ref) // q))
 
     # ----- output maps ------------------------------------------------------
     node_ids = tuple(i + 1 for i in range(topo.N))
     y_map = np.zeros((topo.N * p, lay.size))
     v_map = np.zeros((topo.N * p, lay.size))
     ref_map = np.zeros((topo.N * p, lay.size))
+    v_map[:, edge] = -assemble_weighted_blocks(
+        topo.H, [np.eye(p)] * topo.N, g_list)
     err_kind = {}
     for i in range(topo.N):
         rows = slice(i * p, (i + 1) * p)
@@ -222,22 +223,10 @@ def assemble(regime, network, cset, maps=None, eps=None):
                 ref_map[rows, lay.sl("exo_state", i + 1)] = exo.Q_v
                 err_kind[i + 1] = "input"
             else:
-                kind = "exo_state" if ctrl.regime in ("tracking", "master") \
-                    else "reference_state"
-                ref_map[rows, lay.sl(kind, i + 1)] = exo.Q_eta
+                ref_map[rows, lay.sl(ref_kind(ctrl), i + 1)] = exo.Q_eta
                 err_kind[i + 1] = "output"
-        for j in range(topo.M):
-            if h[i, j] != 0.0:
-                v_map[rows, lay.sl("edge_state", j + 1)] = \
-                    -h[i, j] * g_list[j]
-    err_map = np.zeros_like(y_map)
-    for i in range(topo.N):
-        rows = slice(i * p, (i + 1) * p)
-        base = v_map if err_kind[i + 1] == "input" else y_map
-        err_map[rows] = base[rows] - ref_map[rows]
-
-    # ----- error-coordinate form -------------------------------------------
-    pencil = _error_pencil(network, cset, maps)
+    inputs = np.repeat([err_kind[i] == "input" for i in node_ids], p)
+    err_map = np.where(inputs[:, None], v_map, y_map) - ref_map
 
     return ClosedLoop(
         regime=regime, eps=eps, A_full=a_full, index_map=tuple(lay.entries),
@@ -306,12 +295,11 @@ def _error_pencil(network, cset, maps):
     a1 = np.zeros_like(a0)
     a0[node, node] = block_diag([c.Ahat for c in ctrls])
     a0[node, edge] = -assemble_weighted_blocks(
-        h_dyn, left=[c.Dhat for c in ctrls], right=g_list)
+        h_dyn, [c.Dhat for c in ctrls], g_list)
     a0[edge, node] = assemble_weighted_blocks(
-        h_dyn.T, left=f_list, right=[c.Chat for c in ctrls])
+        h_dyn.T, f_list, [c.Chat for c in ctrls])
     a0[nn:, nn:] = er0
-    a1[node, edge] = assemble_weighted_blocks(h_dyn, left=drive,
-                                              right=g_list)
+    a1[node, edge] = assemble_weighted_blocks(h_dyn, drive, g_list)
     a1[nn:, nn:] = er1
     return _Pencil(A0=a0, A1=a1, index_map=tuple(lay.entries), n_node=nn,
                    n_edge=nz)
@@ -345,15 +333,6 @@ class EpsilonStar:
     analytic_failure: str
 
 
-def lemma1_block_split(network, cset, maps, eps):
-    """The (W1, W2, W3, W4, W5, P_w, Q_w) split of the node/edge block system.
-
-    W1-W4 are the node/edge blocks of the error pencil's A0, W5 is eps times
-    the node/edge block of A1.
-    """
-    return _lemma1_split(_error_pencil(network, cset, maps), cset, eps)
-
-
 def _lemma1_split(pencil, cset, eps):
     node = slice(0, pencil.n_node)
     edge = slice(pencil.n_node, pencil.n_node + pencil.n_edge)
@@ -362,17 +341,6 @@ def _lemma1_split(pencil, cset, eps):
     q_w = block_diag([cert.P for cert in cset.edge_certificates])
     return (a0[node, node], a0[node, edge], a0[edge, node], a0[edge, edge],
             eps * pencil.A1[node, edge], p_w, q_w)
-
-
-def analytic_eps_bound(network, cset, maps):
-    """Conservative coupling-gain bound from the constructive certificate.
-
-    Returns ``eps_bar / ||W5_unit||`` where eps_bar comes from
-    :func:`coopnet.analysis.lemma1_certificate` applied at eps = 0, or NaN
-    when the certificate hypotheses are not satisfied; infinity when the
-    regime has no eps-coupling (tracking).
-    """
-    return _analytic_bound(_error_pencil(network, cset, maps), cset)[0]
 
 
 def _analytic_bound(pencil, cset):

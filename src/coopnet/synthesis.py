@@ -618,11 +618,11 @@ def edge_reference_block(network, layer):
     n = nz + k * layer.S.shape[0]
     a0, a1 = np.zeros((n, n)), np.zeros((n, n))
     a0[:nz, :nz] = em
-    a0[:nz, nz:] = assemble_weighted_blocks(layer.rows.T, left=f_list,
-                                            right=layer.Q)
+    a0[:nz, nz:] = assemble_weighted_blocks(layer.rows.T, f_list,
+                                            [layer.Q] * k)
     a0[nz:, nz:] = np.kron(np.eye(k), layer.S)
-    a1[nz:, :nz] = -assemble_weighted_blocks(layer.rows, left=layer.B,
-                                             right=g_list)
+    a1[nz:, :nz] = -assemble_weighted_blocks(layer.rows, [layer.B] * k,
+                                             g_list)
     if layer.command is None:
         return a0, a1, np.zeros((n, 0))
     b1 = np.vstack([np.zeros((nz, k * layer.command.shape[1])),
@@ -648,8 +648,8 @@ def cooperation_network_maps(network, cset, tol=MAP_IDENTITY_TOL):
     pi = sylvester_solve(a0 + eps * a1, np.kron(np.eye(n1), exo.S), eps * b1)
     nz = sum(e.n for e in network.edges)
     pi_z, pi_eta = pi[:nz, :], pi[nz:, :]
-    hg_bar = assemble_weighted_blocks(topo.Hbar, left=None,
-                                      right=[e.C for e in network.edges])
+    hg_bar = assemble_weighted_blocks(topo.Hbar, [np.eye(network.p)] * n1,
+                                      [e.C for e in network.edges])
     resid = np.abs(-hg_bar @ pi_z - np.kron(np.eye(n1), exo.Q_v)).max()
     if resid > tol * max(1.0, np.abs(exo.Q_v).max()):
         raise IdentityViolated(
@@ -683,20 +683,19 @@ def master_slave_maps(network, cset, tol=MAP_IDENTITY_TOL):
     a0, a1, b1 = edge_reference_block(network, reference_layer(network, cset))
     a_ms, b_nu = a0 + eps * a1, eps * b1
 
-    h_master = h[masters, :] if n_masters else np.zeros((0, topo.M))
-    b_eta_top = assemble_weighted_blocks(
-        h_master.T, left=f_list, right=exo.Q_eta)
+    b_eta_top = assemble_weighted_blocks(h[list(masters)].T, f_list,
+                                         [exo.Q_eta] * n_masters)
     b_eta = np.vstack([b_eta_top,
                        np.zeros((a_ms.shape[0] - nz, n_masters * q))])
 
-    pi_nu = sylvester_solve(a_ms, np.kron(np.eye(max(l, 0)), exo.S), b_nu) \
+    pi_nu = sylvester_solve(a_ms, np.kron(np.eye(l), exo.S), b_nu) \
         if l else np.zeros((a_ms.shape[0], 0))
     pi_eta = sylvester_solve(a_ms, np.kron(np.eye(n_masters), exo.S), b_eta) \
         if n_masters else np.zeros((a_ms.shape[0], 0))
     pi_z_nu, pi_ref_nu = pi_nu[:nz, :], pi_nu[nz:, :]
     pi_z_eta, pi_ref_eta = pi_eta[:nz, :], pi_eta[nz:, :]
 
-    hg = assemble_weighted_blocks(h, left=None, right=g_list)
+    hg = assemble_weighted_blocks(h, [np.eye(network.p)] * topo.N, g_list)
     m_all = -hg @ pi_z_nu
     n_all = -hg @ pi_z_eta
     p = network.p
@@ -719,9 +718,8 @@ def master_slave_maps(network, cset, tol=MAP_IDENTITY_TOL):
                 f"(residual {r0:.3e})")
 
     pi_f_nu, pi_f_ref, pi_l_nu, pi_l_eta = {}, {}, {}, {}
-    i_l_s = np.kron(np.eye(l), exo.S) if l else np.zeros((0, 0))
-    i_m_s = np.kron(np.eye(n_masters), exo.S) if n_masters else \
-        np.zeros((0, 0))
+    i_l_s = np.kron(np.eye(l), exo.S)
+    i_m_s = np.kron(np.eye(n_masters), exo.S)
     for rank, i in enumerate(slaves):
         ctrl = cset.controllers[i]
         if l:
@@ -805,9 +803,6 @@ class ControllerSet:
     G_Q: np.ndarray = None
     slaves: tuple = ()
     masters: tuple = ()
-
-    def node_certificates(self):
-        return tuple(c.Phat for c in self.controllers if c is not None)
 
 
 @dataclass(frozen=True)

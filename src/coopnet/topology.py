@@ -223,73 +223,38 @@ class Topology:
         return self
 
 
-def _factor(factors, k, n_expected):
-    """Normalize the left/right factor argument of assemble_weighted_blocks."""
-    if factors is None:
-        return None
-    if isinstance(factors, np.ndarray) or np.isscalar(factors):
-        return np.atleast_2d(np.asarray(factors, dtype=float))
-    if len(factors) != n_expected:
-        raise DimensionMismatch(
-            f"expected {n_expected} factor blocks, got {len(factors)}")
-    return np.atleast_2d(np.asarray(factors[k], dtype=float))
+def assemble_weighted_blocks(w, left, right):
+    """Block matrix with block (i, j) = ``w[i, j] * left[i] @ right[j]``.
 
-
-def assemble_weighted_blocks(h_like, left=None, right=None):
-    """Stack the block matrix with block (i, j) = ``h_like[i, j] * left_i @ right_j``.
-
-    This is the single constructor behind every overlined coupling matrix:
-    the node/edge interconnection blocks, their reduced (T-projected)
-    variants, and the block-diagonal special case (``h_like`` = identity).
+    This is the single constructor behind every weighted interconnection:
+    the node/edge coupling blocks (weights H, H.T or H[rows]), their
+    T-projected variants (weights Hbar) and the stacked edge outputs.  It is
+    formed as ``blkdiag(left) @ (w kron I_k) @ blkdiag(right)``, k being the
+    factors' shared inner dimension; empty weights give an empty matrix.
 
     Parameters
     ----------
-    h_like : array_like
-        Scalar weight per block; typically H, H.T, Hbar, or an identity.
-    left, right : None, matrix, or list of matrices
-        Row-block and column-block factors.  ``None`` stands for the
-        identity factor (the other factor is used as-is); a single matrix is
-        broadcast to every block row/column; a list supplies one factor per
-        block row/column.
+    w : array_like
+        Scalar weight per block, shape (rows, cols).
+    left, right : list of matrices
+        One factor per block row and one per block column; every ``left``
+        factor has k columns and every ``right`` factor k rows.
 
     Raises
     ------
     DimensionMismatch
-        If a nonzero block's factors have incompatible inner dimensions, or
-        block sizes are inconsistent along a row or column.
+        If the factor counts do not match the weights, or a factor's inner
+        dimension differs from the others'.
     """
-    h = np.atleast_2d(np.asarray(h_like, dtype=float))
-    nr, nc = h.shape
-
-    def block(i, j):
-        li = _factor(left, i, nr)
-        rj = _factor(right, j, nc)
-        if li is None and rj is None:
-            return np.array([[h[i, j]]])
-        if li is None:
-            return h[i, j] * rj
-        if rj is None:
-            return h[i, j] * li
-        if li.shape[1] != rj.shape[0]:
-            if h[i, j] == 0.0:
-                return np.zeros((li.shape[0], rj.shape[1]))
-            raise DimensionMismatch(
-                f"block ({i}, {j}): left is {li.shape}, right is {rj.shape}")
-        return h[i, j] * (li @ rj)
-
-    if nr == 0 or nc == 0:
-        heights = [_factor(left, i, nr).shape[0] if left is not None else 1
-                   for i in range(nr)]
-        widths = [_factor(right, j, nc).shape[1] if right is not None else 1
-                  for j in range(nc)]
-        return np.zeros((sum(heights), sum(widths)))
-    rows = [[block(i, j) for j in range(nc)] for i in range(nr)]
-    heights = [r[0].shape[0] for r in rows]
-    widths = [rows[0][j].shape[1] for j in range(nc)]
-    for i in range(nr):
-        for j in range(nc):
-            if rows[i][j].shape != (heights[i], widths[j]):
-                raise DimensionMismatch(
-                    f"block ({i}, {j}) has shape {rows[i][j].shape}, "
-                    f"expected ({heights[i]}, {widths[j]})")
-    return np.block(rows)
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    left = [np.atleast_2d(np.asarray(m, dtype=float)) for m in left]
+    right = [np.atleast_2d(np.asarray(m, dtype=float)) for m in right]
+    if (len(left), len(right)) != w.shape:
+        raise DimensionMismatch(
+            f"{len(left)} x {len(right)} factors for weights of shape "
+            f"{w.shape}")
+    inner = [m.shape[1] for m in left] + [m.shape[0] for m in right]
+    k = inner[0] if inner else 0
+    if any(d != k for d in inner):
+        raise DimensionMismatch(f"factor inner dimensions {inner} differ")
+    return block_diag(left) @ np.kron(w, np.eye(k)) @ block_diag(right)

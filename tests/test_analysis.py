@@ -16,9 +16,7 @@ from coopnet.analysis import (
     marginal_spectrum_certificate,
     spectral_abscissa,
     spr_certificate,
-    stabilizability_check,
     sylvester_solve,
-    transmission_rank_check,
 )
 from coopnet.errors import (
     DimensionMismatch,
@@ -240,19 +238,7 @@ def test_spr_rejects_bad_supplied_certificate():
 
 
 # ---------------------------------------------------------------------------
-# PBH-style checks
-
-
-def test_stabilizability_examples():
-    assert stabilizability_check([[0.0]], [[1.0]])
-    assert not stabilizability_check(np.diag([1.0, -1.0]), [[0.0], [1.0]])
-    assert stabilizability_check([[0.0]], [[1.0 / 50e-6]])
-
-
-def test_transmission_rank_examples():
-    assert transmission_rank_check([[0.0]], [[1.0]], [[1.0]], ROT)
-    assert not transmission_rank_check([[0.0]], [[0.0]], [[1.0]], ROT)
-    assert transmission_rank_check([[0.0]], [[1.0 / 30e-6]], [[1.0]], ROT)
+# hyper-minimum-phase checks
 
 
 def test_hyper_min_phase_examples():
@@ -273,19 +259,6 @@ def test_hyper_min_phase_rejects_nonsquare_cb():
     with pytest.raises(DimensionMismatch):
         hyper_min_phase_check(np.zeros((2, 2)), np.ones((2, 2)),
                               np.ones((1, 2)))
-
-
-def test_hyper_min_phase_implies_transmission_rank():
-    # relative-degree-one with stable zeros passes the rank test at any
-    # marginal reference spectrum
-    from coopnet.scenarios import _random_marginal_exosystem, _random_node
-
-    for seed in range(25):
-        rng = np.random.default_rng(seed)
-        node = _random_node(rng, n=int(rng.integers(1, 4)), p=1)
-        s, _, _ = _random_marginal_exosystem(rng, q=2, p=1)
-        if hyper_min_phase_check(node.A, node.B, node.C):
-            assert transmission_rank_check(node.A, node.B, node.C, s)
 
 
 # ---------------------------------------------------------------------------

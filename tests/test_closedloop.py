@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,16 +13,11 @@ from coopnet.analysis import (
     spectral_abscissa,
 )
 from coopnet import closedloop
-from coopnet.closedloop import (
-    analytic_eps_bound,
-    assemble,
-    epsilon_star,
-    lemma1_block_split,
-)
+from coopnet.closedloop import assemble, epsilon_star
 from coopnet.errors import HypothesisViolated, MissingMaps, NoStableEps
 from coopnet.network import Network
 from coopnet.scenarios import demo_power_network, random_network, realize
-from coopnet.synthesis import build_controllers, build_maps
+from coopnet.synthesis import build_controllers, build_maps, reference_layer
 from coopnet.topology import Topology
 
 
@@ -52,6 +49,72 @@ def test_tracking_assembly_matches_hand_construction():
          net.edges[0].A]])
     assert np.abs(cl.A_error - hand).max() <= 1e-14
     assert spectral_abscissa(cl.A_error) < 0
+
+
+def _blockwise_full_loop(rz):
+    """A_full and v_map written block by block from the node, edge,
+    reference-generator and exosystem equations."""
+    net, cset, cl = rz.network, rz.cset, rz.cl
+    layer = reference_layer(net, cset)
+    h, exo, p = net.topology.H, cset.exo, net.p
+    sl = {(e.kind, e.entity): slice(e.offset, e.offset + e.length)
+          for e in cl.index_map}
+    a = np.zeros_like(cl.A_full)
+    v = np.zeros_like(cl.v_map)
+
+    def x(i):
+        return slice(sl["node_state", i + 1].start,
+                     sl["controller_state", i + 1].stop)
+
+    for i, ctrl in enumerate(cset.controllers):
+        if ctrl is not None:
+            a[x(i), x(i)] = ctrl.Ahat
+            ref = "exo_state" if ctrl.regime in ("tracking", "master") \
+                else "reference_state"
+            a[x(i), sl[ref, i + 1]] = ctrl.Dhat_ref
+    for j, edge in enumerate(net.edges):
+        z = sl["edge_state", j + 1]
+        a[z, z] = edge.A
+        for i, ctrl in enumerate(cset.controllers):
+            if h[i, j] == 0.0:
+                continue
+            v[i * p:(i + 1) * p, z] = -h[i, j] * edge.C
+            if ctrl is None:
+                a[z, sl["exo_state", i + 1]] = h[i, j] * edge.B @ exo.Q_eta
+            else:
+                a[z, x(i)] = h[i, j] * edge.B @ ctrl.Chat
+                a[x(i), z] = -h[i, j] * ctrl.Dhat @ edge.C
+            if i in layer.nodes:
+                a[sl["reference_state", i + 1], z] = \
+                    -cl.eps * h[i, j] * layer.B @ edge.C
+    for i in layer.nodes:
+        r = sl["reference_state", i + 1]
+        a[r, r] = layer.S
+        if layer.command is not None:
+            a[r, sl["exo_state", i + 1]] = -cl.eps * layer.command
+    for e in cl.index_map:
+        if e.kind == "exo_state":
+            a[sl[e.kind, e.entity], sl[e.kind, e.entity]] = exo.S
+    return a, v
+
+
+@pytest.mark.parametrize("make", [
+    demo_power_network,
+    lambda: random_network(0, n_nodes=5, m_edges=6, dims=3,
+                           regime="tracking"),
+    lambda: random_network(100, n_nodes=5, m_edges=6, dims=3, regime="sync"),
+    lambda: random_network(200, n_nodes=5, m_edges=6, dims=3,
+                           regime="cooperation"),
+    lambda: random_network(3, n_nodes=4, m_edges=5, dims=3, p=2,
+                           regime="master_slave")],
+    ids=["demo", "tracking-0", "sync-100", "cooperation-200",
+         "master_slave-3-p2"])
+def test_full_assembly_matches_blockwise_equations(make):
+    # the demo's static ground node drives the edges through its exosystem
+    rz = realize(make())
+    a, v = _blockwise_full_loop(rz)
+    assert np.abs(rz.cl.A_full - a).max() <= 1e-14 * np.abs(a).max()
+    assert np.abs(rz.cl.v_map - v).max() <= 1e-14 * np.abs(v).max()
 
 
 def test_assembly_is_deterministic_and_reproducible():
@@ -186,11 +249,12 @@ def test_epsilon_star_says_why_the_analytic_bound_is_missing(monkeypatch):
 def test_lemma1_certifies_block_split_at_small_gain():
     scn = random_network(seed=5, regime="sync", eps=1.0)
     rz = realize(scn)
-    bound = analytic_eps_bound(rz.network, rz.cset, rz.maps)
-    assert np.isfinite(bound) and bound > 0
+    pencil = closedloop._error_pencil(rz.network, rz.cset, rz.maps)
+    bound, why = closedloop._analytic_bound(pencil, rz.cset)
+    assert np.isfinite(bound) and bound > 0 and why == ""
     eps = 0.5 * bound
-    w1, w2, w3, w4, w5, p_w, q_w = lemma1_block_split(
-        rz.network, rz.cset, rz.maps, eps)
+    w1, w2, w3, w4, w5, p_w, q_w = closedloop._lemma1_split(
+        pencil, rz.cset, eps)
     cert, eps_bar = lemma1_certificate(w1, w2, w3, w4, w5, p_w, q_w)
     w = np.block([[w1, w2 + w5], [w3, w4]])
     m = cert.P @ w + w.T @ cert.P
@@ -240,6 +304,68 @@ def test_spectral_identity_random(seed, regime, n_extra):
     cl = assemble(regime, rz.network, rz.cset, rz.maps,
                   eps=0.5 * est.eps_bisect)
     _assert_error_spectrum_inside_full(cl, n_extra)
+
+
+def _spectral_distance(a, b):
+    """Largest relative distance between the eigenvalues of ``a`` and ``b``,
+    matched one to one."""
+    lam, mu = np.linalg.eigvals(a), np.linalg.eigvals(b)
+    assert lam.size == mu.size
+    cost = np.abs(lam[:, None] - mu[None, :]) / np.maximum(
+        1.0, np.abs(lam))[:, None]
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return cost[rows, cols].max(initial=0.0)
+
+
+def _flip_first_edge(scn):
+    (a, b), rest = scn.edge_ends[0], scn.edge_ends[1:]
+    return replace(scn, edge_ends=((b, a),) + rest)
+
+
+def _relabel_cyclically(scn):
+    """Node i becomes node i + 1, node N becomes node 1."""
+    def new(i):
+        return i % scn.n_nodes + 1
+
+    def moved(per_node):
+        return None if per_node is None else \
+            {new(i): v for i, v in per_node.items()}
+
+    return replace(
+        scn, nodes=scn.nodes[-1:] + scn.nodes[:-1],
+        edge_ends=tuple((new(a), new(b)) for a, b in scn.edge_ends),
+        roles=moved(scn.roles), gains=moved(scn.gains), nu0=moved(scn.nu0),
+        eta0=moved(scn.eta0), etabar0=moved(scn.etabar0))
+
+
+@pytest.mark.parametrize("make,eps_hi", [
+    (demo_power_network, 1000.0),
+    (lambda: random_network(0, n_nodes=5, m_edges=6, dims=3,
+                            regime="tracking"), 10.0),
+    (lambda: random_network(100, n_nodes=5, m_edges=6, dims=3,
+                            regime="sync"), 10.0),
+    (lambda: random_network(200, n_nodes=5, m_edges=6, dims=3,
+                            regime="cooperation"), 10.0),
+    (lambda: random_network(300, n_nodes=5, m_edges=6, dims=3,
+                            regime="master_slave"), 10.0)],
+    ids=["demo", "tracking-0", "sync-100", "cooperation-200",
+         "master_slave-300"])
+def test_orientation_and_relabelling_invariance(make, eps_hi):
+    # flipping an edge negates its state, relabelling permutes the node
+    # blocks: both are similarities of the assembled matrices
+    scn = make()
+
+    def loop_and_boundary(s):
+        rz = realize(s)
+        est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=eps_hi)
+        return rz.cl, est.eps_bisect
+
+    cl, eps_star = loop_and_boundary(scn)
+    for transformed in (_flip_first_edge(scn), _relabel_cyclically(scn)):
+        cl_t, eps_star_t = loop_and_boundary(transformed)
+        assert _spectral_distance(cl.A_error, cl_t.A_error) <= 1e-12
+        assert _spectral_distance(cl.A_full, cl_t.A_full) <= 1e-12
+        assert eps_star_t == eps_star
 
 
 def test_demo_coupling_is_stabilizing_then_destabilizing():

@@ -134,9 +134,8 @@ def test_topology_record_and_validate():
 
 def test_assemble_scalar_blocks():
     h = np.array([[1.0], [-1.0]])
-    out = assemble_weighted_blocks(h, left=[np.array([[2.0]]),
-                                            np.array([[3.0]])],
-                                   right=[np.array([[5.0]])])
+    out = assemble_weighted_blocks(h, [np.array([[2.0]]), np.array([[3.0]])],
+                                   [np.array([[5.0]])])
     assert np.array_equal(out, [[10.0], [-15.0]])
 
 
@@ -144,36 +143,68 @@ def test_assemble_diagonal_edge_matrices():
     # block-diagonal special case with the demo network's edge poles
     e_blocks = [np.array([[-5000.0]]), np.array([[-9000.0]]),
                 np.array([[-1600.0]])]
-    out = assemble_weighted_blocks(np.eye(3), left=e_blocks, right=None)
+    out = assemble_weighted_blocks(np.eye(3), e_blocks, [np.eye(1)] * 3)
     assert np.array_equal(out, np.diag([-5000.0, -9000.0, -1600.0]))
 
 
 def test_assemble_identity_factors_returns_h():
     h = incidence_from_edge_list(TRIANGLE, 3)
-    assert np.array_equal(assemble_weighted_blocks(h), h.astype(float))
+    ones = [np.eye(1)] * 3
+    assert np.array_equal(assemble_weighted_blocks(h, ones, ones),
+                          h.astype(float))
+
+
+def _bruteforce_blocks(w, left, right):
+    """Block (i, j) = w[i, j] * left[i] @ right[j], one block at a time."""
+    out = np.zeros((sum(m.shape[0] for m in left),
+                    sum(m.shape[1] for m in right)))
+    r = 0
+    for i, li in enumerate(left):
+        c = 0
+        for j, rj in enumerate(right):
+            out[r:r + li.shape[0], c:c + rj.shape[1]] = w[i, j] * (li @ rj)
+            c += rj.shape[1]
+        r += li.shape[0]
+    return out
 
 
 def test_assemble_matches_bruteforce_on_random_blocks():
     rng = np.random.default_rng(42)
-    for _ in range(20):
+
+    def factors(n, k, outer_first):
+        return [rng.standard_normal((rng.integers(1, 3), k) if outer_first
+                                    else (k, rng.integers(1, 3)))
+                for _ in range(n)]
+
+    h_tri = incidence_from_edge_list(TRIANGLE, 3)
+    cases = []
+    for k in (1, 2, 3) * 7:
         h = rng.integers(-1, 2, size=(3, 3)).astype(float)
-        left = [rng.standard_normal((rng.integers(1, 3), 2))
-                for _ in range(3)]
-        right = [rng.standard_normal((2, rng.integers(1, 3)))
-                 for _ in range(3)]
-        out = assemble_weighted_blocks(h, left=left, right=right)
-        rows = []
-        for i in range(3):
-            rows.append(np.hstack([h[i, j] * left[i] @ right[j]
-                                   for j in range(3)]))
-        assert np.abs(out - np.vstack(rows)).max() <= 1e-14
+        cases.append((h, factors(3, k, True), factors(3, k, False)))
+    # non-integer weights: a reduced incidence Hbar = T H, inner dimension 2
+    hbar = complement_basis(4) @ incidence_from_edge_list(
+        [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)], 4)
+    cases.append((hbar, factors(3, 2, True), factors(5, 2, False)))
+    # empty weights: no block rows (tracking's H[:0]) or no block columns
+    cases.append((h_tri[:0], [], factors(3, 2, False)))
+    cases.append((h_tri[:, :0], factors(3, 2, True), []))
+    for w, left, right in cases:
+        out = assemble_weighted_blocks(w, left, right)
+        want = _bruteforce_blocks(w, left, right)
+        assert out.shape == want.shape
+        assert np.abs(out - want).max(initial=0.0) <= \
+            1e-14 * max(1.0, np.abs(want).max(initial=0.0))
 
 
 def test_assemble_dimension_mismatch():
     h = np.array([[1.0]])
     with pytest.raises(DimensionMismatch):
-        assemble_weighted_blocks(h, left=[np.ones((2, 2))],
-                                 right=[np.ones((3, 1))])
+        assemble_weighted_blocks(h, [np.ones((2, 2))], [np.ones((3, 1))])
+    # the inner sizes total 4 on both sides, but the left factors disagree
+    h = np.ones((2, 2))
+    with pytest.raises(DimensionMismatch):
+        assemble_weighted_blocks(h, [np.ones((1, 1)), np.ones((1, 3))],
+                                 [np.ones((2, 1)), np.ones((2, 1))])
 
 
 def _low_rank(rng, m, n, r, scale=1.0):
