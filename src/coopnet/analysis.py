@@ -3,11 +3,10 @@
 Everything here is a small dense-linear-algebra routine with an explicit
 numerical contract: solvers check their residuals, certificate constructors
 re-verify the inequalities they claim before returning, and every strict
-inequality carries a certified slack.  Tolerances are module constants and
-can be overridden per call.  scipy is imported only inside the routines
-that need it (the Lyapunov solver, the Riccati branch of the SPR
-certificate and the invariant zeros), so importing the package loads numpy
-alone.
+inequality carries a certified slack.  Tolerances are module constants.
+scipy is imported only inside the routines that need it (the Lyapunov
+solver, the Riccati branch of the SPR certificate and the invariant
+zeros), so importing the package loads numpy alone.
 """
 
 import warnings
@@ -28,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .topology import (
+    RANK_RTOL,
     block_diag,
     full_column_rank,
     full_row_rank,
@@ -48,6 +48,8 @@ SPR_CENTRE = 0.75
 SPR_BISECT_RTOL = 1e-3
 #: threshold below which invariant zeros count as stable
 PBH_RE_TOL = 1e-9
+#: tolerance for passivity inequalities (assumption A5, Lemma 1's P_w W1)
+PASSIVITY_TOL = 1e-9
 
 
 def _as_square(a, name="matrix"):
@@ -116,12 +118,11 @@ class LtiSystem:
     def p(self):
         return self.C.shape[0]
 
-    def rank_conditions_ok(self, rtol=None):
+    def rank_conditions_ok(self):
         """Input matrices full column rank, output full row rank."""
-        kw = {} if rtol is None else {"rtol": rtol}
-        ok = full_column_rank(self.B, **kw) and full_row_rank(self.C, **kw)
+        ok = full_column_rank(self.B) and full_row_rank(self.C)
         if self.D_in is not None:
-            ok = ok and full_column_rank(self.D_in, **kw)
+            ok = ok and full_column_rank(self.D_in)
         return ok
 
 
@@ -238,14 +239,14 @@ def is_hurwitz(a, tol=0.0):
     return spectral_abscissa(a) < -abs(tol)
 
 
-def lyapunov_solve(a, q, rtol=SOLVE_RESID_RTOL):
+def lyapunov_solve(a, q):
     """Solve ``P A + A.T P = -Q`` for symmetric P.
 
     Raises
     ------
     SingularPencil
         If A and -A.T share an eigenvalue (the operator is singular), or
-        the residual exceeds ``rtol * ||Q||``.
+        the residual exceeds ``SOLVE_RESID_RTOL * ||Q||``.
     """
     a = _as_square(a, "A")
     q = _as_square(q, "Q")
@@ -260,21 +261,21 @@ def lyapunov_solve(a, q, rtol=SOLVE_RESID_RTOL):
 
     q = np.asarray(q, dtype=float)
     p = _sym(scipy.linalg.solve_continuous_lyapunov(a.T, -q))
+    bound = SOLVE_RESID_RTOL * max(1.0, np.linalg.norm(q))
     # one round of iterative refinement recovers digits on stiff scales
     for _ in range(2):
         res_mat = p @ a + a.T @ p + q
-        if np.linalg.norm(res_mat) <= 0.5 * rtol * max(1.0,
-                                                       np.linalg.norm(q)):
+        if np.linalg.norm(res_mat) <= 0.5 * bound:
             break
         p = _sym(p - scipy.linalg.solve_continuous_lyapunov(a.T, res_mat))
     resid = np.linalg.norm(p @ a + a.T @ p + q)
-    if resid > rtol * max(1.0, np.linalg.norm(q)):
+    if resid > bound:
         raise SingularPencil(
             f"Lyapunov residual {resid:.2e} exceeds tolerance")
     return p
 
 
-def sylvester_solve(a, s, r, rtol=SOLVE_RESID_RTOL):
+def sylvester_solve(a, s, r):
     """Solve ``X S = A X + R`` (regulator-equation orientation).
 
     S is diagonalised, ``S V = V diag(lam)``; each column of ``Y = X V``
@@ -287,7 +288,7 @@ def sylvester_solve(a, s, r, rtol=SOLVE_RESID_RTOL):
     ------
     SingularPencil
         If the spectra of A and S intersect, or the residual exceeds
-        ``rtol * (||A|| + ||S||) * ||X|| + 1e-12``.
+        ``SOLVE_RESID_RTOL * (||A|| + ||S||) * ||X|| + 1e-12``.
     """
     a = _as_square(a, "A")
     s = _as_square(s, "S")
@@ -312,8 +313,8 @@ def sylvester_solve(a, s, r, rtol=SOLVE_RESID_RTOL):
         return (y @ vi).real
 
     x = solve(r)
-    bound = rtol * (_norm2(a) + _norm2(s)) * max(1.0, np.linalg.norm(x)) \
-        + 1e-12
+    bound = SOLVE_RESID_RTOL * (_norm2(a) + _norm2(s)) * \
+        max(1.0, np.linalg.norm(x)) + 1e-12
     # iterative refinement recovers digits lost to stiff scalings
     for _ in range(2):
         res_mat = x @ s - a @ x - r
@@ -332,7 +333,7 @@ def sylvester_solve(a, s, r, rtol=SOLVE_RESID_RTOL):
 # marginal spectra
 
 
-def real_marginal_basis(s, re_tol=MARGINAL_RE_TOL, require_simple=True):
+def real_marginal_basis(s, require_simple=True):
     """Real basis V with ``S = V J V^{-1}``, J block-diagonal and skew.
 
     J consists of 2x2 rotation blocks (one per conjugate pair) and scalar
@@ -349,7 +350,7 @@ def real_marginal_basis(s, re_tol=MARGINAL_RE_TOL, require_simple=True):
     s = _as_square(s, "S")
     lam, vec = np.linalg.eig(s)
     scale = max(1.0, np.abs(lam).max(initial=0.0))
-    tol = max(re_tol, 1e-13 * scale)
+    tol = max(MARGINAL_RE_TOL, 1e-13 * scale)
     bad = np.abs(lam.real) > tol
     if np.any(bad):
         raise SpectrumNotMarginal(
@@ -392,7 +393,7 @@ def real_marginal_basis(s, re_tol=MARGINAL_RE_TOL, require_simple=True):
     return v_mat, freqs
 
 
-def marginal_spectrum_certificate(s, re_tol=MARGINAL_RE_TOL):
+def marginal_spectrum_certificate(s):
     """Certificate P > 0 with ``P S + S.T P = 0`` for a marginal, simple S.
 
     The construction uses the real eigenstructure ``S = V J V^{-1}`` with J
@@ -401,7 +402,7 @@ def marginal_spectrum_certificate(s, re_tol=MARGINAL_RE_TOL):
     numerically before returning.
     """
     s = _as_square(s, "S")
-    v, _ = real_marginal_basis(s, re_tol=re_tol, require_simple=True)
+    v, _ = real_marginal_basis(s, require_simple=True)
     vi = np.linalg.inv(v)
     p = _sym(vi.T @ vi)
     resid = np.abs(p @ s + s.T @ p).max()
@@ -434,7 +435,7 @@ def marginal_kernel_certificate(g1):
     return p
 
 
-def lyapunov_kernel_basis(g1, rtol=1e-10):
+def lyapunov_kernel_basis(g1):
     """Basis of symmetric solutions of ``G1 P + P G1.T = 0``."""
     g1 = _as_square(g1, "G1")
     c = g1.shape[0]
@@ -450,7 +451,7 @@ def lyapunov_kernel_basis(g1, rtol=1e-10):
     bsym = np.array(sym).T
     mat = op @ bsym
     u, sv, vt = np.linalg.svd(mat)
-    cutoff = (sv > rtol * max(1.0, sv.max())).sum() if sv.size else 0
+    cutoff = (sv > RANK_RTOL * max(1.0, sv.max())).sum() if sv.size else 0
     null = vt.T[:, cutoff:]
     return [(bsym @ null[:, k]).reshape(c, c) for k in range(null.shape[1])]
 
@@ -599,11 +600,11 @@ def observable(a, c):
                         np.atleast_2d(np.asarray(c, dtype=float)).T)
 
 
-def _rank_c(m, rtol=1e-10):
+def _rank_c(m):
     s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 def invariant_zeros(a, b, c):
@@ -656,7 +657,7 @@ def hyper_min_phase_check(a, b, c):
 # the block-interconnection stability certificate
 
 
-def lemma1_certificate(w1, w2, w3, w4, w5, p_w, q_w, tol=1e-9):
+def lemma1_certificate(w1, w2, w3, w4, w5, p_w, q_w):
     """Constructive stability certificate for the 2x2 block interconnection.
 
     For ``W = [[W1, W2 + W5], [W3, W4]]`` with symmetric positive definite
@@ -700,7 +701,8 @@ def lemma1_certificate(w1, w2, w3, w4, w5, p_w, q_w, tol=1e-9):
     if np.linalg.eigvalsh(q_w)[0] <= 0:
         raise HypothesisViolated("Q_w is not positive definite")
     scale1 = max(1.0, _norm2(p_w) * _norm2(w1))
-    if float(np.linalg.eigvalsh(_sym(p_w @ w1 + w1.T @ p_w))[-1]) > tol * scale1:
+    if float(np.linalg.eigvalsh(_sym(p_w @ w1 + w1.T @ p_w))[-1]) > \
+            PASSIVITY_TOL * scale1:
         raise HypothesisViolated("P_w W1 + W1.T P_w is not <= 0")
     eps1 = -float(np.linalg.eigvalsh(_sym(q_w @ w4 + w4.T @ q_w))[-1])
     if eps1 <= 0:

@@ -44,6 +44,8 @@ from .topology import assemble_weighted_blocks, block_diag
 
 #: spectral abscissa below which the error system counts as stable
 STABILITY_TOL = 1e-9
+#: relative width to which epsilon_star bisects the stability boundary
+BISECT_REL_WIDTH = 1e-3
 
 
 @dataclass(frozen=True)
@@ -362,14 +364,13 @@ def _analytic_bound(pencil, cset):
     return eps_bar / norm, ""
 
 
-def epsilon_star(network, cset, maps, eps_hi, rel_width=1e-3, n_probes=16,
-                 stability_tol=STABILITY_TOL):
+def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
     """Largest stable coupling gain in (0, eps_hi] by probing + bisection.
 
     A coarse log-spaced grid locates the stable bracket containing the
     largest stable probe; bisection refines the boundary to relative width
-    ``rel_width``.  Stability means the error-coordinate matrix has
-    spectral abscissa below ``-stability_tol``.  The matrix is built once,
+    ``BISECT_REL_WIDTH``.  Stability means the error-coordinate matrix has
+    spectral abscissa below ``-STABILITY_TOL``.  The matrix is built once,
     as the pencil ``A0 + eps A1``; each probe only evaluates it and takes
     its eigenvalues.
 
@@ -388,7 +389,7 @@ def epsilon_star(network, cset, maps, eps_hi, rel_width=1e-3, n_probes=16,
 
     probes = np.geomspace(eps_hi * 1e-4, eps_hi, n_probes)
     aabs = np.array([abscissa(e) for e in probes])
-    stable = aabs < -stability_tol
+    stable = aabs < -STABILITY_TOL
     if not stable.any():
         raise NoStableEps(
             f"no stable coupling gain among probes in "
@@ -404,10 +405,10 @@ def epsilon_star(network, cset, maps, eps_hi, rel_width=1e-3, n_probes=16,
     lo, hi = float(probes[k]), float(probes[k + 1])
     # the abscissa at lo moves with it, so lo is never evaluated twice
     lo_abscissa = float(aabs[k])
-    while (hi - lo) > rel_width * lo:
+    while (hi - lo) > BISECT_REL_WIDTH * lo:
         mid = 0.5 * (lo + hi)
         mid_abscissa = abscissa(mid)
-        if mid_abscissa < -stability_tol:
+        if mid_abscissa < -STABILITY_TOL:
             lo, lo_abscissa = mid, mid_abscissa
         else:
             hi = mid

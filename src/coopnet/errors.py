@@ -123,7 +123,7 @@ class Infeasible(NumericalFailure):
 
 
 class SynthesisFailed(NumericalFailure):
-    """Gain synthesis exhausted its search; carries final margins."""
+    """No gain on the lattice admits a storage, or no closed node is stable."""
 
 
 class InternalModelViolated(NumericalFailure):
@@ -135,7 +135,7 @@ class IdentityViolated(NumericalFailure):
 
 
 class CertificateFailed(NumericalFailure):
-    """A constructed certificate did not achieve its numerical margin."""
+    """A certificate misses its margin or is proven absent from its family."""
 
 
 class MissingMaps(NumericalFailure):

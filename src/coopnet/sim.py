@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import spectral_abscissa
+from .closedloop import STABILITY_TOL
 from .errors import (
     DimensionMismatch,
     EmptyWindow,
@@ -32,6 +33,9 @@ PROPAGATOR_RADIUS_TOL = 1e-6
 
 #: samples per block of ``_propagate``
 _BLOCK = 64
+
+#: most samples ``integrate`` stores when ``store_every`` is not given
+MAX_STORED = 200_000
 
 
 @dataclass(frozen=True)
@@ -80,14 +84,14 @@ def suggest_dt(cl):
     return 0.1 / max(1.0, fast)
 
 
-def _pick_store_every(n_steps, store_every, max_stored=200_000):
+def _pick_store_every(n_steps, store_every):
     if store_every is not None:
         s = int(store_every)
         if s < 1 or n_steps % s:
             raise ValidationError(
                 "store_every", f"must divide the {n_steps} steps")
         return s
-    target = max(1, int(np.ceil(n_steps / max_stored)))
+    target = max(1, int(np.ceil(n_steps / MAX_STORED)))
     for s in range(min(target, n_steps), 0, -1):
         if n_steps % s == 0:
             return s
@@ -145,11 +149,11 @@ def integrate(cl, x0, t_end, dt, store_every=None):
     ------
     StepTooLarge
         If the one-step propagator has spectral radius above 1 + 1e-6
-        (the fixed step is unstable for this system) and a smaller step
-        resolves the loop's fastest mode.
+        (the fixed step is unstable for this system) although the loop is
+        stable.
     UnstableLoop
-        If the propagator is unstable although ``dt`` already resolves the
-        fastest mode: the loop itself grows at its coupling gain.
+        If the propagator is unstable and so is the error system, by the
+        stability rule of ``epsilon_star``: no step can help.
     NonFiniteState
         On overflow, reporting the first bad step.
     """
@@ -165,16 +169,15 @@ def integrate(cl, x0, t_end, dt, store_every=None):
     r = rk4_propagator(cl.A_full, dt)
     radius = float(np.abs(np.linalg.eigvals(r)).max(initial=0.0))
     if radius > 1.0 + PROPAGATOR_RADIUS_TOL:
-        hint = suggest_dt(cl)
-        if hint < dt:
-            raise StepTooLarge(
-                f"propagator spectral radius {radius:.6f} > 1: reduce dt "
-                f"(suggestion: {hint:.3e})")
-        raise UnstableLoop(
-            f"closed loop is unstable at eps={cl.eps:g}: A_full has "
-            f"spectral abscissa {spectral_abscissa(cl.A_full):+.4e}, and "
-            f"dt={dt:g} already resolves its fastest mode; find the stable "
-            f"coupling gains with `coopnet eps`")
+        absc = spectral_abscissa(cl.A_error)
+        if absc >= -STABILITY_TOL:
+            raise UnstableLoop(
+                f"closed loop is unstable at eps={cl.eps:g}: A_error has "
+                f"spectral abscissa {absc:+.4e}, so no step can help; find "
+                f"the stable coupling gains with `coopnet eps`")
+        raise StepTooLarge(
+            f"propagator spectral radius {radius:.6f} > 1: reduce dt "
+            f"(suggestion: {suggest_dt(cl):.3e})")
     s = _pick_store_every(n_steps, store_every)
     n_stored = n_steps // s
     try:

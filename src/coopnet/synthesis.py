@@ -16,6 +16,7 @@ from .analysis import (
     Certificate,
     Exosystem,
     LtiSystem,
+    PASSIVITY_TOL,
     STRICT_MARGIN,
     _sym,
     controllable,
@@ -54,8 +55,8 @@ NODE_REGIMES = ("tracking", "sync", "cooperation", "master", "slave")
 
 #: residual tolerance for the regulator output identities
 MAP_IDENTITY_TOL = 1e-8
-#: tolerance for the passivity identities of assumption A5
-PASSIVITY_TOL = 1e-9
+#: largest output-feedback gain kappa that passify_node tries
+KAPPA_MAX = 2 ** 24
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +219,11 @@ class NodeController:
 
 
 def make_node_controller(node, regime, k_x, k_zeta, im, ref_s, ref_b, ref_q,
-                         eps, phat, tol=PASSIVITY_TOL):
+                         eps, phat):
     """Assemble and verify a NodeController record.
 
     Verifies the closed node is Hurwitz and that ``phat`` witnesses the
-    passivity identities at tolerance ``tol``.
+    passivity identities at tolerance ``PASSIVITY_TOL``.
     """
     if regime not in NODE_REGIMES:
         raise ValidationError("regime", f"unknown node regime {regime!r}")
@@ -230,7 +231,7 @@ def make_node_controller(node, regime, k_x, k_zeta, im, ref_s, ref_b, ref_q,
     absc = spectral_abscissa(ahat)
     if absc >= 0:
         raise NotHurwitz(f"closed node has spectral abscissa {absc:.3e}")
-    _check_passivity(phat.P, ahat, dhat, chat, tol)
+    _passivity_certificate(phat.P, ahat, dhat, chat)
     return NodeController(
         regime=regime, K_x=np.atleast_2d(np.asarray(k_x, dtype=float)),
         K_zeta=np.atleast_2d(np.asarray(k_zeta, dtype=float)), im=im,
@@ -241,84 +242,102 @@ def make_node_controller(node, regime, k_x, k_zeta, im, ref_s, ref_b, ref_q,
         Ahat=ahat, Dhat=dhat, Dhat_ref=dhat_ref, Chat=chat)
 
 
-def _check_passivity(p, ahat, dhat, chat, tol):
+def _passivity_certificate(p, ahat, dhat, chat):
+    """Certificate of ``p``, after checking the passivity identities."""
     p = _sym(np.asarray(p, dtype=float))
     if np.linalg.eigvalsh(p)[0] <= 0:
         raise CertificateFailed("storage matrix is not positive definite")
     scale = max(1.0, float(np.linalg.norm(p, 2)) *
                 float(np.linalg.norm(ahat, 2)))
     lmax = float(np.linalg.eigvalsh(_sym(p @ ahat + ahat.T @ p))[-1])
-    if lmax > tol * scale:
+    if lmax > PASSIVITY_TOL * scale:
         raise CertificateFailed(
             f"storage inequality fails: lambda_max {lmax:.3e} > "
-            f"{tol * scale:.3e}")
+            f"{PASSIVITY_TOL * scale:.3e}")
     eq = np.abs(p @ dhat - chat.T).max()
     eq_scale = max(1.0, np.abs(chat).max())
-    if eq > tol * eq_scale:
+    if eq > PASSIVITY_TOL * eq_scale:
         raise CertificateFailed(
             f"storage equality P Dhat = Chat.T fails (residual {eq:.3e})")
-    return lmax
+    return Certificate(P=p, slack=-lmax, kind="passivity")
 
 
 # ---------------------------------------------------------------------------
 # passification
 
 
-def _normal_form(b, c):
-    """Change of basis T = [C; W] with W spanning the left null space of B."""
-    w = null_space(b.T).T
-    t = np.vstack([c, w])
-    if np.linalg.matrix_rank(t) < t.shape[0]:
-        raise NotHyperMinPhase("output map and input complement do not span")
-    return t
+def _storage_test(a, b, c):
+    """Exact storage test for the state loops ``a - kappa B (C B)^{-1} C``.
 
-
-def _storage_candidates(a_k, b, c, rho_grid):
-    """Candidate storage matrices P_s with C P_s = B.T in normal form.
-
-    Yields (P_s, lambda_max((A_k) P_s + P_s (A_k).T)) over the scale grid.
+    With T = [C; W] and ``W B = 0``, the family is ``T P_s T.T =
+    blkdiag(sym(C B), rho P2)``, rho > 0, ``A22 P2 + P2 A22.T = -I`` (no rho
+    when n = p).  The gain shifts only the (1,1) block of ``T a T^{-1}``, by
+    -kappa I, so ``A' P' + P' A'.T = M0(kappa) + rho M1``, M1 free of
+    kappa.  Its inertia is constant between the positive eigenvalues of the
+    pencil (M0, -M1), so one rho per gap decides: the gap's geometric mean,
+    half the first, twice the last, or 1 if none (real parts of complex ones
+    only add points).  Returns ``storage(kappa)``: the first P_s with
+    ``lambda_max < -STRICT_MARGIN max(1, ||A_k|| ||P_s||)``, or None, which
+    proves the family holds none.
     """
-    p_dim = c.shape[0]
-    n = a_k.shape[0]
-    t = _normal_form(b, c)
+    p_dim, n = c.shape
+    t = np.vstack([c, null_space(b.T).T])
+    if np.linalg.matrix_rank(t) < n:
+        raise NotHyperMinPhase("output map and input complement do not span")
     ti = np.linalg.inv(t)
-    ap = t @ a_k @ ti
-    b1 = _sym(c @ b)
-    if n == p_dim:
-        p_prime = b1
-        m = _sym(ap @ p_prime + p_prime @ ap.T)
-        p_s = _sym(ti @ p_prime @ ti.T)
-        yield p_s, float(np.linalg.eigvalsh(m)[-1])
-        return
-    a22 = ap[p_dim:, p_dim:]
-    if not is_hurwitz(a22):
-        raise NotHyperMinPhase("zero dynamics are not Hurwitz")
-    # A22 P2 + P2 A22.T = -I   (dual orientation)
-    p2_unit = lyapunov_solve(a22.T, np.eye(n - p_dim))
-    for rho in rho_grid:
-        p_prime = block_diag([b1, rho * p2_unit])
-        m = _sym(ap @ p_prime + p_prime @ ap.T)
-        p_s = _sym(ti @ p_prime @ ti.T)
-        yield p_s, float(np.linalg.eigvalsh(m)[-1])
+    bk = b @ np.linalg.solve(c @ b, c)
+    ap = t @ a @ ti
+    e1 = block_diag([_sym(c @ b), np.zeros((n - p_dim, n - p_dim))])
+    m0 = _sym(ap @ e1 + e1 @ ap.T)
+    e2 = m1 = np.zeros((n, n))
+    if n > p_dim:
+        a22 = ap[p_dim:, p_dim:]
+        if not is_hurwitz(a22):
+            raise NotHyperMinPhase("zero dynamics are not Hurwitz")
+        # A22 P2 + P2 A22.T = -I   (dual orientation)
+        e2 = block_diag([np.zeros((p_dim, p_dim)),
+                         lyapunov_solve(a22.T, np.eye(n - p_dim))])
+        m1 = _sym(ap @ e2 + e2 @ ap.T)
+
+    def storage(kappa):
+        a_norm = float(np.linalg.norm(a - kappa * bk, 2))
+        m = m0 - 2.0 * kappa * e1
+        rhos = [0.0]
+        if n > p_dim:
+            import scipy.linalg
+
+            lam = scipy.linalg.eigvals(m, -m1)
+            r = np.unique(lam.real[np.isfinite(lam) & (lam.real > 0)])
+            rhos = [0.5 * r[0], *np.sqrt(r[:-1] * r[1:]), 2.0 * r[-1]] \
+                if r.size else [1.0]
+        for rho in rhos:
+            p_s = _sym(ti @ (e1 + rho * e2) @ ti.T)
+            lmax = float(np.linalg.eigvalsh(m + rho * m1)[-1])
+            if lmax < -STRICT_MARGIN * max(
+                    1.0, a_norm * float(np.linalg.norm(p_s, 2))):
+                return p_s
+        return None
+
+    return storage
 
 
-def passify_node(node, im, exo, regime="tracking", kappa_max=2 ** 24,
-                 margin=STRICT_MARGIN, seed=0):
+def passify_node(node, im, exo, seed=0):
     """Design passifying gains for a direct-coupling node (``D_in == B``).
 
-    Output feedback ``K_x = -kappa (C B)^{-1} C`` with kappa probed over
-    0, 1, 2, 4, ... until a storage matrix P_s with ``C P_s = B.T`` makes
-    the state loop strictly dissipative; ``K_zeta = -G2.T P_g^{-1}`` with
-    P_g the marginal-kernel certificate of G1.  The returned controller
-    carries the storage certificate in the canonical form
-    ``Phat = diag(P_s, P_g)^{-1}``.
+    Output feedback ``K_x = -kappa (C B)^{-1} C`` with the first kappa of
+    0, 1, 2, 4, ..., ``KAPPA_MAX`` that :func:`_storage_test` passes
+    (feedback passivity: Byrnes, Isidori & Willems, IEEE TAC 1991);
+    ``K_zeta = -G2.T P_g^{-1}`` with P_g the best-damped scale of the
+    marginal-kernel certificate of G1.  The tracking controller returned
+    carries the certificate ``Phat = diag(P_s, P_g)^{-1}``.
 
     Raises
     ------
     NotHyperMinPhase
         If the node fails the relative-degree-one / stable-zeros test.
     SynthesisFailed
-        If the gain search exhausts ``kappa_max`` (reports final margins).
+        If no kappa of the lattice admits a storage in the family (proven
+        for each), or no internal-model completion gives a Hurwitz node.
     """
     a, b, c = node.A, node.B, node.C
     if node.D_in is None or node.D_in.shape != b.shape or \
@@ -329,44 +348,38 @@ def passify_node(node, im, exo, regime="tracking", kappa_max=2 ** 24,
         raise NotHyperMinPhase(
             "node fails the hyper-minimum-phase conditions")
 
-    cb = c @ b
-    rho_grid = np.geomspace(1e-6, 1e6, 25)
+    storage = _storage_test(a, b, c)
     kappa = 0.0
-    best = None
-    while kappa <= kappa_max:
-        k_x = -kappa * np.linalg.solve(cb, c)
-        a_k = a + b @ k_x
-        for p_s, lmax in _storage_candidates(a_k, b, c, rho_grid):
-            scale = max(1.0, float(np.linalg.norm(a_k, 2)) *
-                        float(np.linalg.norm(p_s, 2)))
-            if best is None or lmax / scale < best[1]:
-                best = (kappa, lmax / scale, p_s, k_x)
-            if lmax < -margin * scale:
-                return _finish_passification(
-                    node, im, exo, regime, k_x, p_s, seed)
+    while kappa <= KAPPA_MAX:
+        p_s = storage(kappa)
+        if p_s is not None:
+            k_x = -kappa * np.linalg.solve(c @ b, c)
+            return _finish_passification(node, im, exo, k_x, p_s, seed)
         kappa = 1.0 if kappa == 0.0 else 2.0 * kappa
     raise SynthesisFailed(
-        f"gain search exhausted at kappa={best[0]:g} with relative "
-        f"margin {best[1]:.3e}")
+        f"proven: no kappa in 0, 1, 2, ..., {KAPPA_MAX:g} admits a "
+        f"storage blkdiag(sym(C B), rho P2) with margin {STRICT_MARGIN:g}")
 
 
-def _finish_passification(node, im, exo, regime, k_x, p_s, seed):
+def _finish_passification(node, im, exo, k_x, p_s, seed):
     rng = np.random.default_rng(seed)
+    # the certificate scale is free: pick the best-damped closed node, the
+    # first minimum of the spectral abscissa over these scales
+    scales = np.geomspace(1e-6, 1e6, 25)
     im_try = im
-    k_zeta = p_g = None
     for attempt in range(5):
         p_g_base = marginal_kernel_certificate(im_try.G1)
-        # the certificate scale is free: pick the best-damped closed node
-        best = None
-        for rho in np.geomspace(1e-6, 1e6, 25):
-            cand_pg = rho * p_g_base
-            cand_kz = -np.linalg.solve(cand_pg.T, im_try.G2).T
-            ahat, _, _, _ = hat_matrices(node, k_x, cand_kz, im_try)
-            absc = spectral_abscissa(ahat)
-            if best is None or absc < best[0]:
-                best = (absc, cand_kz, cand_pg)
-        if best[0] < 0:
-            _, k_zeta, p_g = best
+        ahat = hat_matrices(node, k_x, np.zeros((node.m, im_try.c)),
+                            im_try)[0]
+        stack = np.repeat(ahat[None], len(scales), axis=0)
+        for a_rho, rho in zip(stack, scales):
+            a_rho[:node.n, node.n:] = node.B @ -np.linalg.solve(
+                (rho * p_g_base).T, im_try.G2).T
+        absc = np.linalg.eigvals(stack).real.max(axis=1)
+        best = int(np.argmin(absc))
+        if absc[best] < 0:
+            p_g = scales[best] * p_g_base
+            k_zeta = -np.linalg.solve(p_g.T, im_try.G2).T
             break
         # marginal modes unobservable through K_zeta: re-draw G2
         g2 = im_try.G2 + 0.05 * rng.standard_normal(im_try.G2.shape)
@@ -379,34 +392,30 @@ def _finish_passification(node, im, exo, regime, k_x, p_s, seed):
     else:
         raise SynthesisFailed(
             "closed node not Hurwitz for any internal-model completion")
-    p_tilde = block_diag([p_s, p_g])
-    phat_mat = _sym(np.linalg.inv(p_tilde))
+    phat_mat = _sym(np.linalg.inv(block_diag([p_s, p_g])))
     ahat, dhat, _, chat = hat_matrices(node, k_x, k_zeta, im_try)
-    lmax = _check_passivity(phat_mat, ahat, dhat, chat, PASSIVITY_TOL)
-    phat = Certificate(P=phat_mat, slack=-lmax, kind="passivity")
-    ref_s, ref_q = exo.S, exo.Q_eta
-    ref_b = np.zeros((exo.q, exo.p)) if regime in ("tracking", "master") \
-        else exo.B_eta
-    return make_node_controller(node, regime, k_x, k_zeta, im_try,
-                                ref_s, ref_b, ref_q, 0.0, phat)
+    phat = _passivity_certificate(phat_mat, ahat, dhat, chat)
+    return make_node_controller(node, "tracking", k_x, k_zeta, im_try,
+                                exo.S, np.zeros((exo.q, exo.p)), exo.Q_eta,
+                                0.0, phat)
 
 
-def verify_A5(node, k_x, k_zeta, im, phat=None, tol=PASSIVITY_TOL):
+def verify_A5(node, k_x, k_zeta, im, phat=None):
     """Verify (or synthesize the certificate for) externally supplied gains.
 
     When ``phat`` is given it is checked directly.  Otherwise a certificate
     is synthesized in the block-diagonal storage family of the constructive
     design: P_g is recovered from ``K_zeta P_g = -G2.T`` inside the
-    marginal Lyapunov kernel of G1, and P_s from the relative-degree normal
-    form with the supplied K_x.
+    marginal Lyapunov kernel of G1, and P_s by the exact test of
+    :func:`_storage_test` with the supplied K_x.
 
     Returns the passivity Certificate (storage form).
 
     Raises
     ------
     CertificateFailed
-        If no certificate in the structured family matches the gains (this
-        does not prove the gains violate passivity).
+        If no certificate in the block-diagonal family matches the gains;
+        for the state loop this is proven by :func:`_storage_test`.
     NotHurwitz
         If the closed node is not Hurwitz.
     """
@@ -416,9 +425,7 @@ def verify_A5(node, k_x, k_zeta, im, phat=None, tol=PASSIVITY_TOL):
         raise NotHurwitz(f"closed node has spectral abscissa {absc:.3e}")
     if phat is not None:
         p = phat.P if isinstance(phat, Certificate) else np.asarray(phat)
-        lmax = _check_passivity(p, ahat, dhat, chat, tol)
-        return Certificate(P=_sym(np.asarray(p, dtype=float)), slack=-lmax,
-                           kind="passivity")
+        return _passivity_certificate(p, ahat, dhat, chat)
 
     a, b, c = node.A, node.B, node.C
     if node.D_in is None or node.D_in.shape != b.shape or \
@@ -446,33 +453,24 @@ def verify_A5(node, k_x, k_zeta, im, phat=None, tol=PASSIVITY_TOL):
         raise CertificateFailed(
             "storage pinned by K_zeta is not positive definite")
 
-    a_k = a + b @ k_x
-    best = None
-    for p_s, lmax in _storage_candidates(a_k, b, c, np.geomspace(1e-6, 1e6, 25)):
-        scale = max(1.0, float(np.linalg.norm(a_k, 2)) *
-                    float(np.linalg.norm(p_s, 2)))
-        if best is None or lmax / scale < best[0]:
-            best = (lmax / scale, p_s)
-    if best is None or best[0] > tol:
+    p_s = _storage_test(a + b @ k_x, b, c)(0.0)
+    if p_s is None:
         raise CertificateFailed(
-            f"state-loop storage inequality fails "
-            f"(best relative margin {best[0]:.3e})" if best else
-            "no storage candidate")
-    p_tilde = block_diag([best[1], p_g])
-    phat_mat = _sym(np.linalg.inv(p_tilde))
-    lmax = _check_passivity(phat_mat, ahat, dhat, chat, tol)
-    return Certificate(P=phat_mat, slack=-lmax, kind="passivity")
+            "state loop proven infeasible in the block-diagonal storage "
+            f"family: no rho > 0 reaches the margin {STRICT_MARGIN:g}")
+    phat_mat = _sym(np.linalg.inv(block_diag([p_s, p_g])))
+    return _passivity_certificate(phat_mat, ahat, dhat, chat)
 
 
 # ---------------------------------------------------------------------------
 # regulator and steady-state maps
 
 
-def regulator_map(ahat, dhat_eta, chat, s, q_target, tol=MAP_IDENTITY_TOL):
+def regulator_map(ahat, dhat_eta, chat, s, q_target):
     """Steady-state map Pi with ``Pi S = Ahat Pi + Dhat_eta``.
 
     The internal model forces the output identity ``Chat Pi = q_target``,
-    which is verified at tolerance ``tol``.
+    which is verified at tolerance ``MAP_IDENTITY_TOL``.
 
     Raises
     ------
@@ -485,7 +483,7 @@ def regulator_map(ahat, dhat_eta, chat, s, q_target, tol=MAP_IDENTITY_TOL):
     chat = np.atleast_2d(np.asarray(chat, dtype=float))
     q_target = np.atleast_2d(np.asarray(q_target, dtype=float))
     resid = np.abs(chat @ pi - q_target).max()
-    if resid > tol * max(1.0, np.abs(q_target).max()):
+    if resid > MAP_IDENTITY_TOL * max(1.0, np.abs(q_target).max()):
         raise InternalModelViolated(
             f"output identity Chat Pi = Q fails (residual {resid:.3e})")
     return pi
@@ -531,7 +529,7 @@ class MasterSlaveMaps:
     Pi_l_eta: dict
 
 
-def cooperation_node_maps(ctrl, exo, g_s, g_q, tol=MAP_IDENTITY_TOL):
+def cooperation_node_maps(ctrl, exo, g_s, g_q):
     """Node steady-state maps for the cooperation regime.
 
     Solves the joint regulator equation against diag(G_S, S) and verifies
@@ -544,11 +542,11 @@ def cooperation_node_maps(ctrl, exo, g_s, g_q, tol=MAP_IDENTITY_TOL):
     pq = g_s.shape[0]
     pi1, pi2 = pi[:, :pq], pi[:, pq:]
     r1 = np.abs(ctrl.Chat @ pi1 - g_q).max()
-    if r1 > tol * max(1.0, np.abs(g_q).max()):
+    if r1 > MAP_IDENTITY_TOL * max(1.0, np.abs(g_q).max()):
         raise IdentityViolated(
             f"reference output identity fails (residual {r1:.3e})")
     r2 = np.abs(ctrl.Chat @ pi2).max()
-    if r2 > tol:
+    if r2 > MAP_IDENTITY_TOL:
         raise IdentityViolated(
             f"command-invisibility identity fails (residual {r2:.3e})")
     return pi1, pi2
@@ -630,7 +628,7 @@ def edge_reference_block(network, layer):
     return a0, a1, b1
 
 
-def cooperation_network_maps(network, cset, tol=MAP_IDENTITY_TOL):
+def cooperation_network_maps(network, cset):
     """Reduced edge/reference steady-state maps of the cooperation regime.
 
     Builds the internally stable reduced system (edges + T-projected
@@ -651,13 +649,13 @@ def cooperation_network_maps(network, cset, tol=MAP_IDENTITY_TOL):
     hg_bar = assemble_weighted_blocks(topo.Hbar, [np.eye(network.p)] * n1,
                                       [e.C for e in network.edges])
     resid = np.abs(-hg_bar @ pi_z - np.kron(np.eye(n1), exo.Q_v)).max()
-    if resid > tol * max(1.0, np.abs(exo.Q_v).max()):
+    if resid > MAP_IDENTITY_TOL * max(1.0, np.abs(exo.Q_v).max()):
         raise IdentityViolated(
             f"steady edge-output identity fails (residual {resid:.3e})")
     return pi_z, pi_eta
 
 
-def master_slave_maps(network, cset, tol=MAP_IDENTITY_TOL):
+def master_slave_maps(network, cset):
     """Steady-state maps of the master-slave regime.
 
     Solves the coupled edge + slave-reference subsystem against the slave
@@ -707,12 +705,12 @@ def master_slave_maps(network, cset, tol=MAP_IDENTITY_TOL):
         want = np.zeros((p, l * q))
         want[:, rank * q:(rank + 1) * q] = exo.Q_v
         r = np.abs(m_blocks[i + 1] - want).max()
-        if r > tol * max(1.0, np.abs(exo.Q_v).max()):
+        if r > MAP_IDENTITY_TOL * max(1.0, np.abs(exo.Q_v).max()):
             raise IdentityViolated(
                 f"slave {i + 1} steady neighboring-input identity fails "
                 f"(residual {r:.3e})")
         r0 = np.abs(n_blocks[i + 1]).max()
-        if r0 > tol:
+        if r0 > MAP_IDENTITY_TOL:
             raise IdentityViolated(
                 f"slave {i + 1} master-drive invisibility fails "
                 f"(residual {r0:.3e})")
@@ -725,9 +723,9 @@ def master_slave_maps(network, cset, tol=MAP_IDENTITY_TOL):
         if l:
             pi_f_nu[i + 1] = regulator_map(
                 ctrl.Ahat, ctrl.Dhat @ m_blocks[i + 1], ctrl.Chat, i_l_s,
-                np.zeros((p, l * q)), tol)
+                np.zeros((p, l * q)))
         pi_f_ref[i + 1] = regulator_map(
-            ctrl.Ahat, ctrl.Dhat_ref, ctrl.Chat, g_s, g_q, tol)
+            ctrl.Ahat, ctrl.Dhat_ref, ctrl.Chat, g_s, g_q)
     for rank, i in enumerate(masters):
         ctrl = cset.controllers[i]
         if ctrl is None:
@@ -735,13 +733,13 @@ def master_slave_maps(network, cset, tol=MAP_IDENTITY_TOL):
         if l:
             pi_l_nu[i + 1] = regulator_map(
                 ctrl.Ahat, ctrl.Dhat @ m_blocks[i + 1], ctrl.Chat, i_l_s,
-                np.zeros((p, l * q)), tol)
+                np.zeros((p, l * q)))
         xi = np.zeros((1, n_masters))
         xi[0, rank] = 1.0
         drive = ctrl.Dhat @ n_blocks[i + 1] + np.kron(xi, ctrl.Dhat_ref)
         pi_l_eta[i + 1] = regulator_map(
             ctrl.Ahat, drive, ctrl.Chat, i_m_s,
-            np.kron(xi, exo.Q_eta), tol)
+            np.kron(xi, exo.Q_eta))
 
     return MasterSlaveMaps(
         Pi_z_nu=pi_z_nu, Pi_z_eta=pi_z_eta, Pi_ref_nu=pi_ref_nu,
@@ -750,22 +748,7 @@ def master_slave_maps(network, cset, tol=MAP_IDENTITY_TOL):
         Pi_l_eta=pi_l_eta)
 
 
-def cooperation_maps(network, cset, tol=MAP_IDENTITY_TOL):
-    """Steady-state maps for the cooperation or master-slave regime."""
-    if cset.regime == "cooperation":
-        pi1, pi2 = {}, {}
-        for i, ctrl in enumerate(cset.controllers):
-            pi1[i + 1], pi2[i + 1] = cooperation_node_maps(
-                ctrl, cset.exo, cset.G_S, cset.G_Q, tol)
-        pi_z, pi_eta = cooperation_network_maps(network, cset, tol)
-        return CooperationMaps(Pi_bar1=pi1, Pi_bar2=pi2,
-                               Pi_tilde_z=pi_z, Pi_tilde_eta=pi_eta)
-    if cset.regime == "master_slave":
-        return master_slave_maps(network, cset, tol)
-    raise ValidationError("regime", f"no cooperation maps for {cset.regime}")
-
-
-def build_maps(network, cset, tol=MAP_IDENTITY_TOL):
+def build_maps(network, cset):
     """Regulation maps appropriate to the controller set's regime."""
     if cset.regime in ("tracking", "sync"):
         pi = {}
@@ -774,9 +757,19 @@ def build_maps(network, cset, tol=MAP_IDENTITY_TOL):
                 continue
             pi[i + 1] = regulator_map(
                 ctrl.Ahat, ctrl.Dhat_ref, ctrl.Chat, cset.exo.S,
-                cset.exo.Q_eta, tol)
+                cset.exo.Q_eta)
         return TrackingMaps(Pi=pi)
-    return cooperation_maps(network, cset, tol)
+    if cset.regime == "cooperation":
+        pi1, pi2 = {}, {}
+        for i, ctrl in enumerate(cset.controllers):
+            pi1[i + 1], pi2[i + 1] = cooperation_node_maps(
+                ctrl, cset.exo, cset.G_S, cset.G_Q)
+        pi_z, pi_eta = cooperation_network_maps(network, cset)
+        return CooperationMaps(Pi_bar1=pi1, Pi_bar2=pi2,
+                               Pi_tilde_z=pi_z, Pi_tilde_eta=pi_eta)
+    if cset.regime == "master_slave":
+        return master_slave_maps(network, cset)
+    raise ValidationError("regime", f"no regulation maps for {cset.regime}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,25 +26,23 @@ from .errors import (
 RANK_RTOL = 1e-10
 
 
-def matrix_rank(a, rtol=RANK_RTOL):
-    """Rank of ``a`` by singular values above ``rtol`` times the largest."""
+def matrix_rank(a):
+    """Rank of ``a`` at the relative singular-value threshold RANK_RTOL."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
-def full_column_rank(a, rtol=RANK_RTOL):
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    return matrix_rank(a, rtol) == a.shape[1]
+def full_column_rank(a):
+    return matrix_rank(a) == np.atleast_2d(a).shape[1]
 
 
-def full_row_rank(a, rtol=RANK_RTOL):
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    return matrix_rank(a, rtol) == a.shape[0]
+def full_row_rank(a):
+    return matrix_rank(a) == np.atleast_2d(a).shape[0]
 
 
 def null_space(a):

@@ -38,6 +38,7 @@ class _Plain:
         a = np.atleast_2d(np.asarray(a, dtype=float))
         n = a.shape[0]
         self.A_full = a
+        self.A_error = a
         self.regime = "tracking"
         self.p = 1
         self.node_ids = (1,)
@@ -99,6 +100,20 @@ def test_integrate_names_unstable_loop():
     absc = float(msg.split("spectral abscissa ")[1].split(",")[0])
     assert absc == pytest.approx(spectral_abscissa(rz.cl.A_full), rel=1e-4)
     assert absc > 0
+
+
+def test_unstable_loop_is_not_step_too_large_at_a_coarse_step():
+    # at dt = 0.1 the step is too large as well, but the loop itself grows
+    # (A_error abscissa +0.862), so no smaller step can help
+    rz = realize(random_network(seed=0, n_nodes=3, m_edges=3, regime="sync",
+                                eps=1.0))
+    assert spectral_abscissa(rz.cl.A_error) == pytest.approx(0.862, abs=1e-3)
+    x0 = initial_state(rz.cl, eta0=rz.scenario.eta0)
+    for dt in (0.1, suggest_dt(rz.cl)):
+        with pytest.raises(UnstableLoop) as exc:
+            integrate(rz.cl, x0, t_end=10 * dt, dt=dt)
+        assert not isinstance(exc.value, StepTooLarge)
+        assert "coopnet eps" in str(exc.value)
 
 
 def test_integrate_reports_non_finite_state():

@@ -1,17 +1,20 @@
-"""The exact SPR edge certificate against an independent search, and its
-metamorphic invariances.
+"""The exact SPR edge certificate against an independent frequency-domain
+test, and its metamorphic invariances.
 
-``search_certificate`` is the Nelder-Mead search over the symmetric affine
-family ``Q F = G^T`` that ``spr_certificate`` used before the exact
-normal-form construction, except that each run stops as soon as it holds a
-certificate.  It is kept here only as an oracle: whenever it finds a
-certificate the exact test must find one too, and whenever the exact test
-proves infeasibility the search must not find one.
+``frequency_spr`` is the positive-real lemma's frequency-domain side
+(Khalil, *Nonlinear Systems*, Lemma 6.1): Z(s) = G (sI - E)^{-1} F is
+strictly positive real when E is Hurwitz, ``Z(jw) + Z(jw)^H > 0`` for every
+real w, and, Z being strictly proper, ``lim w^2 (Z(jw) + Z(jw)^H)`` is
+positive definite.  It searches a dense frequency grid for a violation and
+never forms a Q.  A certificate Q (``Q F = G^T``, ``Q E + E^T Q < 0``)
+gives ``Z + Z^H = X^H (-(Q E + E^T Q)) X`` with ``X = (jwI - E)^{-1} F``,
+so every exact certificate must pass; by the KYP lemma a minimal
+realization that passes has a certificate, so every exact infeasibility on
+a minimal realization must fail.
 """
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,79 +29,38 @@ from coopnet.scenarios import random_network
 
 
 # ---------------------------------------------------------------------------
-# the search oracle
+# the frequency-domain oracle
 
 
-def _sym(a):
-    return 0.5 * (a + a.T)
+def frequency_spr(edge):
+    """Whether (E, F, G) passes the frequency-domain SPR test: w = 0 and
+    4,001 log-spaced frequencies from 1e-4 times the smallest eigenvalue
+    modulus of E to 1e4 times the largest, plus the condition at infinity."""
+    e, f, g = edge.A, edge.B, edge.C
+    if np.linalg.eigvals(e).real.max() >= 0:
+        return False
+    gf, gef = g @ f, g @ e @ f
+    if np.abs(gf - gf.T).max() > 1e-10 * max(1.0, np.abs(gf).max()):
+        return False  # w (Z + Z^H) tends to a nonzero Hermitian, indefinite
+    if np.linalg.eigvalsh(-(gef + gef.T))[0] <= 0:
+        return False
+    moduli = np.abs(np.linalg.eigvals(e))
+    w = np.concatenate([[0.0], np.geomspace(1e-4 * moduli.min(),
+                                            1e4 * moduli.max(), 4001)])
+    x = np.linalg.solve(1j * w[:, None, None] * np.eye(e.shape[0]) - e, f)
+    z = g @ x
+    return bool((np.linalg.eigvalsh(z + z.conj().transpose(0, 2, 1))[:, 0]
+                 > 0).all())
 
 
-def symmetric_affine_solutions(f, g_t, rtol=1e-10):
-    """Particular symmetric P0 with ``P0 @ f = g_t`` plus a kernel basis of
-    the symmetric N with ``N @ f = 0``; None when no symmetric solution
-    exists."""
-    n = f.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def unit(i, j):
-        e = np.zeros((n, n))
-        e[i, j] = e[j, i] = 1.0
-        return e
-
-    mat = np.array([(unit(i, j) @ f).ravel() for i, j in pairs]).T
-    sol, *_ = np.linalg.lstsq(mat, g_t.ravel(), rcond=None)
-    p0 = sum(c * unit(i, j) for c, (i, j) in zip(sol, pairs))
-    resid = np.abs(p0 @ f - g_t).max()
-    if resid > rtol * max(1.0, np.abs(g_t).max(), np.abs(f).max()):
-        return None
-    _, sv, vt = np.linalg.svd(mat)
-    cutoff = (sv > 1e-10 * max(1.0, sv.max())).sum() if sv.size else 0
-    basis = [sum(c * unit(i, j) for c, (i, j) in zip(v, pairs))
-             for v in vt[cutoff:]]
-    return p0, basis
-
-
-def search_certificate(e, f, g, seed=0, margin=STRICT_MARGIN):
-    """Q from up to five Nelder-Mead runs, or None when the search gives up
-    (which does not prove that no certificate exists)."""
-    found = symmetric_affine_solutions(f, g.T)
-    if found is None:
-        return None
-    p0, basis = found
-
-    def lmax(q):
-        return float(np.linalg.eigvalsh(_sym(q @ e + e.T @ q))[-1])
-
-    def lmin(q):
-        return float(np.linalg.eigvalsh(q)[0])
-
-    def accept(q):
-        return lmin(q) > 0 and lmax(q) < -margin
-
-    if accept(p0) or not basis:
-        return _sym(p0) if accept(p0) else None
-    scale = max(1.0, np.abs(p0).max())
-    delta = 1e-3 * scale
-
-    def objective(theta):
-        q = p0 + sum(t * b for t, b in zip(theta, basis))
-        return max(lmax(q) + 2.0 * margin, -lmin(q) + delta)
-
-    def stop_when_accepted(intermediate_result):
-        if intermediate_result.fun < 0.0:
-            raise StopIteration
-
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(len(basis))] + \
-        [rng.standard_normal(len(basis)) * scale for _ in range(4)]
-    for x0 in starts:
-        res = scipy.optimize.minimize(
-            objective, x0, method="Nelder-Mead", callback=stop_when_accepted,
-            options={"maxiter": 4000, "xatol": 1e-12, "fatol": 1e-14})
-        q = _sym(p0 + sum(t * b for t, b in zip(res.x, basis)))
-        if accept(q):
-            return q
-    return None
+def minimal(edge):
+    """Kalman rank test: (E, F) controllable and (E, G) observable."""
+    e, f, g = edge.A, edge.B, edge.C
+    n = e.shape[0]
+    pw = [np.linalg.matrix_power(e, k) for k in range(n)]
+    ctrb = np.hstack([p @ f for p in pw])
+    obsv = np.vstack([g @ p for p in pw])
+    return np.linalg.matrix_rank(ctrb) == n == np.linalg.matrix_rank(obsv)
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +117,14 @@ def assert_centred(cert, edge):
 @pytest.mark.parametrize("label,edge", NETWORK_EDGES + GENERIC_EDGES,
                          ids=[lab for lab, _ in NETWORK_EDGES + GENERIC_EDGES])
 def test_exact_certificate_agrees_with_search(label, edge):
-    searched = search_certificate(edge.A, edge.B, edge.C)
+    # the search is the frequency sweep of frequency_spr
     cert = exact_or_none(edge)
-    assert (cert is None) == (searched is None)
     if cert is not None:
         post_checks(cert, edge)
         assert_centred(cert, edge)
-        # the searched Q has a slack of at most the largest margin
-        lyap = searched @ edge.A + edge.A.T @ searched
-        assert cert.slack >= -0.5 * np.linalg.eigvalsh(lyap)[-1]
+        assert frequency_spr(edge)
+    elif minimal(edge):
+        assert not frequency_spr(edge)
 
 
 def test_panel_holds_both_verdicts():
@@ -172,12 +133,14 @@ def test_panel_holds_both_verdicts():
 
 
 def test_exact_certificate_where_the_search_gives_up():
+    # edge 251 is one on which a local Nelder-Mead search over the affine
+    # family Q F = G^T stalls without a certificate, although one exists
     edge = generic_edge(251)
     assert (edge.n, edge.m) == (4, 1)
-    assert search_certificate(edge.A, edge.B, edge.C) is None
     cert = spr_certificate(edge)
     post_checks(cert, edge)
     assert_centred(cert, edge)
+    assert frequency_spr(edge)
 
 
 # ---------------------------------------------------------------------------

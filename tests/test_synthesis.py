@@ -12,6 +12,7 @@ from coopnet.analysis import (
 from coopnet.errors import (
     AllSlaves,
     AssumptionFailed,
+    CertificateFailed,
     InternalModelViolated,
     NotHyperMinPhase,
     ValidationError,
@@ -116,28 +117,94 @@ def test_passify_rejects_wrong_sign_output():
         passify_node(node, im, exo)
 
 
-def test_passify_satisfies_storage_clauses():
-    # all five design clauses re-checked explicitly on random nodes
+def random_panel_node(seed):
+    """The random single-output node of the passification panels."""
     from coopnet.scenarios import _random_node
 
+    rng = np.random.default_rng(seed)
+    return _random_node(rng, n=int(rng.integers(1, 4)), p=1)
+
+
+def assert_storage_clauses(node, ctrl):
+    """The five design clauses of a passified node, re-checked directly."""
+    a_k = node.A + node.B @ ctrl.K_x
+    # recover P_s, P_g from the stored inverse-form certificate
+    p_tilde = np.linalg.inv(ctrl.Phat.P)
+    n = node.n
+    p_s, p_g = p_tilde[:n, :n], p_tilde[n:, n:]
+    assert np.abs(p_tilde[:n, n:]).max() <= 1e-8 * np.abs(p_tilde).max()
+    assert np.abs(node.C @ p_s - node.B.T).max() <= \
+        1e-8 * max(1.0, np.abs(node.B).max())
+    m = a_k @ p_s + p_s @ a_k.T
+    assert np.linalg.eigvalsh(0.5 * (m + m.T))[-1] < 0
+    assert np.abs(ctrl.K_zeta @ p_g + ctrl.im.G2.T).max() <= 1e-8
+    assert spectral_abscissa(ctrl.Ahat) < 0
+
+
+def test_passify_satisfies_storage_clauses():
     exo = rot_exo()
     im = p_copy_internal_model(ROT, p=1)
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        node = _random_node(rng, n=int(rng.integers(1, 4)), p=1)
-        ctrl = passify_node(node, im, exo, seed=seed)
-        a_k = node.A + node.B @ ctrl.K_x
-        # recover P_s, P_g from the stored inverse-form certificate
-        p_tilde = np.linalg.inv(ctrl.Phat.P)
-        n = node.n
-        p_s, p_g = p_tilde[:n, :n], p_tilde[n:, n:]
-        assert np.abs(p_tilde[:n, n:]).max() <= 1e-8 * np.abs(p_tilde).max()
-        assert np.abs(node.C @ p_s - node.B.T).max() <= \
-            1e-8 * max(1.0, np.abs(node.B).max())
-        m = a_k @ p_s + p_s @ a_k.T
-        assert np.linalg.eigvalsh(0.5 * (m + m.T))[-1] < 0
-        assert np.abs(ctrl.K_zeta @ p_g + ctrl.im.G2.T).max() <= 1e-8
-        assert spectral_abscissa(ctrl.Ahat) < 0
+        node = random_panel_node(seed)
+        assert_storage_clauses(node, passify_node(node, im, exo, seed=seed))
+
+
+def family_has_storage(node, kappa):
+    """Dense scan of the storage family at ``K_x = -kappa (CB)^{-1} C``.
+
+    In the basis T = [C; W] (W an orthonormal basis of the left null space
+    of B) the family is ``P_s = T^{-1} blkdiag(sym(CB), rho P2) T^{-T}`` with
+    ``A22 P2 + P2 A22.T = -I``.  Whether some of 2,001 log-spaced rho in
+    [1e-9, 1e9] gives ``A_k P_s + P_s A_k.T < 0``, in the node's own
+    coordinates.
+    """
+    a, b, c = node.A, node.B, node.C
+    n, p = node.n, node.p
+    a_k = a - kappa * b @ np.linalg.solve(c @ b, c)
+    t = np.vstack([c, scipy.linalg.null_space(b.T).T])
+    ti = np.linalg.inv(t)
+    a22 = (t @ a_k @ ti)[p:, p:]
+    p2 = scipy.linalg.solve_continuous_lyapunov(a22, -np.eye(n - p))
+    rho = np.geomspace(1e-9, 1e9, 2001)[:, None, None]
+    base = ti @ scipy.linalg.block_diag(0.5 * (c @ b + (c @ b).T),
+                                        np.zeros((n - p, n - p))) @ ti.T
+    extra = ti @ scipy.linalg.block_diag(np.zeros((p, p)), p2) @ ti.T
+    p_s = base + rho * extra
+    m = a_k @ p_s + p_s @ a_k.T
+    return bool((np.linalg.eigvalsh(m)[:, -1] < 0).any())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exact_kappa_is_the_first_feasible_lattice_point(seed):
+    # at the chosen kappa the certificate holds; at the lattice point
+    # before it a dense scan of the storage family finds nothing
+    exo = rot_exo()
+    im = p_copy_internal_model(ROT, p=1)
+    node = random_panel_node(seed)
+    ctrl = passify_node(node, im, exo, seed=seed)
+    assert_storage_clauses(node, ctrl)
+    kappa = float(-(ctrl.K_x @ node.B)[0, 0])
+    assert family_has_storage(node, kappa)
+    if kappa < 0.5:
+        assert kappa == 0.0
+        return
+    previous = 0.0 if kappa < 1.5 else 0.5 * kappa
+    assert not family_has_storage(node, previous)
+
+
+def test_verify_proves_a_state_loop_infeasible():
+    # seed 8 needs kappa = 2; at kappa = 1 its closed node is still
+    # Hurwitz, but the state loop has no storage in the family
+    exo = rot_exo()
+    im = p_copy_internal_model(ROT, p=1)
+    node = random_panel_node(8)
+    assert node.n > node.p
+    ctrl = passify_node(node, im, exo, seed=8)
+    assert np.allclose(ctrl.K_x @ node.B, [[-2.0]])
+    verify_A5(node, ctrl.K_x, ctrl.K_zeta, ctrl.im)
+    k_x = -np.linalg.solve(node.C @ node.B, node.C)
+    with pytest.raises(CertificateFailed, match="proven"):
+        verify_A5(node, k_x, ctrl.K_zeta, ctrl.im)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +259,10 @@ def test_regulator_map_demo_node1_regression():
 
 
 def test_regulator_identity_on_random_passified_nodes():
-    from coopnet.scenarios import _random_node
-
     exo = rot_exo()
     im = p_copy_internal_model(ROT, p=1)
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        node = _random_node(rng, n=int(rng.integers(1, 4)), p=1)
+        node = random_panel_node(seed)
         ctrl = passify_node(node, im, exo, seed=seed)
         pi = regulator_map(ctrl.Ahat, ctrl.Dhat_ref, ctrl.Chat, exo.S,
                            exo.Q_eta)
