@@ -2,7 +2,7 @@
 search, simulation with CSV/SVG emission, and the pinned demo run.
 
 Exit codes: 0 success, 1 assumption violation, 2 numerical failure,
-3 configuration error.
+3 configuration error, 141 stdout closed by its reader.
 """
 
 import argparse
@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import scenarios, svg
-from .closedloop import assemble, epsilon_star
+from .analysis import PASSIVITY_TOL, STRICT_MARGIN
+from .closedloop import BISECT_REL_WIDTH, assemble, epsilon_star
 from .config import format_config, parse_config
 from .errors import (
     AssumptionViolation,
@@ -181,12 +182,12 @@ def cmd_synth(args):
             f"  K_zeta = {_fmt_mat(ctrl.K_zeta)}",
             f"  internal model: {ctrl.im.copies} copies, min poly coeffs "
             f"{tuple(round(c, 12) for c in ctrl.im.minimal_poly_coeffs)}",
-            f"  passivity slack = {ctrl.Phat.slack:.3e} "
-            f"(tolerance 1e-09), min eig P = {ctrl.Phat.min_eig:.3e}",
+            f"  passivity slack = {ctrl.Phat.slack:.3e} (tolerance "
+            f"{PASSIVITY_TOL:g}), min eig P = {ctrl.Phat.min_eig:.3e}",
         ]
     for j, cert in enumerate(rz.cset.edge_certificates, start=1):
         lines.append(f"edge {j}: SPR slack = {cert.slack:.3e} "
-                     f"(accepted above 1e-08)")
+                     f"(accepted above {STRICT_MARGIN:g})")
     text = "\n".join(lines)
     print(text)
     if args.out:
@@ -206,8 +207,8 @@ def cmd_eps(args):
     eps_hi = args.eps if args.eps is not None else 1000.0
     est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=eps_hi)
     print(f"coupling-gain boundary for {scn.name!r} (ceiling {eps_hi:g})")
-    how = ("bisection to relative width 1e-03" if est.crossed else
-           f"no crossing found up to the ceiling: all {len(est.probes)} "
+    how = (f"bisection to relative width {BISECT_REL_WIDTH:.0e}" if est.crossed
+           else f"no crossing found up to the ceiling: all {len(est.probes)} "
            f"probes are stable")
     print(f"  eps_bisect   = {est.eps_bisect:.6g}  ({how}; abscissa there "
           f"{est.abscissa_at_bisect:.3e})")

@@ -3,9 +3,9 @@ error-coordinate matrix, and the coupling-gain stability boundary search.
 
 Every regime's loop is made of node loops, edge systems and a layer of
 coupling-driven reference generators (empty for tracking).  The layer is
-described once, by :func:`coopnet.synthesis.reference_layer`; the
-simulation-form rows, the error-coordinate matrix and the steady-state maps
-are all built from that description.  The error-coordinate matrix is affine
+described once, by :func:`coopnet.synthesis.reference_layer`, and each
+node's role by :data:`coopnet.synthesis.NODE_ROLES`; every matrix and map
+is built from them.  The error-coordinate matrix is affine
 in the coupling gain, ``A(eps) = A0 + eps A1``: the pencil is built once
 and then evaluated, by :func:`assemble` at one gain and by every probe of
 :func:`epsilon_star`; the Lemma-1 block split reads its blocks.  The
@@ -34,6 +34,7 @@ from .errors import (
 )
 from .network import is_static
 from .synthesis import (
+    NODE_ROLES,
     CooperationMaps,
     MasterSlaveMaps,
     TrackingMaps,
@@ -96,7 +97,8 @@ class ClosedLoop:
     ``eps``.  The leading node/controller and edge block of ``A_full`` is
     the node/edge block of A0.  The output maps extract stacked node
     outputs y, neighboring inputs v, references and errors from the
-    simulation-form state.
+    simulation-form state.  ``node_roles`` holds each node's role, and
+    ``err_kind`` what it regulates.
     """
 
     regime: str
@@ -112,6 +114,7 @@ class ClosedLoop:
     node_ids: tuple
     p: int
     err_kind: dict
+    node_roles: tuple
 
     @property
     def n_states(self):
@@ -151,6 +154,7 @@ def assemble(regime, network, cset, maps=None, eps=None):
     exo = cset.exo
     p, q = network.p, exo.q
     layer = reference_layer(network, cset)
+    roles = [NODE_ROLES[r] for r in cset.node_roles]
     g_list = [e.C for e in network.edges]
     pencil = _error_pencil(network, cset, maps)
 
@@ -170,8 +174,8 @@ def assemble(regime, network, cset, maps=None, eps=None):
         for i in layer.nodes:
             lay.add("exo_state", i + 1, q)
     n_cmd = lay.size
-    for i, ctrl in enumerate(cset.controllers):
-        if ctrl is None or ctrl.regime in ("tracking", "master"):
+    for i, role in enumerate(roles):
+        if role.generator == "exo_state":
             lay.add("exo_state", i + 1, q)
     edge, refs = slice(pencil.n_node, nx), slice(nx, n_ref)
     k = len(layer.nodes)
@@ -181,17 +185,13 @@ def assemble(regime, network, cset, maps=None, eps=None):
         b = lay.sl("controller_state", i + 1)
         return slice(a.start, b.stop)
 
-    def ref_kind(ctrl):
-        return "exo_state" if ctrl.regime in ("tracking", "master") \
-            else "reference_state"
-
     # node/controller and edge states are ordered as the pencil's node and
     # edge errors, and obey the same equations
     a_full = np.zeros((lay.size, lay.size))
     a_full[:nx, :nx] = pencil.A0[:nx, :nx]
     for i in dyn:
-        ctrl = cset.controllers[i]
-        a_full[xsl(i), lay.sl(ref_kind(ctrl), i + 1)] = ctrl.Dhat_ref
+        a_full[xsl(i), lay.sl(roles[i].generator, i + 1)] = \
+            cset.controllers[i].Dhat_ref
     static = network.static_indices()
     a_full[edge, lay.index("exo_state", static)] = assemble_weighted_blocks(
         topo.H[static].T, [e.B for e in network.edges],
@@ -211,22 +211,17 @@ def assemble(regime, network, cset, maps=None, eps=None):
     ref_map = np.zeros((topo.N * p, lay.size))
     v_map[:, edge] = -assemble_weighted_blocks(
         topo.H, [np.eye(p)] * topo.N, g_list)
-    err_kind = {}
-    for i in range(topo.N):
+    for i, role in enumerate(roles):
         rows = slice(i * p, (i + 1) * p)
         if is_static(network.nodes[i]):
             y_map[rows, lay.sl("exo_state", i + 1)] = exo.Q_eta
-            ref_map[rows, lay.sl("exo_state", i + 1)] = exo.Q_eta
-            err_kind[i + 1] = "output"
         else:
-            ctrl = cset.controllers[i]
-            y_map[rows, xsl(i)] = ctrl.Chat
-            if ctrl.regime in ("cooperation", "slave"):
-                ref_map[rows, lay.sl("exo_state", i + 1)] = exo.Q_v
-                err_kind[i + 1] = "input"
-            else:
-                ref_map[rows, lay.sl(ref_kind(ctrl), i + 1)] = exo.Q_eta
-                err_kind[i + 1] = "output"
+            y_map[rows, xsl(i)] = cset.controllers[i].Chat
+        if role.regulates == "input":
+            ref_map[rows, lay.sl("exo_state", i + 1)] = exo.Q_v
+        else:
+            ref_map[rows, lay.sl(role.generator, i + 1)] = exo.Q_eta
+    err_kind = {i + 1: role.regulates for i, role in enumerate(roles)}
     inputs = np.repeat([err_kind[i] == "input" for i in node_ids], p)
     err_map = np.where(inputs[:, None], v_map, y_map) - ref_map
 
@@ -235,7 +230,8 @@ def assemble(regime, network, cset, maps=None, eps=None):
         A_error=pencil.A0 + eps * pencil.A1,
         error_index_map=pencil.index_map,
         y_map=y_map, v_map=v_map, ref_map=ref_map, err_map=err_map,
-        node_ids=node_ids, p=p, err_kind=err_kind)
+        node_ids=node_ids, p=p, err_kind=err_kind,
+        node_roles=cset.node_roles)
 
 
 #: regulation maps holding each driven node's reference-generator map

@@ -27,6 +27,7 @@ from .errors import (
     UnstableLoop,
     ValidationError,
 )
+from .synthesis import NODE_ROLES
 
 #: allowed excess of the one-step propagator's spectral radius over 1
 PROPAGATOR_RADIUS_TOL = 1e-6
@@ -207,15 +208,16 @@ def initial_state(cl, nu0=None, eta0=None, etabar0=None, node0=None,
                   controller0=None, edge0=None):
     """Build the simulation-form initial state from per-entity values.
 
-    ``nu0``/``eta0``/``etabar0`` map 1-based node ids to reference or
-    command initial vectors; unspecified blocks start at zero.  Which block
-    each dict targets depends on the regime: ``eta0`` fills the per-node
-    output-reference generator (autonomous for tracking/master nodes,
-    coupling-driven for sync), ``nu0`` the neighboring-input commands, and
-    ``etabar0`` the cooperation reference generators.
+    Each dict maps 1-based ids to initial vectors; unspecified blocks start
+    at zero.  ``eta0``/``nu0``/``etabar0`` seed only the blocks the node's
+    role owns (``seeds`` in :data:`coopnet.synthesis.NODE_ROLES`): ``eta0``
+    the reference generator of a node regulating its output, ``nu0`` the
+    command and ``etabar0`` the reference generator of one regulating its
+    neighboring input.  Any other pairing raises ValidationError.
     """
     x0 = np.zeros(cl.n_states)
     lookup = {(e.kind, e.entity): e for e in cl.index_map}
+    roles = dict(zip(cl.node_ids, cl.node_roles))
 
     def fill(kind, entity, value, name):
         entry = lookup.get((kind, entity))
@@ -229,13 +231,18 @@ def initial_state(cl, nu0=None, eta0=None, etabar0=None, node0=None,
                 f"{entry.length}")
         x0[entry.offset:entry.offset + entry.length] = value
 
-    eta_kind = "reference_state" if cl.regime == "sync" else "exo_state"
-    for i, val in (eta0 or {}).items():
-        fill(eta_kind, i, val, "eta0")
-    for i, val in (nu0 or {}).items():
-        fill("exo_state", i, val, "nu0")
-    for i, val in (etabar0 or {}).items():
-        fill("reference_state", i, val, "etabar0")
+    for name, values in (("eta0", eta0), ("nu0", nu0), ("etabar0", etabar0)):
+        for i, val in (values or {}).items():
+            if i not in roles:
+                raise ValidationError(f"{name}[{i}]", "unknown node")
+            role = NODE_ROLES[roles[i]]
+            if name not in role.seeds:
+                raise ValidationError(
+                    f"{name}[{i}]",
+                    f"node {i} is a {roles[i]} node regulating its "
+                    f"{role.regulates}; it takes only "
+                    f"{' and '.join(role.seeds)}")
+            fill(role.seeds[name], i, val, name)
     for i, val in (node0 or {}).items():
         fill("node_state", i, val, "node0")
     for i, val in (controller0 or {}).items():
@@ -268,12 +275,13 @@ class SteadyStatePrediction:
 def steady_state_prediction(cset, t, nu0=None, eta0=None, etabar0=None):
     """Evaluate the predicted steady trajectories for the set's regime.
 
+    Each node's limit follows its role (:data:`coopnet.synthesis.NODE_ROLES`).
     tracking/master nodes: y_i -> Q_eta e^{S t} eta_i(0).
     sync: all outputs -> Q_eta e^{S t} (mean of eta_i(0)).
-    cooperation/slave nodes: v_i -> Q_v e^{S t} nu_i(0); with a nonzero
-    command sum the common residual is Q_v e^{S t} nu_0(0) with
-    nu_0(0) = -(sum nu_i(0))/N; the output sum follows the cooperation
-    reference generator from the sum of etabar_i(0).
+    cooperation/slave nodes: v_i -> Q_v e^{S t} nu_i(0); in cooperation,
+    with a nonzero command sum the common residual is Q_v e^{S t} nu_0(0)
+    with nu_0(0) = -(sum nu_i(0))/N, and the output sum follows the
+    cooperation reference generator from the sum of etabar_i(0).
     """
     import scipy.linalg
 
@@ -301,38 +309,29 @@ def steady_state_prediction(cset, t, nu0=None, eta0=None, etabar0=None):
     def signal(gains, vec):
         return (gains @ vec).reshape(t.size, -1).T
 
-    nu0 = {i: np.asarray(v, dtype=float).ravel()
-           for i, v in (nu0 or {}).items()}
-    eta0 = {i: np.asarray(v, dtype=float).ravel()
-            for i, v in (eta0 or {}).items()}
-    etabar0 = {i: np.asarray(v, dtype=float).ravel()
-               for i, v in (etabar0 or {}).items()}
-    ids = range(1, len(cset.controllers) + 1)
+    nu0, eta0, etabar0 = ({i: np.asarray(v, dtype=float).ravel()
+                           for i, v in (d or {}).items()}
+                          for d in (nu0, eta0, etabar0))
+    ids = range(1, len(cset.node_roles) + 1)
     zero = np.zeros(exo.q)
+    # per regulated signal: its limit's output map and initial values
+    limits = {"output": (exo.Q_eta, eta0), "input": (exo.Q_v, nu0)}
+    grids, per_node = {}, {}
+    for i, name in zip(ids, cset.node_roles):
+        role = NODE_ROLES[name]
+        out, start = limits[role.regulates]
+        if role.regulates not in grids:
+            grids[role.regulates] = on_grid(exo.S, out)
+        vec = sum(start.get(k, zero) for k in ids) / len(ids) \
+            if role.consensus else start.get(i, zero)
+        per_node[i] = signal(grids[role.regulates], vec)
     bias, output_sum = None, None
-    if cset.regime == "sync":
-        track = on_grid(exo.S, exo.Q_eta)
-        mean = sum(eta0.get(i, zero) for i in ids) / len(ids)
-        per_node = {i: signal(track, mean) for i in ids}
-    elif cset.regime == "tracking":
-        track = on_grid(exo.S, exo.Q_eta)
-        per_node = {i: signal(track, eta0.get(i, zero)) for i in ids}
-    elif cset.regime == "cooperation":
-        command = on_grid(exo.S, exo.Q_v)
-        per_node = {i: signal(command, nu0.get(i, zero)) for i in ids}
-        bias = signal(command,
+    if cset.regime == "cooperation":
+        bias = signal(grids["input"],
                       -sum(nu0.get(i, zero) for i in ids) / len(ids))
         total_ref = sum(etabar0.get(i, np.zeros(cset.G_S.shape[0]))
                         for i in ids)
         output_sum = signal(on_grid(cset.G_S, cset.G_Q), total_ref)
-    elif cset.regime == "master_slave":
-        track = on_grid(exo.S, exo.Q_eta)
-        command = on_grid(exo.S, exo.Q_v)
-        per_node = {i: signal(command, nu0.get(i, zero))
-                    if (i - 1) in cset.slaves
-                    else signal(track, eta0.get(i, zero)) for i in ids}
-    else:
-        raise ValidationError("regime", f"unknown regime {cset.regime!r}")
     return SteadyStatePrediction(t=t, per_node=per_node, bias=bias,
                                  output_sum=output_sum)
 

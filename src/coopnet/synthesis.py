@@ -15,7 +15,6 @@ import numpy as np
 from .analysis import (
     Certificate,
     Exosystem,
-    LtiSystem,
     PASSIVITY_TOL,
     STRICT_MARGIN,
     _sym,
@@ -51,7 +50,6 @@ from .topology import (
 )
 
 REGIMES = ("tracking", "sync", "cooperation", "master_slave")
-NODE_REGIMES = ("tracking", "sync", "cooperation", "master", "slave")
 
 #: residual tolerance for the regulator output identities
 MAP_IDENTITY_TOL = 1e-8
@@ -189,11 +187,12 @@ def hat_matrices(node, k_x, k_zeta, im, ref_q=None):
 
 @dataclass(frozen=True)
 class NodeController:
-    """Per-node controller: gains, internal model, reference generator.
+    """Per-node controller: gains, internal model and closed-node matrices.
 
-    ``ref_B`` is stored unscaled; the closed-loop assembler multiplies it by
-    the shared coupling gain eps.  ``Phat`` is the passivity certificate of
-    the closed node (storage form: ``Phat Ahat + Ahat.T Phat <= 0`` and
+    ``regime`` is the node's role, a key of :data:`NODE_ROLES`;
+    ``Dhat_ref`` injects the output of the reference generator that role
+    follows.  ``Phat`` is the passivity certificate of the closed node
+    (storage form: ``Phat Ahat + Ahat.T Phat <= 0`` and
     ``Phat Dhat = Chat.T``).
     """
 
@@ -201,12 +200,7 @@ class NodeController:
     K_x: np.ndarray
     K_zeta: np.ndarray
     im: InternalModel
-    ref_S: np.ndarray
-    ref_B: np.ndarray
-    ref_Q: np.ndarray
-    eps: float
     Phat: Certificate
-    node: LtiSystem
     Ahat: np.ndarray = field(repr=False, default=None)
     Dhat: np.ndarray = field(repr=False, default=None)
     Dhat_ref: np.ndarray = field(repr=False, default=None)
@@ -218,27 +212,21 @@ class NodeController:
         return self.Ahat.shape[0]
 
 
-def make_node_controller(node, regime, k_x, k_zeta, im, ref_s, ref_b, ref_q,
-                         eps, phat):
+def make_node_controller(node, regime, k_x, k_zeta, im, ref_q, phat):
     """Assemble and verify a NodeController record.
 
-    Verifies the closed node is Hurwitz and that ``phat`` witnesses the
-    passivity identities at tolerance ``PASSIVITY_TOL``.
+    ``ref_q`` is the output of the role's reference generator.  Verifies
+    the closed node is Hurwitz and that the storage matrix ``phat``
+    witnesses the passivity identities at tolerance ``PASSIVITY_TOL``.
     """
-    if regime not in NODE_REGIMES:
-        raise ValidationError("regime", f"unknown node regime {regime!r}")
     ahat, dhat, dhat_ref, chat = hat_matrices(node, k_x, k_zeta, im, ref_q)
     absc = spectral_abscissa(ahat)
     if absc >= 0:
         raise NotHurwitz(f"closed node has spectral abscissa {absc:.3e}")
-    _passivity_certificate(phat.P, ahat, dhat, chat)
     return NodeController(
         regime=regime, K_x=np.atleast_2d(np.asarray(k_x, dtype=float)),
         K_zeta=np.atleast_2d(np.asarray(k_zeta, dtype=float)), im=im,
-        ref_S=np.atleast_2d(np.asarray(ref_s, dtype=float)),
-        ref_B=np.atleast_2d(np.asarray(ref_b, dtype=float)),
-        ref_Q=np.atleast_2d(np.asarray(ref_q, dtype=float)),
-        eps=float(eps), Phat=phat, node=node,
+        Phat=_passivity_certificate(phat, ahat, dhat, chat),
         Ahat=ahat, Dhat=dhat, Dhat_ref=dhat_ref, Chat=chat)
 
 
@@ -339,6 +327,13 @@ def passify_node(node, im, exo, seed=0):
         If no kappa of the lattice admits a storage in the family (proven
         for each), or no internal-model completion gives a Hurwitz node.
     """
+    k_x, k_zeta, im, phat = _passifying_gains(node, im, seed)
+    return make_node_controller(node, "tracking", k_x, k_zeta, im,
+                                exo.Q_eta, phat)
+
+
+def _passifying_gains(node, im, seed):
+    """Gains, internal model and unverified storage of passify_node."""
     a, b, c = node.A, node.B, node.C
     if node.D_in is None or node.D_in.shape != b.shape or \
             np.abs(node.D_in - b).max() > 0:
@@ -350,18 +345,14 @@ def passify_node(node, im, exo, seed=0):
 
     storage = _storage_test(a, b, c)
     kappa = 0.0
-    while kappa <= KAPPA_MAX:
-        p_s = storage(kappa)
-        if p_s is not None:
-            k_x = -kappa * np.linalg.solve(c @ b, c)
-            return _finish_passification(node, im, exo, k_x, p_s, seed)
+    while (p_s := storage(kappa)) is None:
         kappa = 1.0 if kappa == 0.0 else 2.0 * kappa
-    raise SynthesisFailed(
-        f"proven: no kappa in 0, 1, 2, ..., {KAPPA_MAX:g} admits a "
-        f"storage blkdiag(sym(C B), rho P2) with margin {STRICT_MARGIN:g}")
-
-
-def _finish_passification(node, im, exo, k_x, p_s, seed):
+        if kappa > KAPPA_MAX:
+            raise SynthesisFailed(
+                f"proven: no kappa in 0, 1, 2, ..., {KAPPA_MAX:g} admits a "
+                f"storage blkdiag(sym(C B), rho P2) with margin "
+                f"{STRICT_MARGIN:g}")
+    k_x = -kappa * np.linalg.solve(c @ b, c)
     rng = np.random.default_rng(seed)
     # the certificate scale is free: pick the best-damped closed node, the
     # first minimum of the spectral abscissa over these scales
@@ -392,12 +383,7 @@ def _finish_passification(node, im, exo, k_x, p_s, seed):
     else:
         raise SynthesisFailed(
             "closed node not Hurwitz for any internal-model completion")
-    phat_mat = _sym(np.linalg.inv(block_diag([p_s, p_g])))
-    ahat, dhat, _, chat = hat_matrices(node, k_x, k_zeta, im_try)
-    phat = _passivity_certificate(phat_mat, ahat, dhat, chat)
-    return make_node_controller(node, "tracking", k_x, k_zeta, im_try,
-                                exo.S, np.zeros((exo.q, exo.p)), exo.Q_eta,
-                                0.0, phat)
+    return k_x, k_zeta, im_try, _sym(np.linalg.inv(block_diag([p_s, p_g])))
 
 
 def verify_A5(node, k_x, k_zeta, im, phat=None):
@@ -553,6 +539,62 @@ def cooperation_node_maps(ctrl, exo, g_s, g_q):
 
 
 @dataclass(frozen=True)
+class NodeRole:
+    """How a node takes part in its regime: one row of :data:`NODE_ROLES`.
+
+    ``generator``: the block of the generator the internal model follows,
+    ``"exo_state"`` (output Q_eta) or ``"reference_state"`` in the
+    :class:`ReferenceLayer` (output its Q).  ``regulates``: ``"output"``,
+    y against Q_eta times that generator, or ``"input"``, v against Q_v
+    times the node's command.  ``seeds``: initial-value dict -> block.
+    ``consensus``: the predicted limit starts from the mean ``eta0`` of all
+    nodes, not the node's own ``eta0`` (output) or ``nu0`` (input).
+    """
+
+    generator: str
+    regulates: str
+    seeds: dict
+    consensus: bool
+
+
+_OWN = NodeRole("exo_state", "output", {"eta0": "exo_state"}, False)
+_COMMANDED = NodeRole("reference_state", "input",
+                      {"nu0": "exo_state", "etabar0": "reference_state"},
+                      False)
+#: every node role of the four problems; a static node is a master
+NODE_ROLES = {"tracking": _OWN, "master": _OWN, "cooperation": _COMMANDED,
+              "slave": _COMMANDED,
+              "sync": NodeRole("reference_state", "output",
+                               {"eta0": "reference_state"}, True)}
+
+
+def assign_roles(network, regime, roles=None):
+    """Each node's :data:`NODE_ROLES` key in ``regime``.
+
+    master_slave reads each node's role from ``roles`` (1-based id ->
+    "master" | "slave") and needs a master, else AllSlaves; the others give
+    every node the regime's role.  Other faults raise ValidationError.
+    """
+    if regime not in REGIMES:
+        raise ValidationError("regime", f"unknown regime {regime!r}")
+    if roles and regime != "master_slave":
+        raise ValidationError("roles", "roles only apply to master_slave")
+    assigned = tuple((roles or {}).get(i + 1) if regime == "master_slave"
+                     else regime for i in range(network.n_nodes))
+    for i, (node, role) in enumerate(zip(network.nodes, assigned)):
+        if regime == "master_slave" and role not in ("master", "slave"):
+            raise ValidationError(
+                f"roles[{i + 1}]", "every node needs 'master' or 'slave'")
+        if is_static(node) and role != "master":
+            raise ValidationError(
+                f"nodes[{i + 1}]",
+                "static nodes are only supported as master_slave masters")
+    if regime == "master_slave" and "master" not in assigned:
+        raise AllSlaves("master_slave needs at least one master node")
+    return assigned
+
+
+@dataclass(frozen=True)
 class ReferenceLayer:
     """A regime's layer of coupling-driven reference generators.
 
@@ -582,17 +624,14 @@ class ReferenceLayer:
 def reference_layer(network, cset):
     """The :class:`ReferenceLayer` of the controller set's regime."""
     exo, topo = cset.exo, network.topology
-    if cset.regime == "tracking":
-        nodes, rows, row_ids = (), topo.H[:0], ()
-    elif cset.regime in ("sync", "cooperation"):
-        nodes, rows = tuple(range(topo.N)), topo.Hbar
-        row_ids = tuple(range(1, topo.N))
-    elif cset.regime == "master_slave":
-        nodes, rows = tuple(cset.slaves), topo.H[list(cset.slaves)]
-        row_ids = tuple(i + 1 for i in cset.slaves)
+    nodes = tuple(i for i, r in enumerate(cset.node_roles)
+                  if NODE_ROLES[r].generator == "reference_state")
+    if len(nodes) == topo.N:
+        # every generator is driven: the network-average mode splits off
+        rows, row_ids = topo.Hbar, tuple(range(1, topo.N))
     else:
-        raise ValidationError("regime", f"unknown regime {cset.regime!r}")
-    if cset.regime in ("tracking", "sync"):
+        rows, row_ids = topo.H[list(nodes)], tuple(i + 1 for i in nodes)
+    if cset.G_S is None:
         return ReferenceLayer(nodes, rows, row_ids, exo.S, exo.B_eta,
                               exo.Q_eta)
     return ReferenceLayer(nodes, rows, row_ids, cset.G_S, cset.G_B,
@@ -780,7 +819,8 @@ def build_maps(network, cset):
 class ControllerSet:
     """Per-network controller family sharing one coupling gain.
 
-    ``controllers[i]`` is None exactly when node i+1 is a static master.
+    ``controllers[i]`` is None exactly when node i+1 is a static master;
+    ``node_roles[i]`` is its :data:`NODE_ROLES` key.
     ``G_S``/``G_B``/``G_Q`` are the cooperation reference-generator
     matrices (None in the tracking and sync regimes); ``edge_certificates``
     hold the strict-positive-real witnesses found for every edge.
@@ -791,6 +831,7 @@ class ControllerSet:
     controllers: tuple
     exo: Exosystem
     edge_certificates: tuple
+    node_roles: tuple
     G_S: np.ndarray = None
     G_B: np.ndarray = None
     G_Q: np.ndarray = None
@@ -853,7 +894,7 @@ def cooperation_reference_matrices(exo):
     return g_s, g_b, g_q
 
 
-def check_assumptions(network, exo, regime, roles=None):
+def check_assumptions(network, exo):
     """Structural assumption report: ranks (A1), reference spectrum (A2),
     edge strict positive realness (A3), connectivity (A4).
 
@@ -909,15 +950,6 @@ def check_assumptions(network, exo, regime, roles=None):
         float(network.topology.N - 1),
         "incidence matrix has row rank N-1" if connected
         else "network is disconnected"))
-
-    if regime == "master_slave":
-        roles = roles or {}
-        masters = [i for i in range(network.n_nodes)
-                   if roles.get(i + 1, "slave") == "master"]
-        results.append(CheckResult(
-            "roles", "network", bool(masters), float(len(masters)),
-            f"{len(masters)} master(s)" if masters
-            else "all nodes are slaves (need at least one master)"))
     return results, edge_certs
 
 
@@ -925,39 +957,19 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
                       seed=0, nu0=None):
     """Run every assumption check and attempt the controller construction.
 
-    Never raises on check failures; returns ``(results, cset)`` where
-    ``cset`` is None when any check failed.  ``nu0`` (cooperation command
-    initial conditions) adds the zero-sum report line checked at
-    simulation time.
+    Raises only what :func:`assign_roles` raises, before any check runs;
+    returns ``(results, cset)`` where ``cset`` is None when any check
+    failed.  ``nu0`` (cooperation command initial conditions) adds the
+    zero-sum report line checked at simulation time.
     """
-    if regime not in REGIMES:
-        raise ValidationError("regime", f"unknown regime {regime!r}")
-    if roles and regime != "master_slave":
-        raise ValidationError("roles", "roles only apply to master_slave")
+    node_roles = assign_roles(network, regime, roles)
     gains = gains or {}
-    results, edge_certs = check_assumptions(network, exo, regime, roles)
-    failures = [r for r in results if not r.passed]
-
-    slaves, masters = (), ()
+    results, edge_certs = check_assumptions(network, exo)
     if regime == "master_slave":
-        roles = roles or {}
-        for i, node in enumerate(network.nodes):
-            role = roles.get(i + 1)
-            if role not in ("master", "slave"):
-                raise ValidationError(
-                    f"roles[{i + 1}]", "every node needs 'master' or 'slave'")
-            if is_static(node) and role != "master":
-                raise ValidationError(
-                    f"roles[{i + 1}]", "static nodes must be masters")
-        slaves = tuple(i for i in range(network.n_nodes)
-                       if roles[i + 1] == "slave")
-        masters = tuple(i for i in range(network.n_nodes)
-                        if roles[i + 1] == "master")
-        if not masters:
-            raise AllSlaves("master_slave needs at least one master node")
-    elif any(is_static(nd) for nd in network.nodes):
-        raise ValidationError(
-            "nodes", "static nodes are only supported as master_slave masters")
+        n_masters = node_roles.count("master")
+        results.append(CheckResult("roles", "network", True,
+                                   float(n_masters), f"{n_masters} master(s)"))
+    failures = [r for r in results if not r.passed]
 
     g_s = g_b = g_q = None
     if regime in ("cooperation", "master_slave"):
@@ -968,38 +980,27 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
 
     p = network.p
     controllers = []
-    for i, node in enumerate(network.nodes):
+    for i, (node, role) in enumerate(zip(network.nodes, node_roles)):
         if is_static(node):
             controllers.append(None)
             continue
-        node_regime = {"tracking": "tracking", "sync": "sync",
-                       "cooperation": "cooperation"}.get(regime)
-        if regime == "master_slave":
-            node_regime = "slave" if i in slaves else "master"
-        if node_regime in ("cooperation", "slave"):
-            ref_s, ref_b, ref_q = g_s, g_b, g_q
-        elif node_regime == "sync":
-            ref_s, ref_b, ref_q = exo.S, exo.B_eta, exo.Q_eta
-        else:
-            ref_s, ref_b, ref_q = exo.S, np.zeros((exo.q, p)), exo.Q_eta
+        ref_q = exo.Q_eta if g_q is None or \
+            NODE_ROLES[role].generator == "exo_state" else g_q
         try:
             supplied = gains.get(i + 1)
             if supplied is None:
-                im = p_copy_internal_model(exo.S, p)
-                ctrl = passify_node(node, im, exo, seed=seed + i)
-                ctrl = make_node_controller(
-                    node, node_regime, ctrl.K_x, ctrl.K_zeta, ctrl.im,
-                    ref_s, ref_b, ref_q, eps, ctrl.Phat)
+                k_x, k_zeta, im, phat = _passifying_gains(
+                    node, p_copy_internal_model(exo.S, p), seed + i)
             else:
                 if supplied.G1 is not None:
                     im = internal_model_from_matrices(
                         supplied.G1, supplied.G2, exo.S)
                 else:
                     im = p_copy_internal_model(exo.S, p)
-                phat = verify_A5(node, supplied.K_x, supplied.K_zeta, im)
-                ctrl = make_node_controller(
-                    node, node_regime, supplied.K_x, supplied.K_zeta, im,
-                    ref_s, ref_b, ref_q, eps, phat)
+                k_x, k_zeta = supplied.K_x, supplied.K_zeta
+                phat = verify_A5(node, k_x, k_zeta, im).P
+            ctrl = make_node_controller(node, role, k_x, k_zeta, im, ref_q,
+                                        phat)
             controllers.append(ctrl)
             results.append(CheckResult(
                 "A5", f"node {i + 1}", True, ctrl.Phat.slack,
@@ -1025,8 +1026,10 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
         return results, None
     cset = ControllerSet(
         regime=regime, eps=float(eps), controllers=tuple(controllers),
-        exo=exo, edge_certificates=tuple(edge_certs),
-        G_S=g_s, G_B=g_b, G_Q=g_q, slaves=slaves, masters=masters)
+        exo=exo, edge_certificates=tuple(edge_certs), node_roles=node_roles,
+        G_S=g_s, G_B=g_b, G_Q=g_q,
+        slaves=tuple(i for i, r in enumerate(node_roles) if r == "slave"),
+        masters=tuple(i for i, r in enumerate(node_roles) if r == "master"))
     return results, cset
 
 

@@ -169,6 +169,20 @@ def test_cli_simulate_writes_deterministic_csv(tmp_path, capsys):
     assert header[1:5] == ["y1_1", "v1_1", "ref1_1", "err1_1"]
 
 
+def test_cli_simulate_rejects_a_reference_the_role_lacks(tmp_path, capsys):
+    from dataclasses import replace
+
+    # node 1 regulates its neighboring input: an eta reference has no block
+    scn = random_network(1, n_nodes=3, m_edges=3, regime="cooperation",
+                         eps=0.1)
+    cfg = tmp_path / "scn.cfg"
+    cfg.write_text(format_config(replace(
+        scn, eta0={1: np.array([7.0, 8.0])}, dt=1e-2, t_end=1.0)))
+    assert main(["simulate", "--config", str(cfg)]) == 3
+    assert "eta0[1]: node 1 is a cooperation node regulating its input" \
+        in capsys.readouterr().err
+
+
 def test_cli_simulate_emits_svg(tmp_path):
     scn = random_network(seed=3, regime="tracking")
     from dataclasses import replace

@@ -245,6 +245,22 @@ def test_zero_sum_commands_conserved():
     assert np.abs(total).max() <= 1e-10
 
 
+@pytest.mark.parametrize("regime, name, pick", [
+    ("tracking", "nu0", lambda cset: 1),
+    ("sync", "etabar0", lambda cset: 1),
+    ("cooperation", "eta0", lambda cset: 1),
+    ("master_slave", "nu0", lambda cset: cset.masters[0] + 1),
+    ("master_slave", "eta0", lambda cset: cset.slaves[0] + 1)],
+    ids=["tracking-nu0", "sync-etabar0", "cooperation-eta0",
+         "master-nu0", "slave-eta0"])
+def test_initial_state_seeds_only_blocks_the_role_owns(regime, name, pick):
+    rz = realize(random_network(1, n_nodes=3, m_edges=3, regime=regime,
+                                eps=0.1))
+    node = pick(rz.cset)
+    with pytest.raises(ValidationError, match=rf"^{name}\[{node}\]: node "):
+        initial_state(rz.cl, **{name: {node: [7.0, 8.0]}})
+
+
 def test_tracking_errors_decay_exponentially():
     scn = random_network(seed=2, regime="tracking")
     rz = realize(scn)

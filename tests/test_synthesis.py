@@ -27,6 +27,7 @@ from coopnet.synthesis import (
     internal_model_from_matrices,
     p_copy_internal_model,
     passify_node,
+    reference_layer,
     regulator_map,
     verify_A5,
 )
@@ -321,11 +322,19 @@ def test_master_slave_maps_identities():
 # controller sets
 
 
-def test_tracking_controllers_have_zero_injection():
+def test_tracking_loop_has_no_coupling_gain_path():
+    from coopnet.closedloop import _error_pencil, assemble
+
     scn = random_network(seed=2, regime="tracking")
-    cset = build_controllers(scn.network(), scn.exosystem(), "tracking")
-    for ctrl in cset.controllers:
-        assert np.abs(ctrl.ref_B).max() == 0.0
+    net = scn.network()
+    cset = build_controllers(net, scn.exosystem(), "tracking")
+    maps = build_maps(net, cset)
+    layer = reference_layer(net, cset)
+    assert layer.nodes == () and layer.rows.shape[0] == 0
+    assert not _error_pencil(net, cset, maps).A1.any()
+    low, high = (assemble("tracking", net, cset, maps, eps=e).A_error
+                 for e in (0.1, 7.0))
+    assert np.array_equal(low, high)
 
 
 def test_sync_equals_cooperation_at_zero_commands_single_output():
