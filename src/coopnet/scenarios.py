@@ -3,7 +3,7 @@ random-network generators for the property suites.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,7 +11,13 @@ from .analysis import build_exosystem, edge_system, node_system
 from .closedloop import assemble
 from .errors import InfeasibleDims, ValidationError
 from .network import Network, StaticNode, is_static
-from .synthesis import NodeGains, build_controllers, build_maps
+from .synthesis import (
+    NODE_ROLES,
+    REGIMES,
+    NodeGains,
+    build_controllers,
+    build_maps,
+)
 from .topology import Topology, block_diag
 
 
@@ -262,6 +268,8 @@ def random_network(seed, n_nodes=3, m_edges=3, dims=2, p=1, q_exo=2,
     ------
     InfeasibleDims
         If the dimensions cannot produce a valid network.
+    ValidationError
+        If the regime is unknown.
     """
     if n_nodes < 2 or n_nodes > 5:
         raise InfeasibleDims("n_nodes must be in [2, 5]")
@@ -269,6 +277,8 @@ def random_network(seed, n_nodes=3, m_edges=3, dims=2, p=1, q_exo=2,
         raise InfeasibleDims("m_edges must be in [n_nodes-1, 7]")
     if dims < p or dims > 3:
         raise InfeasibleDims("dims must be in [p, 3]")
+    if regime not in REGIMES:
+        raise ValidationError("regime", f"unknown regime {regime!r}")
     rng = np.random.default_rng(seed)
     edge_ends = _random_connected_edges(rng, n_nodes, m_edges)
     s, q_eta, q_v = _random_marginal_exosystem(rng, q_exo, p)
@@ -287,12 +297,11 @@ def random_network(seed, n_nodes=3, m_edges=3, dims=2, p=1, q_exo=2,
     nu0, eta0, etabar0 = {}, {}, {}
     if nonzero_refs:
         for i in range(1, n_nodes + 1):
-            if regime in ("cooperation",) or (
-                    roles is not None and roles.get(i) == "slave"):
-                nu0[i] = rng.uniform(-1.0, 1.0, size=q_exo)
-            if regime in ("tracking", "sync") or (
-                    roles is not None and roles.get(i) == "master"):
-                eta0[i] = rng.uniform(-1.0, 1.0, size=q_exo)
+            seeds = NODE_ROLES[roles[i] if roles else regime].seeds
+            # nu0 before eta0 keeps every seed's draws; etabar0 stays zero
+            for name, values in (("nu0", nu0), ("eta0", eta0)):
+                if name in seeds:
+                    values[i] = rng.uniform(-1.0, 1.0, size=q_exo)
     return Scenario(
         name=f"random-{seed}",
         nodes=nodes, edges=edges, edge_ends=tuple(edge_ends),
@@ -301,18 +310,3 @@ def random_network(seed, n_nodes=3, m_edges=3, dims=2, p=1, q_exo=2,
         dt=1e-3, t_end=10.0,
     ).validate()
 
-
-def with_zero_sum(scn):
-    """Adjust the last command so the cooperation zero-sum condition holds."""
-    if scn.regime not in ("cooperation",):
-        raise ValidationError("regime", "zero-sum applies to cooperation")
-    nu0 = {i: np.asarray(v, dtype=float).copy()
-           for i, v in scn.nu0.items()}
-    q = scn.S.shape[0]
-    total = np.zeros(q)
-    for i in range(1, scn.n_nodes):
-        vec = nu0.get(i, np.zeros(q))
-        nu0[i] = vec
-        total = total + vec
-    nu0[scn.n_nodes] = -total
-    return replace(scn, nu0=nu0)

@@ -28,7 +28,6 @@ from coopnet.scenarios import (
     demo_power_network,
     random_network,
     realize,
-    with_zero_sum,
 )
 from coopnet.sim import (
     error_metrics,
@@ -43,6 +42,8 @@ from coopnet.synthesis import (
     passify_node,
     regulator_map,
 )
+
+from helpers import with_zero_sum
 
 
 # The paper's simulation horizon for the demo.  The CLI's failure hint

@@ -8,9 +8,10 @@ from coopnet.scenarios import (
     demo_power_network,
     random_network,
     realize,
-    with_zero_sum,
 )
 from coopnet.synthesis import assumption_report
+
+from helpers import with_zero_sum
 
 W = 100.0 * np.pi
 

@@ -16,10 +16,11 @@ from coopnet.scenarios import (
     demo_power_network,
     random_network,
     realize,
-    with_zero_sum,
 )
 from coopnet.sim import (
     _BLOCK,
+    _BLOCK_VALUES,
+    _propagate,
     error_metrics,
     initial_state,
     integrate,
@@ -27,6 +28,8 @@ from coopnet.sim import (
     steady_state_prediction,
     suggest_dt,
 )
+
+from helpers import with_zero_sum
 
 W = 100.0 * np.pi
 
@@ -180,6 +183,100 @@ def test_non_finite_step_is_exact_inside_a_block(store_every):
     assert exc.value.step == bad * store_every
 
 
+def _blocks(n, size):
+    """(first sample, width) of each block product ``_propagate`` makes for
+    n samples of ``size`` numbers each, derived from its two constants."""
+    lo, width, blocks = _BLOCK + 1, _BLOCK, []
+    while lo <= n:
+        blocks.append((lo, width))
+        lo += width
+        if lo + width <= n and 2 * width * size <= _BLOCK_VALUES:
+            width *= 2
+    return blocks
+
+
+def _capped_width(size):
+    width = _BLOCK
+    while 2 * width * size <= _BLOCK_VALUES:
+        width *= 2
+    return width
+
+
+@pytest.fixture(scope="module")
+def demo_step():
+    cl, x0, dt = _demo_loop()
+    return np.linalg.matrix_power(rk4_propagator(cl.A_full, dt), 5), x0
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK,
+                               3 * _BLOCK + 1, None])
+def test_propagate_matches_sequential_recurrence(demo_step, k, n):
+    step, x0 = demo_step
+    n_x = step.shape[0]
+    if n is None:
+        # past the budget: blocks at the capped width, the last one partial
+        width = _capped_width(k * n_x)
+        n = 3 * width + _BLOCK // 2
+        assert [w for _, w in _blocks(n, k * n_x)][-3:] == [width] * 3
+        assert 2 * width * k * n_x > _BLOCK_VALUES
+    rng = np.random.default_rng(k)
+    cols = np.column_stack([x0] + [x0 * rng.uniform(-1.0, 1.0, n_x)
+                                   for _ in range(k - 1)])
+    rows = _propagate(step, cols, n)
+    assert rows.shape == (n + 1, k, n_x)
+    for c in range(k):
+        expect = _sequential(step, cols[:, c], n)
+        peak = np.abs(expect).max(axis=1, keepdims=True)
+        assert np.all(np.abs(rows[:, c, :].T - expect) <= 1e-11 * peak)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_block_products_follow_the_doubling_schedule(demo_step, monkeypatch,
+                                                     k):
+    step, x0 = demo_step
+    size = k * step.shape[0]
+    n = 3 * _capped_width(size) + 1
+    products, matmul = [], np.matmul
+
+    def spy(a, b, out):
+        products.append(out.shape[0] // k)
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    _propagate(step, np.column_stack([x0] * k), n)
+    monkeypatch.undo()
+    blocks = _blocks(n, size)
+    assert products == [min(w, n + 1 - lo) for lo, w in blocks]
+    assert max(products) * size <= _BLOCK_VALUES
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_non_finite_step_is_exact_inside_a_doubled_block(store_every):
+    # the loop of test_non_finite_step_is_exact_inside_a_block with a
+    # coarser step: the overflow lands past 2 * _BLOCK inside a block of
+    # doubled width
+    cl = _Plain([[-1.0, 1e6], [0.0, -1.0]])
+    x0 = np.array([0.0, 1e303])
+    dt = 2e-4
+    r_s = np.linalg.matrix_power(rk4_propagator(cl.A_full, dt),
+                                 store_every)
+    x, bad = x0, None
+    with np.errstate(over="ignore"):
+        for j in range(1, 10_000):
+            x = r_s @ x
+            if not np.all(np.isfinite(x)):
+                bad = j
+                break
+        assert bad is not None and bad > 2 * _BLOCK
+        n_stored = round(0.3 / dt) // store_every
+        lo, width = [b for b in _blocks(n_stored, 2) if b[0] <= bad][-1]
+        assert width >= 2 * _BLOCK and bad != lo
+        with pytest.raises(NonFiniteState) as exc:
+            integrate(cl, x0, t_end=0.3, dt=dt, store_every=store_every)
+    assert exc.value.step == bad * store_every
+
+
 def test_integrate_requires_matching_grid():
     with pytest.raises(ValidationError):
         integrate(_Plain([[-1.0]]), [1.0], t_end=1.0, dt=1e-3,
@@ -243,6 +340,34 @@ def test_zero_sum_commands_conserved():
                  if e.kind == "exo_state"]
     total = sum(res.states[o:o + n] for o, n in nu_slices)
     assert np.abs(total).max() <= 1e-10
+
+
+def _coop_loop():
+    scn = with_zero_sum(random_network(seed=21, regime="cooperation"))
+    rz = realize(scn, eps=0.2)
+    return rz.cl, initial_state(rz.cl, nu0=scn.nu0), 1e-2
+
+
+@pytest.mark.parametrize("loop", [_demo_loop, _coop_loop],
+                         ids=["demo", "random"])
+def test_stored_signals_are_the_maps_times_the_states(loop):
+    cl, x0, dt = loop()
+    res = integrate(cl, x0, t_end=2000 * dt, dt=dt)
+    p = cl.p
+    for name, gains in (("y", cl.y_map), ("v", cl.v_map),
+                        ("refs", cl.ref_map), ("errors", cl.err_map)):
+        signals = getattr(res, name)
+        assert list(signals) == list(cl.node_ids)
+        for k, node_id in enumerate(cl.node_ids):
+            want = gains[k * p:(k + 1) * p] @ res.states
+            assert np.abs(signals[node_id] - want).max() <= \
+                1e-13 * np.abs(want).max()
+    for node_id, kind in cl.err_kind.items():
+        regulated = (res.y if kind == "output" else res.v)[node_id]
+        ref = res.refs[node_id]
+        peak = max(np.abs(regulated).max(), np.abs(ref).max())
+        assert np.abs(res.errors[node_id] - (regulated - ref)).max() <= \
+            1e-13 * peak
 
 
 @pytest.mark.parametrize("regime, name, pick", [
