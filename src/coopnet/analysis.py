@@ -221,18 +221,24 @@ def build_exosystem(S, Q_eta, Q_v=None, P_eta=None):
 # spectra and equation solvers
 
 
-def spectral_abscissa(a):
-    """Largest real part over the eigenvalues of ``a``."""
+def rightmost_eigenvalue(a):
+    """The eigenvalue of ``a`` with the largest real part (``-inf`` when
+    ``a`` is empty)."""
     a = _as_square(a)
     if a.size == 0:
-        return -np.inf
+        return complex(-np.inf)
     if not np.all(np.isfinite(a)):
         raise EigenFailure("matrix has non-finite entries")
     try:
         lam = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenFailure(str(exc)) from exc
-    return float(lam.real.max())
+    return complex(lam[np.argmax(lam.real)])
+
+
+def spectral_abscissa(a):
+    """Largest real part over the eigenvalues of ``a``."""
+    return rightmost_eigenvalue(a).real
 
 
 def is_hurwitz(a, tol=0.0):

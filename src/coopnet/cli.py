@@ -14,7 +14,12 @@ import numpy as np
 
 from . import scenarios, svg
 from .analysis import PASSIVITY_TOL, STRICT_MARGIN
-from .closedloop import BISECT_REL_WIDTH, assemble, epsilon_star
+from .closedloop import (
+    BISECT_REL_WIDTH,
+    STABILITY_TOL,
+    assemble,
+    epsilon_star,
+)
 from .config import format_config, parse_config
 from .errors import (
     AssumptionViolation,
@@ -207,11 +212,21 @@ def cmd_eps(args):
     eps_hi = args.eps if args.eps is not None else 1000.0
     est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=eps_hi)
     print(f"coupling-gain boundary for {scn.name!r} (ceiling {eps_hi:g})")
+    n_probes = len(est.probes)
     how = (f"bisection to relative width {BISECT_REL_WIDTH:.0e}" if est.crossed
-           else f"no crossing found up to the ceiling: all {len(est.probes)} "
-           f"probes are stable")
+           else f"no crossing found up to the ceiling: the ceiling is stable, "
+           f"{n_probes} probe{'s' if n_probes > 1 else ''} decomposed")
     print(f"  eps_bisect   = {est.eps_bisect:.6g}  ({how}; abscissa there "
           f"{est.abscissa_at_bisect:.3e})")
+    if not est.crossed:
+        where = "no crossing below the ceiling"
+    elif np.isnan(est.eps_crossing):
+        where = "not tracked: the search fell back to bisection"
+    else:
+        where = (f"the critical eigenvalue reaches real part "
+                 f"{-STABILITY_TOL:g} at omega_crossing = "
+                 f"{est.omega_crossing:.10g}")
+    print(f"  eps_crossing = {est.eps_crossing:.10g}  ({where})")
     why = (f"constructive bound unavailable: {est.analytic_failure}"
            if est.analytic_failure else
            "constructive bound; conservative by design")

@@ -18,13 +18,22 @@ columns.  Every weighted interconnection is one call of
 Both assembled matrices carry index maps from (entity kind, entity id) to
 state offsets; assembly is deterministic, so re-assembly reproduces them
 entrywise.
+
+The boundary search, :func:`epsilon_star`, eigen-decomposes the probes
+from the ceiling down to the first stable one, finds where the critical
+eigenvalue crosses the stability line by Newton with one LU per step, and
+replays the bisection against that crossing, verified at both ends.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import lemma1_certificate, spectral_abscissa
+from .analysis import (
+    lemma1_certificate,
+    rightmost_eigenvalue,
+    spectral_abscissa,
+)
 from .errors import (
     HypothesisViolated,
     MissingMaps,
@@ -307,19 +316,41 @@ def _error_pencil(network, cset, maps):
 # coupling-gain boundary
 
 
+#: residual of a tracked eigenpair, relative to ||A(eps)||_F, at which it
+#: counts as converged
+_PAIR_TOL = 1e-12
+#: two-sided Rayleigh-quotient steps allowed for one eigenpair
+_RQI_STEPS = 8
+#: Newton steps allowed for the crossing
+_NEWTON_STEPS = 16
+#: relative Newton step at which the crossing counts as found
+_NEWTON_TOL = 1e-12
+#: eigenvalue branches tracked before the search falls back to bisection
+_BRANCHES = 3
+#: relative distance from the crossing inside which a bisection midpoint
+#: is decided by its eigenvalues rather than by the crossing
+_TIE_REL = 1e-8
+
+
 @dataclass(frozen=True)
 class EpsilonStar:
     """Result of the coupling-gain boundary search.
 
     ``eps_bisect`` is the operative value (largest stable gain found by the
-    probe + bisection scheme, or ``eps_hi`` when the whole grid is stable);
-    ``crossed`` says whether a stable-to-unstable crossing was found below
-    the ceiling, so False means ``eps_bisect`` is the ceiling and not a
-    boundary.  ``eps_analytic`` is the conservative constructive bound from
-    the block certificate, reported for comparison and never used as the
-    operative value; when it is NaN, ``analytic_failure`` says why (a
-    violated Lemma-1 hypothesis or a numerical failure of the
-    construction), and it is empty otherwise.
+    probe + bisection scheme, or ``eps_hi`` when the ceiling probe is
+    stable); ``crossed`` says whether a stable-to-unstable crossing was
+    found below the ceiling, so False means ``eps_bisect`` is the ceiling
+    and not a boundary.  ``probes`` and ``probe_abscissas`` hold the grid
+    probes actually decomposed, in ascending eps: the scan runs from the
+    ceiling down and stops at the first stable probe.  ``eps_crossing`` is
+    the gain at which the critical eigenvalue's real part reaches
+    ``-STABILITY_TOL``, and ``omega_crossing`` its ``|Im|`` there; both are
+    NaN when ``crossed`` is False, or when the search fell back to
+    bisection by eigenvalues.  ``eps_analytic`` is the conservative
+    constructive bound from the block certificate, reported for comparison
+    and never used as the operative value; when it is NaN,
+    ``analytic_failure`` says why (a violated Lemma-1 hypothesis or a
+    numerical failure of the construction), and it is empty otherwise.
     """
 
     eps_bisect: float
@@ -329,6 +360,117 @@ class EpsilonStar:
     probe_abscissas: tuple
     crossed: bool
     analytic_failure: str
+    eps_crossing: float
+    omega_crossing: float
+
+
+@dataclass(frozen=True)
+class _Pair:
+    """A converged eigenpair: the eigenvalue, unit right and left vectors,
+    and a first-order bound on the eigenvalue's error (residual times
+    condition number)."""
+
+    lam: complex
+    x: np.ndarray
+    y: np.ndarray
+    err: float
+
+
+def _matvec(a, z):
+    """``a @ z`` for real ``a`` and complex ``z``, as two real products
+    (numpy's mixed real-complex product is far slower)."""
+    return a @ z.real + 1j * (a @ z.imag)
+
+
+def _eigenpair(a, sigma, x, y):
+    """Two-sided Rayleigh-quotient iteration on ``a`` from the shift
+    ``sigma`` and the right/left vectors ``x``/``y`` (Parlett, Math. Comp.
+    1974).
+
+    Each step is one complex LU of ``a - sigma I``, one inverse-iteration
+    solve with it and one with its conjugate transpose; the two-sided
+    Rayleigh quotient is the next shift.  Returns the pair once both
+    residuals are below ``_PAIR_TOL ||a||_F``, or None.
+    """
+    from scipy.linalg import lu_factor, lu_solve
+
+    tol = _PAIR_TOL * np.linalg.norm(a)
+    for _ in range(_RQI_STEPS):
+        shifted = a.astype(complex)
+        shifted.flat[::a.shape[0] + 1] -= sigma
+        lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
+        x = lu_solve(lu, x, check_finite=False)
+        y = lu_solve(lu, y, trans=2, check_finite=False)
+        x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        ax, ya, yx = _matvec(a, x), _matvec(a.T, y.conj()), y.conj() @ x
+        sigma = (ya @ x) / yx
+        res = max(np.linalg.norm(ax - sigma * x),
+                  np.linalg.norm(ya - sigma * y.conj()))
+        if not np.isfinite(res):
+            return None
+        if res <= tol:
+            return _Pair(lam=complex(sigma), x=x, y=y, err=res / abs(yx))
+    return None
+
+
+@dataclass(frozen=True)
+class _Crossing:
+    """Where the tracked eigenvalue's real part reaches -STABILITY_TOL:
+    the gain, the eigenvalue there, its derivative in eps, and the
+    eigenvectors of the last Newton iterate."""
+
+    eps: float
+    lam: complex
+    slope: complex
+    x: np.ndarray
+    y: np.ndarray
+
+    def unstable_at(self, pencil, eps):
+        """Whether A(eps) has an eigenpair, tracked from the crossing and
+        residual-certified, whose eigenvalue lies right of
+        -STABILITY_TOL by more than its error bound."""
+        pair = _eigenpair(pencil.A0 + eps * pencil.A1,
+                          self.lam + (eps - self.eps) * self.slope,
+                          self.x, self.y)
+        return pair is not None and \
+            pair.lam.real - pair.err >= -STABILITY_TOL
+
+
+def _crossing(pencil, lo, hi, lam_hi):
+    """Newton on ``Re lambda(eps) + STABILITY_TOL`` inside the bracket
+    ``(lo, hi]``, from the rightmost eigenvalue ``lam_hi`` of A(hi).
+
+    The derivative is Kato's first-order ``d lambda / d eps = y^H A1 x /
+    y^H x``.  Each iterate's eigenpair comes from :func:`_eigenpair`,
+    started at the first-order prediction of the eigenvalue.  The bracket
+    shrinks with the sign of each iterate, and a step that leaves it is
+    replaced by its midpoint.  Returns the crossing, or None when an
+    eigenpair fails to converge or the steps run out.
+    """
+    start = np.random.default_rng(0).standard_normal(pencil.A0.shape[0])
+    eps = hi
+    pair = _eigenpair(pencil.A0 + hi * pencil.A1, lam_hi, start, start)
+    for _ in range(_NEWTON_STEPS):
+        if pair is None:
+            return None
+        slope = (pair.y.conj() @ _matvec(pencil.A1, pair.x)) / \
+            (pair.y.conj() @ pair.x)
+        f = pair.lam.real + STABILITY_TOL
+        if f < 0:
+            lo = eps
+        else:
+            hi = eps
+        nxt = eps - f / slope.real if slope.real > 0 else np.nan
+        if abs(nxt - eps) <= _NEWTON_TOL * eps:
+            return _Crossing(eps=float(nxt),
+                             lam=complex(pair.lam + (nxt - eps) * slope),
+                             slope=complex(slope), x=pair.x, y=pair.y)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        pair = _eigenpair(pencil.A0 + nxt * pencil.A1,
+                          pair.lam + (nxt - eps) * slope, pair.x, pair.y)
+        eps = nxt
+    return None
 
 
 def _lemma1_split(pencil, cset, eps):
@@ -363,12 +505,33 @@ def _analytic_bound(pencil, cset):
 def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
     """Largest stable coupling gain in (0, eps_hi] by probing + bisection.
 
-    A coarse log-spaced grid locates the stable bracket containing the
-    largest stable probe; bisection refines the boundary to relative width
-    ``BISECT_REL_WIDTH``.  Stability means the error-coordinate matrix has
-    spectral abscissa below ``-STABILITY_TOL``.  The matrix is built once,
-    as the pencil ``A0 + eps A1``; each probe only evaluates it and takes
-    its eigenvalues.
+    Stability means the error-coordinate matrix ``A(eps) = A0 + eps A1``
+    (built once, as a pencil) has spectral abscissa below
+    ``-STABILITY_TOL``.  The search runs in four steps:
+
+    1. *Scan from the top.*  The log-spaced grid of ``n_probes`` gains is
+       eigen-decomposed from the ceiling down, stopping at the first
+       stable probe k, the largest stable one.  If that is the ceiling, it
+       is the result, with ``crossed`` False.
+    2. *Track the crossing.*  Inside (probe k, probe k+1], the rightmost
+       eigenvalue of probe k+1 is followed by :func:`_crossing`: Newton on
+       its real part, each step one complex LU, not a decomposition.
+    3. *Replay the bisection.*  The bisection to relative width
+       ``BISECT_REL_WIDTH`` runs as ever, but a midpoint is stable when
+       it lies below the crossing; one within ``_TIE_REL`` of the crossing
+       is decided by its eigenvalues.  So ``eps_bisect`` is the float that
+       bisection by eigenvalues returns.
+    4. *Verify.*  The final hi must be a decomposed unstable point or
+       carry a residual-certified eigenpair right of ``-STABILITY_TOL``;
+       the final lo is eigen-decomposed and must be stable (its abscissa
+       is ``abscissa_at_bisect``).  If lo is unstable, another eigenvalue
+       crosses first: steps 2-4 run again from lo's rightmost eigenvalue,
+       for up to ``_BRANCHES`` eigenvalues in all.
+
+    If the tracking or the verification fails, the search falls back to
+    bisection by eigenvalues on the original bracket.  The result differs
+    from that bisection only when the bracket holds several crossings, and
+    then it is still a verified stable/unstable end bracket.
 
     Raises
     ------
@@ -379,37 +542,71 @@ def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
         raise ValidationError("eps_hi", "search ceiling must be > 0")
 
     pencil = _error_pencil(network, cset, maps)
+    abscissas = {}  # every decomposed gain
 
-    def abscissa(eps):
-        return spectral_abscissa(pencil.A0 + eps * pencil.A1)
+    def stable(eps):
+        if eps not in abscissas:
+            abscissas[eps] = spectral_abscissa(pencil.A0 + eps * pencil.A1)
+        return abscissas[eps] < -STABILITY_TOL
 
-    probes = np.geomspace(eps_hi * 1e-4, eps_hi, n_probes)
-    aabs = np.array([abscissa(e) for e in probes])
-    stable = aabs < -STABILITY_TOL
-    if not stable.any():
+    grid = np.geomspace(eps_hi * 1e-4, eps_hi, n_probes)
+    top = []  # rightmost eigenvalues, from the ceiling down
+    for eps in grid[::-1]:
+        top.append(rightmost_eigenvalue(pencil.A0 + eps * pencil.A1))
+        abscissas[float(eps)] = top[-1].real
+        if top[-1].real < -STABILITY_TOL:
+            break
+    else:
         raise NoStableEps(
             f"no stable coupling gain among probes in "
-            f"[{probes[0]:.3e}, {probes[-1]:.3e}]")
-    k = int(np.max(np.nonzero(stable)[0]))
+            f"[{grid[0]:.3e}, {grid[-1]:.3e}]")
+    k = n_probes - len(top)
     analytic, why = _analytic_bound(pencil, cset)
-    if k == len(probes) - 1:
+    fields = dict(probes=tuple(grid[k:]),
+                  probe_abscissas=tuple(lam.real for lam in reversed(top)),
+                  eps_analytic=analytic, analytic_failure=why)
+    if k == n_probes - 1:
         return EpsilonStar(
-            eps_bisect=float(probes[-1]), eps_analytic=analytic,
-            abscissa_at_bisect=float(aabs[-1]),
-            probes=tuple(probes), probe_abscissas=tuple(aabs),
-            crossed=False, analytic_failure=why)
-    lo, hi = float(probes[k]), float(probes[k + 1])
-    # the abscissa at lo moves with it, so lo is never evaluated twice
-    lo_abscissa = float(aabs[k])
-    while (hi - lo) > BISECT_REL_WIDTH * lo:
-        mid = 0.5 * (lo + hi)
-        mid_abscissa = abscissa(mid)
-        if mid_abscissa < -STABILITY_TOL:
-            lo, lo_abscissa = mid, mid_abscissa
-        else:
-            hi = mid
+            eps_bisect=float(grid[-1]), abscissa_at_bisect=top[0].real,
+            crossed=False, eps_crossing=np.nan, omega_crossing=np.nan,
+            **fields)
+
+    def bisect(below):
+        lo, hi = float(grid[k]), float(grid[k + 1])
+        while (hi - lo) > BISECT_REL_WIDTH * lo:
+            mid = 0.5 * (lo + hi)
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    def tracked(eps, lam):
+        """The replayed bisection's verified lo and the crossing tracked
+        from ``lam``, the rightmost eigenvalue of A(eps), or None."""
+        for _ in range(_BRANCHES):
+            cross = _crossing(pencil, float(grid[k]), eps, lam)
+            if cross is None:
+                return None
+            c = cross.eps
+            lo, hi = bisect(lambda e: stable(e) if abs(e - c) <= _TIE_REL * c
+                            else e < c)
+            # hi must be unstable: decomposed, or by a certified eigenpair
+            if (stable(hi) if hi in abscissas
+                    else not cross.unstable_at(pencil, hi)):
+                return None
+            if lo not in abscissas:
+                lam = rightmost_eigenvalue(pencil.A0 + lo * pencil.A1)
+                abscissas[lo] = lam.real
+            if abscissas[lo] < -STABILITY_TOL:
+                return lo, cross
+            eps = lo  # another eigenvalue crosses first: track it from lo
+        return None
+
+    found = tracked(float(grid[k + 1]), top[-2])
+    lo, cross = (bisect(stable)[0], None) if found is None else found
     return EpsilonStar(
-        eps_bisect=lo, eps_analytic=analytic,
-        abscissa_at_bisect=lo_abscissa,
-        probes=tuple(probes), probe_abscissas=tuple(aabs),
-        crossed=True, analytic_failure=why)
+        eps_bisect=lo, abscissa_at_bisect=abscissas[lo], crossed=True,
+        eps_crossing=np.nan if cross is None else cross.eps,
+        omega_crossing=np.nan if cross is None else abs(cross.lam.imag),
+        **fields)

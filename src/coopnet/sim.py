@@ -110,6 +110,10 @@ def _pick_store_every(n_steps, store_every):
 
 
 def _check_finite(rows, lo, hi):
+    # one sum screens the block: any NaN or inf makes it non-finite, and
+    # only then (or on an overflow of finite values) is each sample scanned
+    if np.isfinite(rows[lo:hi].sum()):
+        return
     finite = np.isfinite(rows[lo:hi]).all(axis=(1, 2))
     if not finite.all():
         raise NonFiniteState(lo + int(np.argmin(finite)))

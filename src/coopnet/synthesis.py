@@ -212,20 +212,25 @@ class NodeController:
         return self.Ahat.shape[0]
 
 
-def make_node_controller(node, regime, k_x, k_zeta, im, ref_q, phat):
+def make_node_controller(node, regime, k_x, k_zeta, im, ref_q, phat=None):
     """Assemble and verify a NodeController record.
 
     ``ref_q`` is the output of the role's reference generator.  Verifies
     the closed node is Hurwitz and that the storage matrix ``phat``
     witnesses the passivity identities at tolerance ``PASSIVITY_TOL``.
+    Without ``phat``, the storage is first synthesized from the gains (see
+    :func:`verify_A5`).
     """
     ahat, dhat, dhat_ref, chat = hat_matrices(node, k_x, k_zeta, im, ref_q)
     absc = spectral_abscissa(ahat)
     if absc >= 0:
         raise NotHurwitz(f"closed node has spectral abscissa {absc:.3e}")
+    k_x = np.atleast_2d(np.asarray(k_x, dtype=float))
+    k_zeta = np.atleast_2d(np.asarray(k_zeta, dtype=float))
+    if phat is None:
+        phat = _gain_storage(node, k_x, k_zeta, im)
     return NodeController(
-        regime=regime, K_x=np.atleast_2d(np.asarray(k_x, dtype=float)),
-        K_zeta=np.atleast_2d(np.asarray(k_zeta, dtype=float)), im=im,
+        regime=regime, K_x=k_x, K_zeta=k_zeta, im=im,
         Phat=_passivity_certificate(phat, ahat, dhat, chat),
         Ahat=ahat, Dhat=dhat, Dhat_ref=dhat_ref, Chat=chat)
 
@@ -405,22 +410,19 @@ def verify_A5(node, k_x, k_zeta, im, phat=None):
     NotHurwitz
         If the closed node is not Hurwitz.
     """
-    ahat, dhat, _, chat = hat_matrices(node, k_x, k_zeta, im)
-    absc = spectral_abscissa(ahat)
-    if absc >= 0:
-        raise NotHurwitz(f"closed node has spectral abscissa {absc:.3e}")
-    if phat is not None:
-        p = phat.P if isinstance(phat, Certificate) else np.asarray(phat)
-        return _passivity_certificate(p, ahat, dhat, chat)
+    p = phat.P if isinstance(phat, Certificate) else phat
+    return make_node_controller(node, "tracking", k_x, k_zeta, im, None,
+                                p).Phat
 
+
+def _gain_storage(node, k_x, k_zeta, im):
+    """Unverified block-diagonal storage matching supplied gains."""
     a, b, c = node.A, node.B, node.C
     if node.D_in is None or node.D_in.shape != b.shape or \
             np.abs(node.D_in - b).max() > 0:
         raise CertificateFailed(
             "indirect coupling (D_in != B): supply the certificate "
             "explicitly")
-    k_x = np.atleast_2d(np.asarray(k_x, dtype=float))
-    k_zeta = np.atleast_2d(np.asarray(k_zeta, dtype=float))
 
     # P_g from the marginal kernel, pinned by the supplied K_zeta
     basis = lyapunov_kernel_basis(im.G1)
@@ -444,8 +446,7 @@ def verify_A5(node, k_x, k_zeta, im, phat=None):
         raise CertificateFailed(
             "state loop proven infeasible in the block-diagonal storage "
             f"family: no rho > 0 reaches the margin {STRICT_MARGIN:g}")
-    phat_mat = _sym(np.linalg.inv(block_diag([p_s, p_g])))
-    return _passivity_certificate(phat_mat, ahat, dhat, chat)
+    return _sym(np.linalg.inv(block_diag([p_s, p_g])))
 
 
 # ---------------------------------------------------------------------------
@@ -992,13 +993,10 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
                 k_x, k_zeta, im, phat = _passifying_gains(
                     node, p_copy_internal_model(exo.S, p), seed + i)
             else:
-                if supplied.G1 is not None:
-                    im = internal_model_from_matrices(
-                        supplied.G1, supplied.G2, exo.S)
-                else:
-                    im = p_copy_internal_model(exo.S, p)
-                k_x, k_zeta = supplied.K_x, supplied.K_zeta
-                phat = verify_A5(node, k_x, k_zeta, im).P
+                im = p_copy_internal_model(exo.S, p) if supplied.G1 is None \
+                    else internal_model_from_matrices(supplied.G1,
+                                                      supplied.G2, exo.S)
+                k_x, k_zeta, phat = supplied.K_x, supplied.K_zeta, None
             ctrl = make_node_controller(node, role, k_x, k_zeta, im, ref_q,
                                         phat)
             controllers.append(ctrl)

@@ -211,8 +211,14 @@ def test_epsilon_star_single_node_insensitive_to_gain():
     cset = build_controllers(net, exo, "sync", eps=1.0)
     maps = build_maps(net, cset)
     est = epsilon_star(net, cset, maps, eps_hi=100.0)
-    assert est.eps_bisect == 100.0
-    assert len(set(np.round(est.probe_abscissas, 12))) == 1
+    assert est.eps_bisect == 100.0 and not est.crossed
+    assert est.probes == (100.0,)
+
+    def absc(e):
+        return spectral_abscissa(
+            assemble("sync", net, cset, maps, eps=e).A_error)
+
+    assert absc(0.01) == absc(100.0) == est.abscissa_at_bisect
 
 
 def test_epsilon_star_no_stable_probe():
@@ -382,8 +388,9 @@ def test_demo_coupling_is_stabilizing_then_destabilizing():
 
 def _bisection_as_first_written(network, cset, maps, eps_hi, rel_width=1e-3,
                                 n_probes=16):
-    """The probe-and-bisect search, evaluating the abscissa at the final lo
-    once more; returns its fields and the number of bisection steps."""
+    """The probe-and-bisect search that decomposes every probe and every
+    midpoint, evaluating the abscissa at the final lo once more; returns
+    its fields."""
     pencil = closedloop._error_pencil(network, cset, maps)
 
     def abscissa(eps):
@@ -397,17 +404,16 @@ def _bisection_as_first_written(network, cset, maps, eps_hi, rel_width=1e-3,
                   probe_abscissas=tuple(aabs), analytic_failure=why)
     if k == len(probes) - 1:
         return dict(fields, eps_bisect=float(probes[-1]),
-                    abscissa_at_bisect=float(aabs[-1]), crossed=False), 0
-    lo, hi, steps = float(probes[k]), float(probes[k + 1]), 0
+                    abscissa_at_bisect=float(aabs[-1]), crossed=False)
+    lo, hi = float(probes[k]), float(probes[k + 1])
     while (hi - lo) > rel_width * lo:
         mid = 0.5 * (lo + hi)
-        steps += 1
         if abscissa(mid) < -closedloop.STABILITY_TOL:
             lo = mid
         else:
             hi = mid
     return dict(fields, eps_bisect=lo, abscissa_at_bisect=abscissa(lo),
-                crossed=True), steps
+                crossed=True)
 
 
 def _ring():
@@ -423,7 +429,7 @@ def _ring():
     return ring.ring_network(0)
 
 
-@pytest.mark.parametrize("make,eps_hi", [
+_SEARCH_PANEL = pytest.mark.parametrize("make,eps_hi", [
     (demo_power_network, 1000.0),
     (lambda: random_network(0, n_nodes=5, m_edges=6, dims=3,
                             regime="tracking"), 10.0),
@@ -436,23 +442,105 @@ def _ring():
     (_ring, 10.0),
 ], ids=["demo", "tracking-0", "sync-100", "cooperation-200",
         "master_slave-300", "ring30"])
-def test_epsilon_star_evaluates_each_probe_once(monkeypatch, make, eps_hi):
-    """Every field is bit-identical to the search that re-evaluates the
-    final lo, and the eigenvalues are taken once per grid probe and once
-    per bisection step."""
-    rz = realize(make())
-    expected, steps = _bisection_as_first_written(
-        rz.network, rz.cset, rz.maps, eps_hi)
-    calls = []
 
-    def counted(a):
-        calls.append(a)
-        return spectral_abscissa(a)
 
-    monkeypatch.setattr(closedloop, "spectral_abscissa", counted)
-    est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=eps_hi)
-    assert len(calls) == len(est.probes) + steps
+def _assert_same_search(est, expected):
+    """Every field of the reference search but the probe lists is
+    bit-identical; the probes are its top probes, down to the largest
+    stable one."""
     for name, value in expected.items():
+        if name in ("probes", "probe_abscissas"):
+            continue
         have = getattr(est, name)
         assert np.array_equal(have, value, equal_nan=True) \
             if isinstance(value, float) else have == value, name
+    k = len(expected["probes"]) - len(est.probes)
+    assert est.probes == expected["probes"][k:]
+    assert est.probe_abscissas == expected["probe_abscissas"][k:]
+    assert est.probe_abscissas[0] < -closedloop.STABILITY_TOL
+    assert all(a >= -closedloop.STABILITY_TOL
+               for a in est.probe_abscissas[1:])
+    return k
+
+
+@_SEARCH_PANEL
+def test_epsilon_star_evaluates_each_probe_once(monkeypatch, make, eps_hi):
+    """The top-down scan and the tracked crossing give the bisection's
+    result bit for bit.  Each probe scanned is eigen-decomposed once, and
+    at most one more full decomposition follows (ring30: 9 in all, against
+    26 for probe-and-bisect)."""
+    rz = realize(make())
+    expected = _bisection_as_first_written(
+        rz.network, rz.cset, rz.maps, eps_hi)
+    calls = []
+
+    def counted(func):
+        def spy(a):
+            calls.append(func.__name__)
+            return func(a)
+        return spy
+
+    for name in ("spectral_abscissa", "rightmost_eigenvalue"):
+        monkeypatch.setattr(closedloop, name,
+                            counted(getattr(closedloop, name)))
+    est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=eps_hi)
+    k = _assert_same_search(est, expected)
+    assert len(calls) <= (16 - k) + 1
+    assert np.isnan(est.eps_crossing) != est.crossed
+
+
+def _moved(factor):
+    """A tracker whose crossing is off by ``factor``, as one that followed
+    the wrong eigenvalue would report it; beyond the bisection width, the
+    replayed bracket misses the true boundary."""
+    return lambda cross: None if cross is None else \
+        replace(cross, eps=factor * cross.eps)
+
+
+@pytest.mark.parametrize("tracker", [lambda cross: None, _moved(0.998),
+                                     _moved(1.002)],
+                         ids=["fails", "lies-low", "lies-high"])
+@pytest.mark.parametrize("seed,regime", [
+    (100, "sync"), (200, "cooperation"), (300, "master_slave")])
+def test_epsilon_star_falls_back_to_bisection(monkeypatch, tracker, seed,
+                                              regime):
+    """A tracker that fails, or whose crossing the verification refutes,
+    leaves the result of bisection by eigenvalues, bit for bit."""
+    rz = realize(random_network(seed, n_nodes=5, m_edges=6, dims=3,
+                                regime=regime))
+    expected = _bisection_as_first_written(
+        rz.network, rz.cset, rz.maps, 10.0)
+    track = closedloop._crossing
+    monkeypatch.setattr(closedloop, "_crossing",
+                        lambda *args: tracker(track(*args)))
+    est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=10.0)
+    assert est.crossed
+    _assert_same_search(est, expected)
+    assert np.isnan(est.eps_crossing) and np.isnan(est.omega_crossing)
+
+
+@pytest.mark.parametrize("make,eps_crossing,omega_crossing", [
+    (lambda: random_network(100, n_nodes=5, m_edges=6, dims=3,
+                            regime="sync"), 0.1281455964, 1.636719714),
+    (lambda: random_network(200, n_nodes=5, m_edges=6, dims=3,
+                            regime="cooperation"), 0.09434386909,
+     0.8082677897),
+    (lambda: random_network(300, n_nodes=5, m_edges=6, dims=3,
+                            regime="master_slave"), 1.789170442, 3.054149249),
+    (_ring, 0.1794894834, 2.159065452),
+    (lambda: random_network(1001, regime="sync"), 0.1537376812, 1.412448135),
+], ids=["sync-100", "cooperation-200", "master_slave-300", "ring30",
+        "sync-1001"])
+def test_epsilon_star_exposes_the_crossing(make, eps_crossing,
+                                           omega_crossing):
+    """The crossing and its frequency, as dense bisection of the spectral
+    abscissa to 1e-14 measured them, lie just above eps_bisect, inside the
+    bisection's width.  On sync-1001 the rightmost eigenvalue at the top of
+    the bracket is not the one that crosses first, so a second branch is
+    tracked."""
+    rz = realize(make())
+    est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=10.0)
+    assert est.eps_crossing == pytest.approx(eps_crossing, rel=1e-6)
+    assert est.omega_crossing == pytest.approx(omega_crossing, rel=1e-6)
+    assert est.eps_bisect < est.eps_crossing <= \
+        est.eps_bisect * (1 + closedloop.BISECT_REL_WIDTH)

@@ -229,6 +229,8 @@ def test_cli_eps_reports_both_bounds(capsys):
     out = capsys.readouterr().out
     assert "eps_bisect" in out and "eps_analytic" in out
     assert "probe" in out
+    assert "eps_crossing = 0.88273780" in out and \
+        "omega_crossing = 0.99652598" in out
 
 
 def test_cli_synth_prints_gains_and_margins(tmp_path, capsys):
@@ -521,12 +523,15 @@ def _eps_lines(capsys):
 
 
 def test_cli_eps_says_when_nothing_crosses_below_the_ceiling(capsys):
-    """Every probe of the demo up to the ceiling 1000 is stable, so 1000 is
-    the ceiling, not a boundary."""
-    line = _eps_lines(capsys)["eps_bisect"]
+    """The demo's ceiling probe 1000 is stable, so 1000 is the ceiling, not
+    a boundary; only that probe is decomposed, and no crossing is shown."""
+    lines = _eps_lines(capsys)
+    line = lines["eps_bisect"]
     assert "eps_bisect   = 1000  (no crossing found up to the ceiling: " \
-           "all 16 probes are stable;" in line
+           "the ceiling is stable, 1 probe decomposed;" in line
     assert "bisection" not in line
+    assert lines["eps_crossing"] == \
+        "  eps_crossing = nan  (no crossing below the ceiling)"
 
 
 def test_cli_eps_explains_a_nan_analytic_bound(capsys):
