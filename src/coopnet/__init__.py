@@ -5,8 +5,8 @@ The toolkit checks the standing assumptions of the passivity + internal
 model design, constructs the four distributed controller regimes (output
 tracking, output synchronization, output cooperation, mixed master-slave
 cooperation), certifies closed-loop stability including the coupling-gain
-bound, simulates the assembled loop with a deterministic fixed-step
-integrator, and evaluates the theory's steady-state predictions.
+bound, simulates the assembled loop exactly on any sampling grid by its
+matrix exponential, and evaluates the theory's steady-state predictions.
 """
 
 from .analysis import (

@@ -105,9 +105,10 @@ class ClosedLoop:
     abscissa decides stability, the pencil ``A0 + eps A1`` evaluated at
     ``eps``.  The leading node/controller and edge block of ``A_full`` is
     the node/edge block of A0.  The output maps extract stacked node
-    outputs y, neighboring inputs v, references and errors from the
+    outputs y, neighboring inputs v and references from the
     simulation-form state.  ``node_roles`` holds each node's role, and
-    ``err_kind`` what it regulates.
+    ``err_kind`` what it regulates: a node's error is that signal minus
+    its reference.
     """
 
     regime: str
@@ -119,7 +120,6 @@ class ClosedLoop:
     y_map: np.ndarray
     v_map: np.ndarray
     ref_map: np.ndarray
-    err_map: np.ndarray
     node_ids: tuple
     p: int
     err_kind: dict
@@ -231,14 +231,12 @@ def assemble(regime, network, cset, maps=None, eps=None):
         else:
             ref_map[rows, lay.sl(role.generator, i + 1)] = exo.Q_eta
     err_kind = {i + 1: role.regulates for i, role in enumerate(roles)}
-    inputs = np.repeat([err_kind[i] == "input" for i in node_ids], p)
-    err_map = np.where(inputs[:, None], v_map, y_map) - ref_map
 
     return ClosedLoop(
         regime=regime, eps=eps, A_full=a_full, index_map=tuple(lay.entries),
         A_error=pencil.A0 + eps * pencil.A1,
         error_index_map=pencil.index_map,
-        y_map=y_map, v_map=v_map, ref_map=ref_map, err_map=err_map,
+        y_map=y_map, v_map=v_map, ref_map=ref_map,
         node_ids=node_ids, p=p, err_kind=err_kind,
         node_roles=cset.node_roles)
 

@@ -146,13 +146,8 @@ class NoStableEps(NumericalFailure):
     """No probe point in the coupling-gain grid was stable."""
 
 
-class StepTooLarge(NumericalFailure):
-    """The fixed integration step is unstable for the assembled system."""
-
-
 class UnstableLoop(NumericalFailure):
-    """The closed loop itself is unstable at its coupling gain, so no
-    integration step can be stable."""
+    """The closed loop has a growing mode at its coupling gain."""
 
 
 class NonFiniteState(NumericalFailure):

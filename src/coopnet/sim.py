@@ -1,22 +1,20 @@
-"""Fixed-step integration of the assembled closed loop, steady-state
+"""Exact sampled simulation of the assembled closed loop, steady-state
 predictions of the regulation theory, and error metrics.
 
-The closed loop is autonomous and linear, so one classical fourth-order
-step equals multiplication by the degree-4 Taylor polynomial of the matrix
-exponential, and the step between stored samples is that propagator's
-power.  Likewise the predicted limits on a uniform grid follow from one
-exact ``expm`` step, applied to the output matrices under the adjoint.
-Both are the linear recurrence x_{j+1} = step x_j, run by one kernel
-(``_propagate``).  After a sequential head of ``_BLOCK`` samples, each
-block of samples is one matrix-matrix product of step^w with the w
-samples before it, and w doubles from ``_BLOCK`` after every block, so a
-run of n samples costs about log2(n) Python iterations, not n / 64.  The
-doubling stops once a block would hold more than ``_BLOCK_VALUES`` = 2^18
-numbers: larger products gain no speed but make BLAS pack larger operands,
-and on the 288-state ring uncapped doubling raised the peak resident
-memory by about 17 MB.  The result is bit-deterministic.  The stored
-signals of a run are one product of the stacked output maps with the
-states.
+The closed loop is linear and time-invariant, so its samples on a uniform
+grid obey x_{j+1} = e^{A h} x_j exactly, and so do the predicted limits,
+propagated as output matrices under the adjoint.  Both exponentials come
+from ``_expm`` and both recurrences run in one kernel (``_propagate``).
+After a sequential head of ``_BLOCK`` samples, each block of samples is
+one matrix-matrix product of step^w with the w samples before it, and w
+doubles from ``_BLOCK`` after every block, so a run of n samples costs
+about log2(n) Python iterations, not n / 64.  The doubling stops once a
+block would hold more than ``_BLOCK_VALUES`` = 2^18 numbers: larger
+products gain no speed but make BLAS pack larger operands, and on the
+288-state ring uncapped doubling raised the peak resident memory by about
+17 MB.  The result is bit-deterministic.  The stored signals of a run are
+one product of the stacked output maps with the states; each error is a
+regulated signal minus its reference.
 """
 
 from dataclasses import dataclass
@@ -29,14 +27,10 @@ from .errors import (
     DimensionMismatch,
     EmptyWindow,
     NonFiniteState,
-    StepTooLarge,
     UnstableLoop,
     ValidationError,
 )
 from .synthesis import NODE_ROLES
-
-#: allowed excess of the one-step propagator's spectral radius over 1
-PROPAGATOR_RADIUS_TOL = 1e-6
 
 #: samples ``_propagate`` steps one at a time, and its first block width
 _BLOCK = 64
@@ -75,21 +69,41 @@ class SimResult:
         return float(self.t[-1])
 
 
-def rk4_propagator(a, dt):
-    """One-step matrix of classical RK4 on ``xdot = A x``: the degree-4
-    Taylor polynomial of ``expm(dt A)``."""
+#: numerator coefficients of the [13/13] Padé approximant of e^x
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+
+#: largest 1-norm the [13/13] approximant serves to double precision
+_THETA13 = 5.371920351148152
+
+
+def _expm(a):
+    """Matrix exponential by scaling and squaring of the [13/13] Padé
+    approximant (Higham, "The scaling and squaring method for the matrix
+    exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005)."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    r = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 5):
-        term = term @ (dt * a) / k
-        r = r + term
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm else 0
+    a = a / 2.0 ** s
+    b, ident = _PADE13, np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
     return r
 
 
 def suggest_dt(cl):
-    """Step suggestion resolving the fastest closed-loop mode ten-fold."""
+    """Sampling step resolving the fastest closed-loop mode ten-fold; any
+    step is exact, so this only picks how finely trajectories are sampled."""
     lam = np.linalg.eigvals(cl.A_full)
     fast = float(np.abs(lam).max(initial=0.0))
     return 0.1 / max(1.0, fast)
@@ -164,20 +178,17 @@ def _propagate(step, x0, n):
 
 
 def integrate(cl, x0, t_end, dt, store_every=None):
-    """Integrate the closed loop with the classical fourth-order fixed step.
+    """Sample the closed loop from ``x0`` every ``dt`` up to ``t_end``.
 
     Samples are stored every ``store_every`` steps (chosen automatically to
-    cap storage when omitted; must divide the step count).
+    cap storage when omitted; must divide the step count).  They are exact
+    to rounding on any grid: each is e^{A dt store_every} times the last.
 
     Raises
     ------
-    StepTooLarge
-        If the one-step propagator has spectral radius above 1 + 1e-6
-        (the fixed step is unstable for this system) although the loop is
-        stable.
     UnstableLoop
-        If the propagator is unstable and so is the error system, by the
-        stability rule of ``epsilon_star``: no step can help.
+        If the error system has a growing mode (spectral abscissa of
+        ``A_error`` above ``STABILITY_TOL``); marginal loops integrate.
     NonFiniteState
         On overflow, reporting the first bad step.
     """
@@ -190,31 +201,26 @@ def integrate(cl, x0, t_end, dt, store_every=None):
     n_steps = int(round(t_end / dt))
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise ValidationError("t_end", "must be an integer number of steps")
-    r = rk4_propagator(cl.A_full, dt)
-    radius = float(np.abs(np.linalg.eigvals(r)).max(initial=0.0))
-    if radius > 1.0 + PROPAGATOR_RADIUS_TOL:
-        absc = spectral_abscissa(cl.A_error)
-        if absc >= -STABILITY_TOL:
-            raise UnstableLoop(
-                f"closed loop is unstable at eps={cl.eps:g}: A_error has "
-                f"spectral abscissa {absc:+.4e}, so no step can help; find "
-                f"the stable coupling gains with `coopnet eps`")
-        raise StepTooLarge(
-            f"propagator spectral radius {radius:.6f} > 1: reduce dt "
-            f"(suggestion: {suggest_dt(cl):.3e})")
+    absc = spectral_abscissa(cl.A_error)
+    if absc > STABILITY_TOL:
+        raise UnstableLoop(
+            f"closed loop is unstable at eps={cl.eps:g}: A_error has "
+            f"spectral abscissa {absc:+.4e}, a growing mode; find "
+            f"the stable coupling gains with `coopnet eps`")
     s = _pick_store_every(n_steps, store_every)
     n_stored = n_steps // s
     try:
-        rows = _propagate(np.linalg.matrix_power(r, s), x0[:, None],
-                          n_stored)
+        rows = _propagate(_expm(cl.A_full * (dt * s)), x0[:, None], n_stored)
     except NonFiniteState as exc:
         raise NonFiniteState(exc.step * s) from None
     states = rows[:, 0, :].T
     t = np.arange(n_stored + 1) * (dt * s)
-    signals = np.vstack([cl.y_map, cl.v_map, cl.ref_map, cl.err_map]) @ states
-    y, v, refs, errors = (
+    signals = np.vstack([cl.y_map, cl.v_map, cl.ref_map]) @ states
+    y, v, refs = (
         dict(zip(cl.node_ids, block))
-        for block in signals.reshape(4, len(cl.node_ids), cl.p, -1))
+        for block in signals.reshape(3, len(cl.node_ids), cl.p, -1))
+    errors = {i: (y if cl.err_kind[i] == "output" else v)[i] - refs[i]
+              for i in cl.node_ids}
     return SimResult(t=t, states=states, y=y, v=v, refs=refs, errors=errors,
                      regime=cl.regime, dt=float(dt), store_every=s)
 
@@ -298,8 +304,6 @@ def steady_state_prediction(cset, t, nu0=None, eta0=None, etabar0=None):
     with nu_0(0) = -(sum nu_i(0))/N, and the output sum follows the
     cooperation reference generator from the sum of etabar_i(0).
     """
-    import scipy.linalg
-
     exo = cset.exo
     t = np.asarray(t, dtype=float)
     h = 0.0
@@ -317,8 +321,8 @@ def steady_state_prediction(cset, t, nu0=None, eta0=None, etabar0=None):
         """
         cols = out.T
         if t[0] != 0.0:
-            cols = scipy.linalg.expm(a.T * t[0]) @ cols
-        rows = _propagate(scipy.linalg.expm(a.T * h), cols, t.size - 1)
+            cols = _expm(a.T * t[0]) @ cols
+        rows = _propagate(_expm(a.T * h), cols, t.size - 1)
         return rows.reshape(-1, a.shape[0])
 
     def signal(gains, vec):

@@ -7,6 +7,7 @@ everything into a per-network ControllerSet after running the standing
 assumption checks.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -980,6 +981,8 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
                       "limit may not be asymptotically reached", stacklevel=2)
 
     p = network.p
+    # built once; a failed build is not cached, so every node reports it
+    shared_im = functools.cache(lambda: p_copy_internal_model(exo.S, p))
     controllers = []
     for i, (node, role) in enumerate(zip(network.nodes, node_roles)):
         if is_static(node):
@@ -991,9 +994,9 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
             supplied = gains.get(i + 1)
             if supplied is None:
                 k_x, k_zeta, im, phat = _passifying_gains(
-                    node, p_copy_internal_model(exo.S, p), seed + i)
+                    node, shared_im(), seed + i)
             else:
-                im = p_copy_internal_model(exo.S, p) if supplied.G1 is None \
+                im = shared_im() if supplied.G1 is None \
                     else internal_model_from_matrices(supplied.G1,
                                                       supplied.G2, exo.S)
                 k_x, k_zeta, phat = supplied.K_x, supplied.K_zeta, None

@@ -20,6 +20,8 @@ from coopnet.scenarios import demo_power_network, random_network, realize
 from coopnet.synthesis import build_controllers, build_maps, reference_layer
 from coopnet.topology import Topology
 
+from helpers import flip_first_edge, relabel_cyclically
+
 
 def two_node_toy(eps=0.2):
     """Two integrator nodes over a single stable scalar edge, constant
@@ -323,27 +325,6 @@ def _spectral_distance(a, b):
     return cost[rows, cols].max(initial=0.0)
 
 
-def _flip_first_edge(scn):
-    (a, b), rest = scn.edge_ends[0], scn.edge_ends[1:]
-    return replace(scn, edge_ends=((b, a),) + rest)
-
-
-def _relabel_cyclically(scn):
-    """Node i becomes node i + 1, node N becomes node 1."""
-    def new(i):
-        return i % scn.n_nodes + 1
-
-    def moved(per_node):
-        return None if per_node is None else \
-            {new(i): v for i, v in per_node.items()}
-
-    return replace(
-        scn, nodes=scn.nodes[-1:] + scn.nodes[:-1],
-        edge_ends=tuple((new(a), new(b)) for a, b in scn.edge_ends),
-        roles=moved(scn.roles), gains=moved(scn.gains), nu0=moved(scn.nu0),
-        eta0=moved(scn.eta0), etabar0=moved(scn.etabar0))
-
-
 @pytest.mark.parametrize("make,eps_hi", [
     (demo_power_network, 1000.0),
     (lambda: random_network(0, n_nodes=5, m_edges=6, dims=3,
@@ -367,7 +348,7 @@ def test_orientation_and_relabelling_invariance(make, eps_hi):
         return rz.cl, est.eps_bisect
 
     cl, eps_star = loop_and_boundary(scn)
-    for transformed in (_flip_first_edge(scn), _relabel_cyclically(scn)):
+    for transformed in (flip_first_edge(scn), relabel_cyclically(scn)):
         cl_t, eps_star_t = loop_and_boundary(transformed)
         assert _spectral_distance(cl.A_error, cl_t.A_error) <= 1e-12
         assert _spectral_distance(cl.A_full, cl_t.A_full) <= 1e-12

@@ -455,6 +455,27 @@ def test_cli_hot_path_loads_no_scipy(tmp_path, argv, exit_code):
         assert (tmp_path / "power_network.csv").stat().st_size > 0
 
 
+def test_demo_prediction_loads_no_scipy():
+    """Realizing the demo, integrating it and predicting its limits on the
+    stored grid run on numpy alone."""
+    script = (
+        "import sys\n"
+        "from coopnet import demo_power_network, realize, initial_state\n"
+        "from coopnet.sim import integrate, steady_state_prediction\n"
+        "scn = demo_power_network()\n"
+        "rz = realize(scn)\n"
+        "x0 = initial_state(rz.cl, nu0=scn.nu0, eta0=scn.eta0)\n"
+        "res = integrate(rz.cl, x0, t_end=0.01, dt=scn.dt)\n"
+        "pred = steady_state_prediction(rz.cset, res.t, nu0=scn.nu0,\n"
+        "                               eta0=scn.eta0)\n"
+        "print(len(pred.per_node), res.t.size, sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "3 10001 []"
+
+
 def test_formatter_tables_are_built_on_first_use():
     """Importing the CSV formatter builds none of its tables."""
     proc = subprocess.run(
