@@ -40,6 +40,7 @@ from .synthesis import (
     InternalModel,
     NodeController,
     NodeGains,
+    RegulationMaps,
     build_controllers,
     build_maps,
     p_copy_internal_model,
@@ -60,7 +61,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate", "ClosedLoop", "ControllerSet", "EpsilonStar",
     "Exosystem", "InternalModel", "LtiSystem", "Network", "NodeController",
-    "NodeGains", "Scenario", "SimResult", "StaticNode", "Topology",
+    "NodeGains", "RegulationMaps", "Scenario", "SimResult", "StaticNode",
+    "Topology",
     "assemble", "assemble_weighted_blocks", "build_controllers",
     "build_exosystem", "build_maps", "check_connected", "complement_basis",
     "demo_power_network", "edge_system", "epsilon_star", "error_metrics",

@@ -14,12 +14,7 @@ import numpy as np
 
 from . import scenarios, svg
 from .analysis import PASSIVITY_TOL, STRICT_MARGIN
-from .closedloop import (
-    BISECT_REL_WIDTH,
-    STABILITY_TOL,
-    assemble,
-    epsilon_star,
-)
+from .closedloop import BISECT_REL_WIDTH, STABILITY_TOL, epsilon_star
 from .config import format_config, parse_config
 from .errors import (
     AssumptionViolation,
@@ -28,7 +23,7 @@ from .errors import (
     NumericalFailure,
 )
 from .sim import error_metrics, initial_state, integrate
-from .synthesis import assumption_report, build_maps
+from .synthesis import assumption_report
 
 BUILTIN_SCENARIOS = {
     "power_network": scenarios.demo_power_network,

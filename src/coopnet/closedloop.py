@@ -42,14 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .network import is_static
-from .synthesis import (
-    NODE_ROLES,
-    CooperationMaps,
-    MasterSlaveMaps,
-    TrackingMaps,
-    edge_reference_block,
-    reference_layer,
-)
+from .synthesis import NODE_ROLES, edge_reference_block, reference_layer
 from .topology import assemble_weighted_blocks, block_diag
 
 #: spectral abscissa below which the error system counts as stable
@@ -142,15 +135,16 @@ def assemble(regime, network, cset, maps=None, eps=None):
     """Assemble the closed loop for ``regime`` at coupling gain ``eps``.
 
     ``maps`` must be the regime's regulation maps (from
-    :func:`coopnet.synthesis.build_maps`): the sync error matrix needs the
-    per-node regulator maps, cooperation needs the node reference maps,
-    master-slave the slave reference maps.  ``eps`` defaults to the
-    controller set's stored gain.
+    :func:`coopnet.synthesis.build_maps`) whenever the regime has a
+    reference layer: the error matrix reads the reference maps of the
+    layer's nodes.  Maps that are supplied must be the regime's.  ``eps``
+    defaults to the controller set's stored gain.
 
     Raises
     ------
     MissingMaps
-        If the regime needs maps that were not supplied.
+        If the regime needs maps and none were supplied, or the supplied
+        ones were built for another regime.
     """
     if regime != cset.regime:
         raise ValidationError(
@@ -241,12 +235,6 @@ def assemble(regime, network, cset, maps=None, eps=None):
         node_roles=cset.node_roles)
 
 
-#: regulation maps holding each driven node's reference-generator map
-_NODE_REFERENCE_MAPS = {"sync": (TrackingMaps, "Pi"),
-                        "cooperation": (CooperationMaps, "Pi_bar1"),
-                        "master_slave": (MasterSlaveMaps, "Pi_f_ref")}
-
-
 @dataclass(frozen=True)
 class _Pencil:
     """Error-coordinate matrix ``A(eps) = A0 + eps A1``.
@@ -274,14 +262,13 @@ def _error_pencil(network, cset, maps):
     f_list = [e.B for e in network.edges]
     g_list = [e.C for e in network.edges]
     h_dyn = network.topology.H[dyn, :]
-    pi = {}
-    if cset.regime in _NODE_REFERENCE_MAPS:
-        kind, attr = _NODE_REFERENCE_MAPS[cset.regime]
-        if not isinstance(maps, kind):
-            raise MissingMaps(
-                f"{cset.regime} assembly needs {kind.__name__}")
-        pi = getattr(maps, attr)
-    drive = [pi[i + 1] @ layer.B if i in layer.nodes
+    # maps are needed when the layer has nodes, and checked when given
+    if (layer.nodes or maps is not None) and \
+            getattr(maps, "regime", None) != cset.regime:
+        raise MissingMaps(
+            f"{cset.regime} assembly needs the {cset.regime} maps of "
+            f"build_maps")
+    drive = [maps.reference[i + 1] @ layer.B if i in layer.nodes
              else np.zeros((c.nc, network.p)) for i, c in zip(dyn, ctrls)]
     er0, er1, _ = edge_reference_block(network, layer)
 

@@ -1,10 +1,10 @@
 """Controller construction.
 
-Builds the p-copy internal models, the passifying feedback gains with their
-storage-function certificates, the per-node regulator maps, and the
-steady-state maps of the cooperation and master-slave regimes; assembles
-everything into a per-network ControllerSet after running the standing
-assumption checks.
+Builds the p-copy internal models and the passifying feedback gains with
+their storage-function certificates, and assembles them into a per-network
+ControllerSet after running the standing assumption checks.  Every regime's
+steady-state maps are one RegulationMaps record, each map one
+regulator_map solution.
 """
 
 import functools
@@ -42,7 +42,7 @@ from .errors import (
     SynthesisFailed,
     ValidationError,
 )
-from .network import Network, is_static
+from .network import is_static
 from .topology import (
     assemble_weighted_blocks,
     block_diag,
@@ -451,93 +451,7 @@ def _gain_storage(node, k_x, k_zeta, im):
 
 
 # ---------------------------------------------------------------------------
-# regulator and steady-state maps
-
-
-def regulator_map(ahat, dhat_eta, chat, s, q_target):
-    """Steady-state map Pi with ``Pi S = Ahat Pi + Dhat_eta``.
-
-    The internal model forces the output identity ``Chat Pi = q_target``,
-    which is verified at tolerance ``MAP_IDENTITY_TOL``.
-
-    Raises
-    ------
-    SingularPencil
-        If Ahat and S share spectrum.
-    InternalModelViolated
-        If the output identity fails (malformed internal model).
-    """
-    pi = sylvester_solve(ahat, s, dhat_eta)
-    chat = np.atleast_2d(np.asarray(chat, dtype=float))
-    q_target = np.atleast_2d(np.asarray(q_target, dtype=float))
-    resid = np.abs(chat @ pi - q_target).max()
-    if resid > MAP_IDENTITY_TOL * max(1.0, np.abs(q_target).max()):
-        raise InternalModelViolated(
-            f"output identity Chat Pi = Q fails (residual {resid:.3e})")
-    return pi
-
-
-@dataclass(frozen=True)
-class TrackingMaps:
-    """Per-node regulator maps (tracking and synchronization regimes)."""
-
-    Pi: dict  # node id (1-based) -> (n+c) x q
-
-
-@dataclass(frozen=True)
-class CooperationMaps:
-    """Node maps, and the reduced edge/reference steady-state maps."""
-
-    Pi_bar1: dict  # node id -> (n+c) x pq
-    Pi_bar2: dict  # node id -> (n+c) x q
-    Pi_tilde_z: np.ndarray
-    Pi_tilde_eta: np.ndarray
-
-
-@dataclass(frozen=True)
-class MasterSlaveMaps:
-    """Steady-state maps of the mixed regime.
-
-    ``Pi_z_*``/``Pi_ref_*`` map the stacked slave-command states (nu) and
-    master-reference states (eta) into edge states and slave reference
-    generators; ``M``/``N_mat`` are the corresponding steady neighboring
-    inputs; the ``Pi_f_*`` (slaves) and ``Pi_l_*`` (dynamic masters) maps
-    give the node steady states.
-    """
-
-    Pi_z_nu: np.ndarray
-    Pi_z_eta: np.ndarray
-    Pi_ref_nu: np.ndarray
-    Pi_ref_eta: np.ndarray
-    M: dict        # node id -> p x (l q)
-    N_mat: dict    # node id -> p x ((N-l) q)
-    Pi_f_nu: dict
-    Pi_f_ref: dict
-    Pi_l_nu: dict
-    Pi_l_eta: dict
-
-
-def cooperation_node_maps(ctrl, exo, g_s, g_q):
-    """Node steady-state maps for the cooperation regime.
-
-    Solves the joint regulator equation against diag(G_S, S) and verifies
-    both output identities: the reference part reproduces G_Q and the
-    command part is output-invisible.
-    """
-    s_blk = block_diag([g_s, exo.S])
-    r = np.hstack([ctrl.Dhat_ref, ctrl.Dhat @ exo.Q_v])
-    pi = sylvester_solve(ctrl.Ahat, s_blk, r)
-    pq = g_s.shape[0]
-    pi1, pi2 = pi[:, :pq], pi[:, pq:]
-    r1 = np.abs(ctrl.Chat @ pi1 - g_q).max()
-    if r1 > MAP_IDENTITY_TOL * max(1.0, np.abs(g_q).max()):
-        raise IdentityViolated(
-            f"reference output identity fails (residual {r1:.3e})")
-    r2 = np.abs(ctrl.Chat @ pi2).max()
-    if r2 > MAP_IDENTITY_TOL:
-        raise IdentityViolated(
-            f"command-invisibility identity fails (residual {r2:.3e})")
-    return pi1, pi2
+# node roles and the reference layer
 
 
 @dataclass(frozen=True)
@@ -581,6 +495,9 @@ def assign_roles(network, regime, roles=None):
         raise ValidationError("regime", f"unknown regime {regime!r}")
     if roles and regime != "master_slave":
         raise ValidationError("roles", "roles only apply to master_slave")
+    for key in roles or {}:
+        if key not in range(1, network.n_nodes + 1):
+            raise ValidationError(f"roles[{key}]", "unknown node")
     assigned = tuple((roles or {}).get(i + 1) if regime == "master_slave"
                      else regime for i in range(network.n_nodes))
     for i, (node, role) in enumerate(zip(network.nodes, assigned)):
@@ -669,148 +586,137 @@ def edge_reference_block(network, layer):
     return a0, a1, b1
 
 
-def cooperation_network_maps(network, cset):
-    """Reduced edge/reference steady-state maps of the cooperation regime.
+# ---------------------------------------------------------------------------
+# regulation maps
 
-    Builds the internally stable reduced system (edges + T-projected
-    reference generators) and solves its regulator equation against the
-    T-projected commands; verifies that the steady edge outputs reproduce
-    the commanded neighboring inputs.
+
+def regulator_map(ahat, dhat_eta, chat, s, q_target):
+    """Steady-state map Pi with ``Pi S = Ahat Pi + Dhat_eta``.
+
+    The internal model forces the output identity ``Chat Pi = q_target``.
+    It is verified column by column, at ``MAP_IDENTITY_TOL`` times
+    max(1, the column's largest target entry): a zero target column is
+    held to the absolute tolerance.
+
+    Raises
+    ------
+    SingularPencil
+        If Ahat and S share spectrum.
+    InternalModelViolated
+        If the output identity fails (malformed internal model).
     """
-    topo = network.topology
-    eps = cset.eps
-    if eps <= 0:
-        raise ValidationError("eps", "cooperation maps need eps > 0")
-    exo = cset.exo
-    n1 = topo.N - 1
-    a0, a1, b1 = edge_reference_block(network, reference_layer(network, cset))
-    pi = sylvester_solve(a0 + eps * a1, np.kron(np.eye(n1), exo.S), eps * b1)
-    nz = sum(e.n for e in network.edges)
-    pi_z, pi_eta = pi[:nz, :], pi[nz:, :]
-    hg_bar = assemble_weighted_blocks(topo.Hbar, [np.eye(network.p)] * n1,
-                                      [e.C for e in network.edges])
-    resid = np.abs(-hg_bar @ pi_z - np.kron(np.eye(n1), exo.Q_v)).max()
-    if resid > MAP_IDENTITY_TOL * max(1.0, np.abs(exo.Q_v).max()):
-        raise IdentityViolated(
-            f"steady edge-output identity fails (residual {resid:.3e})")
-    return pi_z, pi_eta
+    pi = sylvester_solve(ahat, s, dhat_eta)
+    chat = np.atleast_2d(np.asarray(chat, dtype=float))
+    q_target = np.atleast_2d(np.asarray(q_target, dtype=float))
+    resid = np.abs(chat @ pi - q_target).max(axis=0, initial=0.0)
+    tol = MAP_IDENTITY_TOL * np.maximum(
+        1.0, np.abs(q_target).max(axis=0, initial=0.0))
+    bad = np.flatnonzero(resid > tol)
+    if bad.size:
+        j = bad[0]
+        raise InternalModelViolated(
+            f"output identity Chat Pi = Q fails in column {j + 1} "
+            f"(residual {resid[j]:.3e} > {tol[j]:.3e})")
+    return pi
 
 
-def master_slave_maps(network, cset):
-    """Steady-state maps of the master-slave regime.
+@dataclass(frozen=True)
+class RegulationMaps:
+    """Every steady-state map of one regime, keyed by 1-based node id.
 
-    Solves the coupled edge + slave-reference subsystem against the slave
-    commands and the master references, then the per-node regulator
-    equations; verifies the slave neighboring-input identities and the
-    output identities of every node map.
+    Each map is one :func:`regulator_map` solution, its output identity
+    checked there.  ``reference[i]``: dynamic node i against the generator
+    its :data:`NODE_ROLES` row names, (S, Q_eta) or the
+    :class:`ReferenceLayer`'s (S, Q), with ``Chat Pi = Q``.  ``network``:
+    the edge and layer states of :func:`edge_reference_block` against
+    ``I_{k+m} (x) S``, driven by the k layer commands and by the
+    references of the m nodes that follow their own generator, with
+    ``-(R G) Pi_z = [I_k (x) Q_v, 0]`` (R = ``layer.rows``, Pi_z the edge
+    rows); None when the layer has no command.  ``inputs[i]``: node i's
+    steady neighbouring input, Q_v per unit of its own command when it
+    regulates its input (for cooperation, with commands summing to zero),
+    else its rows of ``-H G Pi_z``; ``disturbance[i]``: the node's
+    response to it, with ``Chat Pi = 0``.  Both are empty without a
+    network map.
     """
-    topo = network.topology
-    exo = cset.exo
-    eps = cset.eps
-    if eps <= 0:
-        raise ValidationError("eps", "master-slave maps need eps > 0")
-    slaves, masters = cset.slaves, cset.masters
-    l = len(slaves)
-    n_masters = len(masters)
-    f_list = [e.B for e in network.edges]
-    g_list = [e.C for e in network.edges]
-    g_s, g_q = cset.G_S, cset.G_Q
-    nz = sum(e.n for e in network.edges)
-    h = topo.H
-    q = exo.q
 
-    a0, a1, b1 = edge_reference_block(network, reference_layer(network, cset))
-    a_ms, b_nu = a0 + eps * a1, eps * b1
+    regime: str
+    reference: dict
+    network: np.ndarray = None
+    inputs: dict = field(default_factory=dict)
+    disturbance: dict = field(default_factory=dict)
 
-    b_eta_top = assemble_weighted_blocks(h[list(masters)].T, f_list,
-                                         [exo.Q_eta] * n_masters)
-    b_eta = np.vstack([b_eta_top,
-                       np.zeros((a_ms.shape[0] - nz, n_masters * q))])
 
-    pi_nu = sylvester_solve(a_ms, np.kron(np.eye(l), exo.S), b_nu) \
-        if l else np.zeros((a_ms.shape[0], 0))
-    pi_eta = sylvester_solve(a_ms, np.kron(np.eye(n_masters), exo.S), b_eta) \
-        if n_masters else np.zeros((a_ms.shape[0], 0))
-    pi_z_nu, pi_ref_nu = pi_nu[:nz, :], pi_nu[nz:, :]
-    pi_z_eta, pi_ref_eta = pi_eta[:nz, :], pi_eta[nz:, :]
-
-    hg = assemble_weighted_blocks(h, [np.eye(network.p)] * topo.N, g_list)
-    m_all = -hg @ pi_z_nu
-    n_all = -hg @ pi_z_eta
-    p = network.p
-    m_blocks, n_blocks = {}, {}
-    for i in range(topo.N):
-        m_blocks[i + 1] = m_all[i * p:(i + 1) * p, :]
-        n_blocks[i + 1] = n_all[i * p:(i + 1) * p, :]
-    for rank, i in enumerate(slaves):
-        want = np.zeros((p, l * q))
-        want[:, rank * q:(rank + 1) * q] = exo.Q_v
-        r = np.abs(m_blocks[i + 1] - want).max()
-        if r > MAP_IDENTITY_TOL * max(1.0, np.abs(exo.Q_v).max()):
-            raise IdentityViolated(
-                f"slave {i + 1} steady neighboring-input identity fails "
-                f"(residual {r:.3e})")
-        r0 = np.abs(n_blocks[i + 1]).max()
-        if r0 > MAP_IDENTITY_TOL:
-            raise IdentityViolated(
-                f"slave {i + 1} master-drive invisibility fails "
-                f"(residual {r0:.3e})")
-
-    pi_f_nu, pi_f_ref, pi_l_nu, pi_l_eta = {}, {}, {}, {}
-    i_l_s = np.kron(np.eye(l), exo.S)
-    i_m_s = np.kron(np.eye(n_masters), exo.S)
-    for rank, i in enumerate(slaves):
-        ctrl = cset.controllers[i]
-        if l:
-            pi_f_nu[i + 1] = regulator_map(
-                ctrl.Ahat, ctrl.Dhat @ m_blocks[i + 1], ctrl.Chat, i_l_s,
-                np.zeros((p, l * q)))
-        pi_f_ref[i + 1] = regulator_map(
-            ctrl.Ahat, ctrl.Dhat_ref, ctrl.Chat, g_s, g_q)
-    for rank, i in enumerate(masters):
-        ctrl = cset.controllers[i]
-        if ctrl is None:
-            continue  # static master: output pinned, no node map
-        if l:
-            pi_l_nu[i + 1] = regulator_map(
-                ctrl.Ahat, ctrl.Dhat @ m_blocks[i + 1], ctrl.Chat, i_l_s,
-                np.zeros((p, l * q)))
-        xi = np.zeros((1, n_masters))
-        xi[0, rank] = 1.0
-        drive = ctrl.Dhat @ n_blocks[i + 1] + np.kron(xi, ctrl.Dhat_ref)
-        pi_l_eta[i + 1] = regulator_map(
-            ctrl.Ahat, drive, ctrl.Chat, i_m_s,
-            np.kron(xi, exo.Q_eta))
-
-    return MasterSlaveMaps(
-        Pi_z_nu=pi_z_nu, Pi_z_eta=pi_z_eta, Pi_ref_nu=pi_ref_nu,
-        Pi_ref_eta=pi_ref_eta, M=m_blocks, N_mat=n_blocks,
-        Pi_f_nu=pi_f_nu, Pi_f_ref=pi_f_ref, Pi_l_nu=pi_l_nu,
-        Pi_l_eta=pi_l_eta)
+def _solved(name, error, ahat, drive, chat, s, target):
+    """:func:`regulator_map`, a failed identity raised as ``error`` that
+    names the map."""
+    try:
+        return regulator_map(ahat, drive, chat, s, target)
+    except InternalModelViolated as exc:
+        raise error(f"{name}: {exc}") from None
 
 
 def build_maps(network, cset):
-    """Regulation maps appropriate to the controller set's regime."""
-    if cset.regime in ("tracking", "sync"):
-        pi = {}
-        for i, ctrl in enumerate(cset.controllers):
-            if ctrl is None:
-                continue
-            pi[i + 1] = regulator_map(
-                ctrl.Ahat, ctrl.Dhat_ref, ctrl.Chat, cset.exo.S,
-                cset.exo.Q_eta)
-        return TrackingMaps(Pi=pi)
-    if cset.regime == "cooperation":
-        pi1, pi2 = {}, {}
-        for i, ctrl in enumerate(cset.controllers):
-            pi1[i + 1], pi2[i + 1] = cooperation_node_maps(
-                ctrl, cset.exo, cset.G_S, cset.G_Q)
-        pi_z, pi_eta = cooperation_network_maps(network, cset)
-        return CooperationMaps(Pi_bar1=pi1, Pi_bar2=pi2,
-                               Pi_tilde_z=pi_z, Pi_tilde_eta=pi_eta)
-    if cset.regime == "master_slave":
-        return master_slave_maps(network, cset)
-    raise ValidationError("regime", f"no regulation maps for {cset.regime}")
+    """The :class:`RegulationMaps` of the controller set's regime.
+
+    Raises
+    ------
+    ValidationError
+        If the layer has a command and ``cset.eps <= 0``.
+    IdentityViolated
+        If the network map's identity fails.
+    InternalModelViolated
+        If a node map's identity fails.
+    """
+    exo, topo, p = cset.exo, network.topology, network.p
+    layer = reference_layer(network, cset)
+    generators = {"exo_state": (exo.S, exo.Q_eta),
+                  "reference_state": (layer.S, layer.Q)}
+    dyn = [(i + 1, ctrl, NODE_ROLES[role]) for i, (ctrl, role) in
+           enumerate(zip(cset.controllers, cset.node_roles))
+           if ctrl is not None]
+    reference = {
+        i: _solved(f"node {i} reference map", InternalModelViolated,
+                   ctrl.Ahat, ctrl.Dhat_ref, ctrl.Chat,
+                   *generators[role.generator])
+        for i, ctrl, role in dyn}
+    if layer.command is None:
+        return RegulationMaps(regime=cset.regime, reference=reference)
+    if cset.eps <= 0:
+        raise ValidationError("eps", f"{cset.regime} maps need eps > 0")
+
+    own = [i for i, role in enumerate(cset.node_roles)
+           if NODE_ROLES[role].generator == "exo_state"]
+    k, m, q = layer.rows.shape[0], len(own), exo.q
+    g_list = [e.C for e in network.edges]
+    nz = sum(e.n for e in network.edges)
+    a0, a1, b1 = edge_reference_block(network, layer)
+    b_own = np.zeros((a0.shape[0], m * q))
+    b_own[:nz] = assemble_weighted_blocks(
+        topo.H[own].T, [e.B for e in network.edges], [exo.Q_eta] * m)
+    c_net = np.zeros((k * p, a0.shape[0]))
+    c_net[:, :nz] = -assemble_weighted_blocks(layer.rows, [np.eye(p)] * k,
+                                              g_list)
+    s_net = np.kron(np.eye(k + m), exo.S)
+    pi = _solved("network map (Chat = -(R G), Q = [I (x) Q_v, 0])",
+                 IdentityViolated, a0 + cset.eps * a1,
+                 np.hstack([cset.eps * b1, b_own]), c_net, s_net,
+                 np.hstack([np.kron(np.eye(k), exo.Q_v),
+                            np.zeros((k * p, m * q))]))
+    v_net = -assemble_weighted_blocks(topo.H, [np.eye(p)] * topo.N,
+                                      g_list) @ pi[:nz]
+
+    inputs, disturbance = {}, {}
+    for i, ctrl, role in dyn:
+        commanded = role.regulates == "input"
+        inputs[i] = exo.Q_v if commanded else v_net[(i - 1) * p:i * p]
+        s = exo.S if commanded else s_net
+        disturbance[i] = _solved(
+            f"node {i} disturbance map (Q = 0)", InternalModelViolated,
+            ctrl.Ahat, ctrl.Dhat @ inputs[i], ctrl.Chat, s,
+            np.zeros((p, s.shape[0])))
+    return RegulationMaps(regime=cset.regime, reference=reference,
+                          network=pi, inputs=inputs, disturbance=disturbance)
 
 
 # ---------------------------------------------------------------------------

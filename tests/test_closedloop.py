@@ -178,6 +178,10 @@ def test_assemble_requires_matching_maps():
     cset = build_controllers(net, exo, "sync", eps=eps)
     with pytest.raises(MissingMaps):
         assemble("sync", net, cset, maps=None)
+    # maps built for another regime are not the cooperation loop's
+    coop = build_controllers(net, exo, "cooperation", eps=eps)
+    with pytest.raises(MissingMaps):
+        assemble("cooperation", net, coop, maps=build_maps(net, cset))
 
 
 def test_epsilon_star_matches_fine_grid_scan():

@@ -136,6 +136,13 @@ def test_cli_check_reports_unstable_edge(tmp_path, capsys):
     assert "A3" in out and "edge 1" in out and "FAIL" in out
 
 
+def test_cli_role_of_an_unknown_node_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "roles.cfg"
+    cfg.write_text(_demo_text(**{"3:master": "3:master 9:slave"}))
+    assert main(["check", "--config", str(cfg)]) == 3
+    assert "roles[9]: unknown node" in capsys.readouterr().err
+
+
 def test_cli_missing_config_is_config_error(capsys):
     assert main(["check", "--config", "/nonexistent/nope.cfg"]) == 3
 

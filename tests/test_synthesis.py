@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,20 +11,23 @@ from coopnet.analysis import (
     node_system,
     spectral_abscissa,
 )
+from coopnet import synthesis
 from coopnet.errors import (
     AllSlaves,
     AssumptionFailed,
     CertificateFailed,
+    IdentityViolated,
     InternalModelViolated,
     NotHyperMinPhase,
     ValidationError,
 )
 from coopnet.network import Network, StaticNode
-from coopnet.scenarios import demo_power_network, random_network
+from coopnet.scenarios import demo_power_network, random_network, realize
 from coopnet.synthesis import (
+    NODE_ROLES,
+    REGIMES,
     build_controllers,
     build_maps,
-    cooperation_node_maps,
     hat_matrices,
     internal_model_from_matrices,
     p_copy_internal_model,
@@ -31,6 +36,7 @@ from coopnet.synthesis import (
     regulator_map,
     verify_A5,
 )
+from coopnet.topology import assemble_weighted_blocks
 
 W = 100.0 * np.pi
 ROT = np.array([[0.0, -W], [W, 0.0]])
@@ -259,6 +265,34 @@ def test_regulator_map_demo_node1_regression():
     assert np.abs(chat @ pi - [[0.0, 1.0]]).max() <= 1e-8
 
 
+def test_regulator_map_holds_zero_target_column_to_absolute_tolerance():
+    # Pi = Dhat_eta here: a 5e-8 miss beside a 1e9 target still fails
+    args = [[-1.0]], [[1e9, 5e-8]], [[1.0]], np.zeros((2, 2))
+    assert np.abs(regulator_map(*args, [[1e9, 5e-8]]) -
+                  [[1e9, 5e-8]]).max() == 0.0
+    with pytest.raises(InternalModelViolated, match="column 2"):
+        regulator_map(*args, [[1e9, 0.0]])
+
+
+def test_failed_map_identity_names_the_map(monkeypatch):
+    scn = random_network(seed=3, regime="cooperation")
+    net, exo = scn.network(), scn.exosystem()
+    cset = build_controllers(net, exo, "cooperation", eps=0.5)
+    solve = synthesis.sylvester_solve
+
+    def miss_on(pick):
+        monkeypatch.setattr(synthesis, "sylvester_solve", lambda a, s, r: (
+            solve(a, s, r) + (1e-3 if pick(a) else 0.0)))
+
+    miss_on(lambda a: a is cset.controllers[1].Ahat)
+    with pytest.raises(InternalModelViolated, match="node 2 reference map"):
+        build_maps(net, cset)
+    # a network-map failure is no internal-model fault
+    miss_on(lambda a: not any(a is c.Ahat for c in cset.controllers))
+    with pytest.raises(IdentityViolated, match="network map"):
+        build_maps(net, cset)
+
+
 def test_regulator_identity_on_random_passified_nodes():
     exo = rot_exo()
     im = p_copy_internal_model(ROT, p=1)
@@ -270,52 +304,60 @@ def test_regulator_identity_on_random_passified_nodes():
         assert np.abs(ctrl.Chat @ pi - exo.Q_eta).max() <= 1e-8
 
 
-def test_cooperation_maps_zero_command_gives_zero_block():
-    scn = random_network(seed=3, regime="cooperation")
-    rz_exo = scn.exosystem()
-    net = scn.network()
-    cset = build_controllers(net, rz_exo, "cooperation", eps=0.5)
-    ctrl = cset.controllers[0]
-    pi1, pi2 = cooperation_node_maps(ctrl, rz_exo, cset.G_S, cset.G_Q)
-    assert np.abs(ctrl.Chat @ pi1 - cset.G_Q).max() <= 1e-8
-    assert np.abs(ctrl.Chat @ pi2).max() <= 1e-8
-    # reference part solves the plain regulator equation
-    pi_ref = regulator_map(ctrl.Ahat, ctrl.Dhat_ref, ctrl.Chat, cset.G_S,
-                           cset.G_Q)
-    assert np.abs(pi1 - pi_ref).max() <= 1e-9 * max(1.0, np.abs(pi1).max())
-    # with a zero command output map the command block vanishes
-    from dataclasses import replace
-
-    exo0 = replace(rz_exo, Q_v=np.zeros_like(rz_exo.Q_v))
-    _, pi2z = cooperation_node_maps(ctrl, exo0, cset.G_S, cset.G_Q)
-    assert np.abs(pi2z).max() <= 1e-12
+#: one network per regime: keyword arguments of random_network, and eps
+MAP_CASES = {
+    "tracking": (dict(seed=3), 0.5),
+    "sync": (dict(seed=3), 0.5),
+    "cooperation": (dict(seed=3), 0.5),
+    "master_slave": (dict(seed=9, n_nodes=3, m_edges=3, n_slaves=2), 0.4),
+}
 
 
-def test_master_slave_maps_identities():
-    scn = random_network(seed=9, n_nodes=3, m_edges=3, regime="master_slave",
-                         n_slaves=2, eps=0.4)
-    rz_net, exo = scn.network(), scn.exosystem()
-    cset = build_controllers(rz_net, exo, "master_slave", roles=scn.roles,
-                             eps=0.4)
-    maps = build_maps(rz_net, cset)
-    p, q = rz_net.p, exo.q
-    l = len(cset.slaves)
+@pytest.mark.parametrize("regime", REGIMES)
+def test_regulation_maps_identities(regime):
+    kwargs, eps = MAP_CASES[regime]
+    scn = random_network(regime=regime, eps=eps, **kwargs)
+    net, exo = scn.network(), scn.exosystem()
+    cset = build_controllers(net, exo, regime, roles=scn.roles, eps=eps)
+    maps = build_maps(net, cset)
+    layer = reference_layer(net, cset)
+    assert maps.regime == regime
+    for i, (ctrl, role) in enumerate(zip(cset.controllers, cset.node_roles)):
+        pi = maps.reference[i + 1]
+        s, q_ref = (exo.S, exo.Q_eta) \
+            if NODE_ROLES[role].generator == "exo_state" \
+            else (layer.S, layer.Q)
+        assert np.abs(ctrl.Chat @ pi - q_ref).max() <= 1e-8
+        # the reference map solves the plain regulator equation
+        pi_ref = regulator_map(ctrl.Ahat, ctrl.Dhat_ref, ctrl.Chat, s, q_ref)
+        assert np.abs(pi - pi_ref).max() <= 1e-9 * max(1.0, np.abs(pi).max())
+    if layer.command is None:
+        assert maps.network is None and not maps.inputs \
+            and not maps.disturbance
+        return
+    for i, ctrl in enumerate(cset.controllers):
+        assert np.abs(ctrl.Chat @ maps.disturbance[i + 1]).max() <= 1e-8
+    # steady neighbouring inputs: each slave's is its own command through
+    # Q_v, and no master reference reaches it
+    p, q = net.p, exo.q
+    nz = sum(e.n for e in net.edges)
+    v = -assemble_weighted_blocks(net.topology.H, [np.eye(p)] * net.n_nodes,
+                                  [e.C for e in net.edges]) @ \
+        maps.network[:nz]
     for rank, i in enumerate(cset.slaves):
-        ctrl = cset.controllers[i]
-        want = np.zeros((p, l * q))
+        want = np.zeros((p, v.shape[1]))
         want[:, rank * q:(rank + 1) * q] = exo.Q_v
-        assert np.abs(maps.M[i + 1] - want).max() <= 1e-8
-        assert np.abs(ctrl.Chat @ maps.Pi_f_nu[i + 1]).max() <= 1e-8
-        assert np.abs(ctrl.Chat @ maps.Pi_f_ref[i + 1] -
-                      cset.G_Q).max() <= 1e-8
-    n_masters = len(cset.masters)
-    for rank, i in enumerate(cset.masters):
-        ctrl = cset.controllers[i]
-        xi = np.zeros((1, n_masters))
-        xi[0, rank] = 1.0
-        assert np.abs(ctrl.Chat @ maps.Pi_l_nu[i + 1]).max() <= 1e-8
-        assert np.abs(ctrl.Chat @ maps.Pi_l_eta[i + 1] -
-                      np.kron(xi, exo.Q_eta)).max() <= 1e-8
+        assert np.abs(v[i * p:(i + 1) * p] - want).max() <= 1e-8
+    for i, role in enumerate(cset.node_roles):
+        if NODE_ROLES[role].regulates == "input":
+            assert np.array_equal(maps.inputs[i + 1], exo.Q_v)
+        else:
+            assert np.array_equal(maps.inputs[i + 1], v[i * p:(i + 1) * p])
+    # with a zero command output map no node is disturbed
+    zero = replace(cset, exo=replace(exo, Q_v=np.zeros_like(exo.Q_v)))
+    maps0 = build_maps(net, zero)
+    for pi in maps0.disturbance.values():
+        assert np.abs(pi).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +404,14 @@ def test_demo_roles_configuration():
                              roles=scn.roles, eps=scn.eps, gains=scn.gains)
     assert cset.slaves == (0, 1) and cset.masters == (2,)
     assert cset.controllers[2] is None  # static ground node
+
+
+def test_role_of_an_unknown_node_rejected():
+    scn = demo_power_network()
+    with pytest.raises(ValidationError) as exc:
+        realize(replace(scn, roles={**scn.roles, 9: "slave"}))
+    assert exc.value.field == "roles[9]"
+    assert exc.value.message == "unknown node"
 
 
 def test_all_slaves_rejected():
