@@ -14,7 +14,7 @@ import numpy as np
 
 from . import scenarios, svg
 from .analysis import PASSIVITY_TOL, STRICT_MARGIN
-from .closedloop import BISECT_REL_WIDTH, STABILITY_TOL, epsilon_star
+from .closedloop import BRACKET_REL_WIDTH, STABILITY_TOL, epsilon_star
 from .config import format_config, parse_config
 from .errors import (
     AssumptionViolation,
@@ -208,7 +208,8 @@ def cmd_eps(args):
     est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=eps_hi)
     print(f"coupling-gain boundary for {scn.name!r} (ceiling {eps_hi:g})")
     n_probes = len(est.probes)
-    how = (f"bisection to relative width {BISECT_REL_WIDTH:.0e}" if est.crossed
+    how = (f"stable end of a verified bracket of relative width "
+           f"{BRACKET_REL_WIDTH:.0e}" if est.crossed
            else f"no crossing found up to the ceiling: the ceiling is stable, "
            f"{n_probes} probe{'s' if n_probes > 1 else ''} decomposed")
     print(f"  eps_bisect   = {est.eps_bisect:.6g}  ({how}; abscissa there "
@@ -222,10 +223,6 @@ def cmd_eps(args):
                  f"{-STABILITY_TOL:g} at omega_crossing = "
                  f"{est.omega_crossing:.10g}")
     print(f"  eps_crossing = {est.eps_crossing:.10g}  ({where})")
-    why = (f"constructive bound unavailable: {est.analytic_failure}"
-           if est.analytic_failure else
-           "constructive bound; conservative by design")
-    print(f"  eps_analytic = {est.eps_analytic:.6g}  ({why})")
     for eps, absc in zip(est.probes, est.probe_abscissas):
         print(f"    probe eps={eps:12.6g}  abscissa={absc:+.6e}")
     return 0

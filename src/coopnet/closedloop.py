@@ -8,11 +8,10 @@ node's role by :data:`coopnet.synthesis.NODE_ROLES`; every matrix and map
 is built from them.  The error-coordinate matrix is affine
 in the coupling gain, ``A(eps) = A0 + eps A1``: the pencil is built once
 and then evaluated, by :func:`assemble` at one gain and by every probe of
-:func:`epsilon_star`; the Lemma-1 block split reads its blocks.  The
-simulation form shares the pencil's node/edge block: node, controller and
-edge states obey the same equations in both, so :func:`assemble` copies
-that block from A0 and adds only the reference and exosystem rows and
-columns.  Every weighted interconnection is one call of
+:func:`epsilon_star`.  The simulation form shares the pencil's node/edge
+block: node, controller and edge states obey the same equations in both,
+so :func:`assemble` copies that block from A0 and adds only the reference
+and exosystem rows and columns.  Every weighted interconnection is one call of
 :func:`coopnet.topology.assemble_weighted_blocks`.
 
 Both assembled matrices carry index maps from (entity kind, entity id) to
@@ -22,33 +21,24 @@ entrywise.
 The boundary search, :func:`epsilon_star`, eigen-decomposes the probes
 from the ceiling down to the first stable one, finds where the critical
 eigenvalue crosses the stability line by Newton with one LU per step, and
-replays the bisection against that crossing, verified at both ends.
+returns a bracket of relative width ``BRACKET_REL_WIDTH`` around that
+crossing, verified at both ends.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (
-    lemma1_certificate,
-    rightmost_eigenvalue,
-    spectral_abscissa,
-)
-from .errors import (
-    HypothesisViolated,
-    MissingMaps,
-    NoStableEps,
-    NumericalFailure,
-    ValidationError,
-)
+from .analysis import rightmost_eigenvalue, spectral_abscissa
+from .errors import MissingMaps, NoStableEps, ValidationError
 from .network import is_static
 from .synthesis import NODE_ROLES, edge_reference_block, reference_layer
 from .topology import assemble_weighted_blocks, block_diag
 
 #: spectral abscissa below which the error system counts as stable
 STABILITY_TOL = 1e-9
-#: relative width to which epsilon_star bisects the stability boundary
-BISECT_REL_WIDTH = 1e-3
+#: relative width of the stable/unstable bracket that epsilon_star returns
+BRACKET_REL_WIDTH = 1e-8
 
 
 @dataclass(frozen=True)
@@ -312,39 +302,31 @@ _NEWTON_STEPS = 16
 _NEWTON_TOL = 1e-12
 #: eigenvalue branches tracked before the search falls back to bisection
 _BRANCHES = 3
-#: relative distance from the crossing inside which a bisection midpoint
-#: is decided by its eigenvalues rather than by the crossing
-_TIE_REL = 1e-8
 
 
 @dataclass(frozen=True)
 class EpsilonStar:
     """Result of the coupling-gain boundary search.
 
-    ``eps_bisect`` is the operative value (largest stable gain found by the
-    probe + bisection scheme, or ``eps_hi`` when the ceiling probe is
-    stable); ``crossed`` says whether a stable-to-unstable crossing was
-    found below the ceiling, so False means ``eps_bisect`` is the ceiling
-    and not a boundary.  ``probes`` and ``probe_abscissas`` hold the grid
-    probes actually decomposed, in ascending eps: the scan runs from the
-    ceiling down and stops at the first stable probe.  ``eps_crossing`` is
-    the gain at which the critical eigenvalue's real part reaches
-    ``-STABILITY_TOL``, and ``omega_crossing`` its ``|Im|`` there; both are
-    NaN when ``crossed`` is False, or when the search fell back to
-    bisection by eigenvalues.  ``eps_analytic`` is the conservative
-    constructive bound from the block certificate, reported for comparison
-    and never used as the operative value; when it is NaN,
-    ``analytic_failure`` says why (a violated Lemma-1 hypothesis or a
-    numerical failure of the construction), and it is empty otherwise.
+    ``eps_bisect`` is the operative value: the stable end of a bracket of
+    relative width ``BRACKET_REL_WIDTH`` whose upper end is unstable, or
+    ``eps_hi`` when the ceiling probe is stable.  ``abscissa_at_bisect`` is
+    its spectral abscissa.  ``crossed`` says whether a stable-to-unstable
+    crossing was found below the ceiling, so False means ``eps_bisect`` is
+    the ceiling and not a boundary.  ``probes`` and ``probe_abscissas``
+    hold the grid probes actually decomposed, in ascending eps: the scan
+    runs from the ceiling down and stops at the first stable probe.
+    ``eps_crossing`` is the gain at which the critical eigenvalue's real
+    part reaches ``-STABILITY_TOL``, inside the bracket, and
+    ``omega_crossing`` its ``|Im|`` there; both are NaN when ``crossed``
+    is False, or when the search fell back to bisection by eigenvalues.
     """
 
     eps_bisect: float
-    eps_analytic: float
     abscissa_at_bisect: float
     probes: tuple
     probe_abscissas: tuple
     crossed: bool
-    analytic_failure: str
     eps_crossing: float
     omega_crossing: float
 
@@ -458,41 +440,13 @@ def _crossing(pencil, lo, hi, lam_hi):
     return None
 
 
-def _lemma1_split(pencil, cset, eps):
-    node = slice(0, pencil.n_node)
-    edge = slice(pencil.n_node, pencil.n_node + pencil.n_edge)
-    a0 = pencil.A0
-    p_w = block_diag([c.Phat.P for c in cset.controllers if c is not None])
-    q_w = block_diag([cert.P for cert in cset.edge_certificates])
-    return (a0[node, node], a0[node, edge], a0[edge, node], a0[edge, edge],
-            eps * pencil.A1[node, edge], p_w, q_w)
-
-
-def _analytic_bound(pencil, cset):
-    """``(bound, why)``: the analytic bound, and why it is NaN (else "")."""
-    w1, w2, w3, w4, w5_unit, p_w, q_w = _lemma1_split(pencil, cset, 1.0)
-    norm = float(np.linalg.norm(w5_unit, 2)) if w5_unit.size else 0.0
-    if norm == 0.0:
-        return float("inf"), ""  # no coupling path at all
-    # the constructive bound is report-only, so its failure is reported, not
-    # raised: either a hypothesis fails or the scales defeat the tolerances
-    try:
-        _, eps_bar = lemma1_certificate(
-            w1, w2, w3, w4, np.zeros_like(w2), p_w, q_w)
-    except HypothesisViolated as exc:
-        return float("nan"), f"Lemma-1 hypothesis violated: {exc}"
-    except NumericalFailure as exc:
-        return float("nan"), (f"numerical failure, not a violated Lemma-1 "
-                              f"hypothesis: {type(exc).__name__}: {exc}")
-    return eps_bar / norm, ""
-
-
 def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
-    """Largest stable coupling gain in (0, eps_hi] by probing + bisection.
+    """Largest stable coupling gain in (0, eps_hi], to relative width
+    ``BRACKET_REL_WIDTH``.
 
     Stability means the error-coordinate matrix ``A(eps) = A0 + eps A1``
     (built once, as a pencil) has spectral abscissa below
-    ``-STABILITY_TOL``.  The search runs in four steps:
+    ``-STABILITY_TOL``.  The search runs in three steps:
 
     1. *Scan from the top.*  The log-spaced grid of ``n_probes`` gains is
        eigen-decomposed from the ceiling down, stopping at the first
@@ -500,23 +454,19 @@ def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
        is the result, with ``crossed`` False.
     2. *Track the crossing.*  Inside (probe k, probe k+1], the rightmost
        eigenvalue of probe k+1 is followed by :func:`_crossing`: Newton on
-       its real part, each step one complex LU, not a decomposition.
-    3. *Replay the bisection.*  The bisection to relative width
-       ``BISECT_REL_WIDTH`` runs as ever, but a midpoint is stable when
-       it lies below the crossing; one within ``_TIE_REL`` of the crossing
-       is decided by its eigenvalues.  So ``eps_bisect`` is the float that
-       bisection by eigenvalues returns.
-    4. *Verify.*  The final hi must be a decomposed unstable point or
-       carry a residual-certified eigenpair right of ``-STABILITY_TOL``;
-       the final lo is eigen-decomposed and must be stable (its abscissa
-       is ``abscissa_at_bisect``).  If lo is unstable, another eigenvalue
-       crosses first: steps 2-4 run again from lo's rightmost eigenvalue,
-       for up to ``_BRANCHES`` eigenvalues in all.
+       its real part, each step one complex LU, not a decomposition.  It
+       returns the crossing c.
+    3. *Verify the bracket* lo = c (1 - W/2), hi = c (1 + W/2), with
+       W = ``BRACKET_REL_WIDTH``.  hi must carry a residual-certified
+       eigenpair right of ``-STABILITY_TOL``, and lo is eigen-decomposed
+       and must be stable.  If lo is unstable, another eigenvalue crosses
+       first: steps 2-3 run again from lo's rightmost eigenvalue, for up to
+       ``_BRANCHES`` eigenvalues in all.
 
     If the tracking or the verification fails, the search falls back to
-    bisection by eigenvalues on the original bracket.  The result differs
-    from that bisection only when the bracket holds several crossings, and
-    then it is still a verified stable/unstable end bracket.
+    bisection by eigenvalues on (probe k, probe k+1], to the same width.
+    ``eps_bisect`` is lo on either path: a decomposed stable gain within
+    ``W lo`` of a verified unstable one.
 
     Raises
     ------
@@ -527,18 +477,10 @@ def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
         raise ValidationError("eps_hi", "search ceiling must be > 0")
 
     pencil = _error_pencil(network, cset, maps)
-    abscissas = {}  # every decomposed gain
-
-    def stable(eps):
-        if eps not in abscissas:
-            abscissas[eps] = spectral_abscissa(pencil.A0 + eps * pencil.A1)
-        return abscissas[eps] < -STABILITY_TOL
-
     grid = np.geomspace(eps_hi * 1e-4, eps_hi, n_probes)
     top = []  # rightmost eigenvalues, from the ceiling down
     for eps in grid[::-1]:
         top.append(rightmost_eigenvalue(pencil.A0 + eps * pencil.A1))
-        abscissas[float(eps)] = top[-1].real
         if top[-1].real < -STABILITY_TOL:
             break
     else:
@@ -546,52 +488,45 @@ def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
             f"no stable coupling gain among probes in "
             f"[{grid[0]:.3e}, {grid[-1]:.3e}]")
     k = n_probes - len(top)
-    analytic, why = _analytic_bound(pencil, cset)
     fields = dict(probes=tuple(grid[k:]),
-                  probe_abscissas=tuple(lam.real for lam in reversed(top)),
-                  eps_analytic=analytic, analytic_failure=why)
+                  probe_abscissas=tuple(lam.real for lam in reversed(top)))
     if k == n_probes - 1:
         return EpsilonStar(
             eps_bisect=float(grid[-1]), abscissa_at_bisect=top[0].real,
             crossed=False, eps_crossing=np.nan, omega_crossing=np.nan,
             **fields)
 
-    def bisect(below):
-        lo, hi = float(grid[k]), float(grid[k + 1])
-        while (hi - lo) > BISECT_REL_WIDTH * lo:
-            mid = 0.5 * (lo + hi)
-            if below(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
-
     def tracked(eps, lam):
-        """The replayed bisection's verified lo and the crossing tracked
+        """The verified bracket's lo, its abscissa and the crossing tracked
         from ``lam``, the rightmost eigenvalue of A(eps), or None."""
         for _ in range(_BRANCHES):
             cross = _crossing(pencil, float(grid[k]), eps, lam)
-            if cross is None:
+            if cross is None or not cross.unstable_at(
+                    pencil, cross.eps * (1 + 0.5 * BRACKET_REL_WIDTH)):
                 return None
-            c = cross.eps
-            lo, hi = bisect(lambda e: stable(e) if abs(e - c) <= _TIE_REL * c
-                            else e < c)
-            # hi must be unstable: decomposed, or by a certified eigenpair
-            if (stable(hi) if hi in abscissas
-                    else not cross.unstable_at(pencil, hi)):
-                return None
-            if lo not in abscissas:
-                lam = rightmost_eigenvalue(pencil.A0 + lo * pencil.A1)
-                abscissas[lo] = lam.real
-            if abscissas[lo] < -STABILITY_TOL:
-                return lo, cross
+            lo = cross.eps * (1 - 0.5 * BRACKET_REL_WIDTH)
+            lam = rightmost_eigenvalue(pencil.A0 + lo * pencil.A1)
+            if lam.real < -STABILITY_TOL:
+                return lo, lam.real, cross
             eps = lo  # another eigenvalue crosses first: track it from lo
         return None
 
-    found = tracked(float(grid[k + 1]), top[-2])
-    lo, cross = (bisect(stable)[0], None) if found is None else found
+    def bisected():
+        """lo and its abscissa by bisection by eigenvalues, and no
+        crossing."""
+        lo, hi, a_lo = float(grid[k]), float(grid[k + 1]), top[-1].real
+        while hi - lo > BRACKET_REL_WIDTH * lo:
+            mid = 0.5 * (lo + hi)
+            a_mid = spectral_abscissa(pencil.A0 + mid * pencil.A1)
+            if a_mid < -STABILITY_TOL:
+                lo, a_lo = mid, a_mid
+            else:
+                hi = mid
+        return lo, a_lo, None
+
+    lo, a_lo, cross = tracked(float(grid[k + 1]), top[-2]) or bisected()
     return EpsilonStar(
-        eps_bisect=lo, abscissa_at_bisect=abscissas[lo], crossed=True,
+        eps_bisect=lo, abscissa_at_bisect=a_lo, crossed=True,
         eps_crossing=np.nan if cross is None else cross.eps,
         omega_crossing=np.nan if cross is None else abs(cross.lam.imag),
         **fields)

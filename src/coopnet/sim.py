@@ -30,7 +30,7 @@ from .errors import (
     UnstableLoop,
     ValidationError,
 )
-from .synthesis import NODE_ROLES
+from .synthesis import NODE_ROLES, ZERO_SUM_TOL
 
 #: samples ``_propagate`` steps one at a time, and its first block width
 _BLOCK = 64
@@ -284,7 +284,8 @@ class SteadyStatePrediction:
     ``per_node`` holds the predicted regulated signal per node (output for
     tracking/sync/master nodes, neighboring input for cooperation/slave);
     ``bias`` the common cooperation residual when the command sum is
-    nonzero; ``output_sum`` the predicted sum of node outputs.
+    nonzero; ``output_sum`` the predicted sum of node outputs, in
+    cooperation with commands that sum to zero (None otherwise).
     """
 
     t: np.ndarray
@@ -301,8 +302,11 @@ def steady_state_prediction(cset, t, nu0=None, eta0=None, etabar0=None):
     sync: all outputs -> Q_eta e^{S t} (mean of eta_i(0)).
     cooperation/slave nodes: v_i -> Q_v e^{S t} nu_i(0); in cooperation,
     with a nonzero command sum the common residual is Q_v e^{S t} nu_0(0)
-    with nu_0(0) = -(sum nu_i(0))/N, and the output sum follows the
-    cooperation reference generator from the sum of etabar_i(0).
+    with nu_0(0) = -(sum nu_i(0))/N.  When the commands sum to zero (norm
+    at most ``ZERO_SUM_TOL``), the output sum follows the cooperation
+    reference generator from the sum of etabar_i(0).  Otherwise the common
+    residual drives that generator at resonance, the output sum grows
+    without limit, and ``output_sum`` is None.
     """
     exo = cset.exo
     t = np.asarray(t, dtype=float)
@@ -346,11 +350,12 @@ def steady_state_prediction(cset, t, nu0=None, eta0=None, etabar0=None):
         per_node[i] = signal(grids[role.regulates], vec)
     bias, output_sum = None, None
     if cset.regime == "cooperation":
-        bias = signal(grids["input"],
-                      -sum(nu0.get(i, zero) for i in ids) / len(ids))
-        total_ref = sum(etabar0.get(i, np.zeros(cset.G_S.shape[0]))
-                        for i in ids)
-        output_sum = signal(on_grid(cset.G_S, cset.G_Q), total_ref)
+        total = sum(nu0.get(i, zero) for i in ids)
+        bias = signal(grids["input"], -total / len(ids))
+        if np.linalg.norm(total) <= ZERO_SUM_TOL:
+            total_ref = sum(etabar0.get(i, np.zeros(cset.G_S.shape[0]))
+                            for i in ids)
+            output_sum = signal(on_grid(cset.G_S, cset.G_Q), total_ref)
     return SteadyStatePrediction(t=t, per_node=per_node, bias=bias,
                                  output_sum=output_sum)
 

@@ -56,6 +56,8 @@ REGIMES = ("tracking", "sync", "cooperation", "master_slave")
 MAP_IDENTITY_TOL = 1e-8
 #: largest output-feedback gain kappa that passify_node tries
 KAPPA_MAX = 2 ** 24
+#: norm below which the cooperation commands count as summing to zero
+ZERO_SUM_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -924,8 +926,8 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
             total = total + np.asarray(vec, dtype=float).ravel()
         norm = float(np.linalg.norm(total))
         results.append(CheckResult(
-            "A6", "references", norm <= 1e-10, norm,
-            "command initial conditions sum to zero" if norm <= 1e-10
+            "A6", "references", norm <= ZERO_SUM_TOL, norm,
+            "command initial conditions sum to zero" if norm <= ZERO_SUM_TOL
             else f"command sum has norm {norm:.3e} (tracking will carry "
                  f"the predicted common bias)"))
 

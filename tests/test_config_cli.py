@@ -222,6 +222,8 @@ def test_cli_demo_paper_horizon_passes(capsys):
 
 
 def test_cli_eps_reports_both_bounds(capsys):
+    """Both ends of the boundary: eps_bisect, the stable end of the
+    verified bracket, and the crossing inside it."""
     scn = random_network(seed=7, regime="sync")
     from dataclasses import replace
 
@@ -234,7 +236,9 @@ def test_cli_eps_reports_both_bounds(capsys):
             fh.write(fmt(scn))
         assert main(["eps", "--config", cfg, "--eps", "10"]) == 0
     out = capsys.readouterr().out
-    assert "eps_bisect" in out and "eps_analytic" in out
+    assert "eps_bisect" in out and "eps_analytic" not in out
+    assert "(stable end of a verified bracket of relative width 1e-08; " \
+        "abscissa there " in out
     assert "probe" in out
     assert "eps_crossing = 0.88273780" in out and \
         "omega_crossing = 0.99652598" in out
@@ -440,8 +444,9 @@ _MAIN_THEN_LIST_SCIPY = (
     (["demo"], 2),
     (["check", "--config", "power_network"], 0),
     (["synth", "--config", "power_network"], 0),
+    (["eps", "--config", "power_network"], 0),
     (["simulate", "--config", "power_network", "--emit", "csv", "--out"], 0),
-], ids=["demo", "check", "synth", "simulate"])
+], ids=["demo", "check", "synth", "eps", "simulate"])
 def test_cli_hot_path_loads_no_scipy(tmp_path, argv, exit_code):
     """The built-in network's commands run on numpy alone, and only a
     command that writes a CSV builds the formatter's tables."""
@@ -460,6 +465,19 @@ def test_cli_hot_path_loads_no_scipy(tmp_path, argv, exit_code):
         assert proc.stdout.count("[pass] golden") == 5
     if writes_csv:
         assert (tmp_path / "power_network.csv").stat().st_size > 0
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    """Every module attribute that perfbench wraps to time a layer exists:
+    a refactor that drops one makes every traced benchmark run fail with
+    AttributeError."""
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import pipelines
+
+    for module, attr, *_ in pipelines.CLI_CALLS:
+        assert callable(getattr(module, attr, None)), \
+            f"{module.__name__}.{attr}"
 
 
 def test_demo_prediction_loads_no_scipy():
@@ -560,13 +578,3 @@ def test_cli_eps_says_when_nothing_crosses_below_the_ceiling(capsys):
     assert "bisection" not in line
     assert lines["eps_crossing"] == \
         "  eps_crossing = nan  (no crossing below the ceiling)"
-
-
-def test_cli_eps_explains_a_nan_analytic_bound(capsys):
-    """The demo's constructive bound fails numerically (its certificate
-    misses by 7e-9 at scales of 1e7), not on a Lemma-1 hypothesis."""
-    line = _eps_lines(capsys)["eps_analytic"]
-    assert line.startswith("  eps_analytic = nan  (constructive bound "
-                           "unavailable: numerical failure, not a violated "
-                           "Lemma-1 hypothesis: CertificateFailed: P_bar W "
-                           "+ W.T P_bar has lambda_max ")

@@ -502,13 +502,47 @@ def test_prediction_matches_direct_expm(seed, regime):
     if regime == "cooperation":
         expect["bias"] = direct(exo.S, exo.Q_v, -sum(nu0.values()) / len(ids))
         got["bias"] = pred.bias[:, picks]
+        # the output sum has a limit only for commands that sum to zero
+        assert pred.output_sum is None
+        nu0[len(ids)] -= sum(nu0.values())
+        zero_sum = steady_state_prediction(cset, t, nu0=nu0, eta0=eta0,
+                                           etabar0=etabar0)
         expect["sum"] = direct(cset.G_S, cset.G_Q, sum(etabar0.values()))
-        got["sum"] = pred.output_sum[:, picks]
+        got["sum"] = zero_sum.output_sum[:, picks]
     else:
         assert pred.bias is None and pred.output_sum is None
     assert set(pred.per_node) == set(ids)
     for key, want in expect.items():
         assert np.abs(got[key] - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_cooperation_output_sum_has_no_limit_for_nonzero_command_sum():
+    """cooperation-200's own commands do not sum to zero: their common
+    residual drives the cooperation reference generator at resonance, so
+    the output sum drifts and has no predicted limit, while every node's
+    input still reaches its command plus the bias."""
+    scn = random_network(200, n_nodes=5, m_edges=6, dims=3,
+                         regime="cooperation")
+    assert np.linalg.norm(sum(scn.nu0.values())) > 1.0
+    rz = realize(scn)
+    est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=10.0)
+    cl = assemble("cooperation", rz.network, rz.cset, rz.maps,
+                  eps=est.eps_bisect / 2.0)
+    t_end = float(np.ceil(20.0 / abs(spectral_abscissa(cl.A_error))))
+    res = integrate(cl, initial_state(cl, nu0=scn.nu0), t_end=t_end,
+                    dt=0.1)
+    pred = steady_state_prediction(rz.cset, res.t, nu0=scn.nu0)
+    assert pred.output_sum is None
+    tail = res.t >= res.t[-1] - 1.0
+    scale = np.abs(pred.bias).max()
+    for i in res.v:
+        assert np.abs(res.v[i][:, tail] - pred.per_node[i][:, tail] -
+                      pred.bias[:, tail]).max() <= 1e-6 * scale
+        assert np.abs(res.errors[i][:, tail] -
+                      pred.bias[:, tail]).max() <= 1e-6 * scale
+    y_sum = np.abs(sum(res.y.values()))
+    tenth = res.t.size // 10
+    assert y_sum[:, -tenth:].max() > 5.0 * y_sum[:, :tenth].max()
 
 
 def test_prediction_rejects_non_uniform_grid():
