@@ -31,7 +31,6 @@ from .topology import (
     block_diag,
     full_column_rank,
     full_row_rank,
-    matrix_rank,
     null_space,
 )
 
@@ -188,9 +187,9 @@ class Exosystem:
 def build_exosystem(S, Q_eta, Q_v=None, P_eta=None):
     """Validate A2 for ``S`` and assemble the exosystem record.
 
-    When ``P_eta`` is not supplied it is constructed from the real
-    eigenstructure of ``S``; when it is, both defining properties are
-    verified.  ``Q_v`` defaults to ``Q_eta``.
+    When ``P_eta`` is not supplied it is :func:`marginal_spectrum_certificate`
+    of ``S``; when it is, ``S`` passes :func:`marginal_eig` and both
+    properties of ``P_eta`` are verified.  ``Q_v`` defaults to ``Q_eta``.
     """
     S = _as_square(S, "S")
     Q_eta = np.atleast_2d(np.asarray(Q_eta, dtype=float))
@@ -203,7 +202,7 @@ def build_exosystem(S, Q_eta, Q_v=None, P_eta=None):
         P_eta = marginal_spectrum_certificate(S).P
     else:
         P_eta = _sym(_as_square(P_eta, "P_eta"))
-        marginal_spectrum_certificate(S)  # still enforce A2 on S itself
+        marginal_eig(S, require_simple=True)  # still enforce A2 on S
         scale = max(1.0, _norm2(P_eta) * _norm2(S))
         if np.linalg.eigvalsh(P_eta)[0] <= 0:
             raise ValidationError("P_eta", "not positive definite")
@@ -339,78 +338,52 @@ def sylvester_solve(a, s, r):
 # marginal spectra
 
 
-def real_marginal_basis(s, require_simple=True):
-    """Real basis V with ``S = V J V^{-1}``, J block-diagonal and skew.
+def marginal_eig(s, require_simple=True):
+    """numpy's ``eig`` of S, ``S V = V diag(lam)``, after checking A2.
 
-    J consists of 2x2 rotation blocks (one per conjugate pair) and scalar
-    zeros.  Basis columns are normalized so a pure rotation block yields
-    ``V^{-T} V^{-1} = I``.
+    Every eigenvalue must lie on the imaginary axis, V must have full
+    complex rank (S semisimple) and, with ``require_simple``, no eigenvalue
+    may repeat.  For a real S, LAPACK pairs each complex eigenvalue with its
+    conjugate and conjugate eigenvector, so real certificates follow from V.
 
     Raises
     ------
     SpectrumNotMarginal
-        If any eigenvalue has ``|Re|`` above the threshold.
+        If an eigenvalue has ``|Re|`` above the threshold, or S is defective.
     RepeatedEigenvalue
         If ``require_simple`` and an eigenvalue repeats.
     """
     s = _as_square(s, "S")
     lam, vec = np.linalg.eig(s)
     scale = max(1.0, np.abs(lam).max(initial=0.0))
-    tol = max(MARGINAL_RE_TOL, 1e-13 * scale)
-    bad = np.abs(lam.real) > tol
+    bad = np.abs(lam.real) > max(MARGINAL_RE_TOL, 1e-13 * scale)
     if np.any(bad):
         raise SpectrumNotMarginal(
             f"eigenvalues off the imaginary axis: {lam[bad]}")
     if require_simple:
-        for i in range(len(lam)):
-            for j in range(i + 1, len(lam)):
-                if abs(lam[i] - lam[j]) <= 1e-8 * scale:
-                    raise RepeatedEigenvalue(
-                        f"eigenvalue {lam[i]:.6g} has multiplicity > 1")
-    used = np.zeros(len(lam), dtype=bool)
-    cols, freqs = [], []
-    # deterministic order: decreasing imaginary part, zeros last
-    for k in sorted(range(len(lam)), key=lambda i: (-lam[i].imag, i)):
-        if used[k]:
-            continue
-        if lam[k].imag > tol:
-            partner = None
-            for m in range(len(lam)):
-                if m != k and not used[m] and \
-                        abs(lam[m] - lam[k].conjugate()) <= 1e-8 * scale:
-                    partner = m
-                    break
-            if partner is None:
-                raise SpectrumNotMarginal(
-                    f"eigenvalue {lam[k]:.6g} has no conjugate partner")
-            used[k] = used[partner] = True
-            u, v = vec[:, k].real.copy(), vec[:, k].imag.copy()
-            c = np.sqrt((u @ u + v @ v) / 2.0)
-            cols.extend([u / c, v / c])
-            freqs.append(float(lam[k].imag))
-        elif abs(lam[k].imag) <= tol:
-            used[k] = True
-            r = np.real_if_close(vec[:, k]).real.copy()
-            cols.append(r / np.linalg.norm(r))
-            freqs.append(0.0)
-    v_mat = np.column_stack(cols) if cols else np.zeros((s.shape[0], 0))
-    if matrix_rank(v_mat) < s.shape[0]:
-        raise SpectrumNotMarginal("defective marginal spectrum (not semisimple)")
-    return v_mat, freqs
+        close = np.abs(lam[:, None] - lam[None, :]) <= 1e-8 * scale
+        np.fill_diagonal(close, False)
+        if close.any():
+            i = np.flatnonzero(close.any(axis=1))[0]
+            raise RepeatedEigenvalue(
+                f"eigenvalue {lam[i]:.6g} has multiplicity > 1")
+    if _rank_c(vec) < s.shape[0]:
+        raise SpectrumNotMarginal(
+            "defective marginal spectrum (not semisimple)")
+    return lam, vec
 
 
 def marginal_spectrum_certificate(s):
     """Certificate P > 0 with ``P S + S.T P = 0`` for a marginal, simple S.
 
-    The construction uses the real eigenstructure ``S = V J V^{-1}`` with J
-    skew and returns ``P = V^{-T} V^{-1}``, which annihilates the Lyapunov
-    operator exactly in exact arithmetic; both properties are re-verified
-    numerically before returning.
+    ``P = Re(V^{-H} V^{-1})`` for V of :func:`marginal_eig`: ``V^H P V = I``
+    commutes with the imaginary ``diag(lam)``.  Each conjugate pair of V is
+    a unitary change of the real columns ``sqrt(2) [Re x, Im x]``, so the
+    product is real up to rounding.  Both properties are re-verified.
     """
     s = _as_square(s, "S")
-    v, _ = real_marginal_basis(s, require_simple=True)
-    vi = np.linalg.inv(v)
-    p = _sym(vi.T @ vi)
+    vi = np.linalg.inv(marginal_eig(s, require_simple=True)[1])
+    p = _sym((vi.conj().T @ vi).real)
     resid = np.abs(p @ s + s.T @ p).max()
     bound = 1e-10 * max(1.0, _norm2(p) * _norm2(s))
     if resid > bound:
@@ -425,15 +398,13 @@ def marginal_spectrum_certificate(s):
 def marginal_kernel_certificate(g1):
     """P > 0 with ``G1 P + P G1.T = 0`` for semisimple marginal G1.
 
-    Unlike :func:`marginal_spectrum_certificate` (which certifies the dual
-    orientation ``P S + S.T P = 0``), this returns ``V V.T`` from the real
-    eigenstructure, and repeated eigenvalues are allowed (the p-copy
-    internal model repeats the reference spectrum); the spectrum must still
-    be semisimple and purely imaginary.
+    The dual of :func:`marginal_spectrum_certificate`, ``P = Re(V V^H)``;
+    repeated eigenvalues are allowed, as the p-copy internal model repeats
+    the reference spectrum.  The residual is re-verified.
     """
     g1 = _as_square(g1, "G1")
-    v, _ = real_marginal_basis(g1, require_simple=False)
-    p = _sym(v @ v.T)
+    v = marginal_eig(g1, require_simple=False)[1]
+    p = _sym((v @ v.conj().T).real)
     resid = np.abs(g1 @ p + p @ g1.T).max()
     if resid > 1e-10 * max(1.0, _norm2(p) * _norm2(g1)):
         raise CertificateFailed(

@@ -256,8 +256,7 @@ def _random_edge(rng, n, p):
 
 
 def random_network(seed, n_nodes=3, m_edges=3, dims=2, p=1, q_exo=2,
-                   regime="tracking", n_slaves=None, eps=1.0,
-                   nonzero_refs=True):
+                   regime="tracking", n_slaves=None, eps=1.0):
     """Seeded random scenario with feasibility built in by construction.
 
     Nodes are hyper-minimum-phase by construction, edges strictly positive
@@ -295,13 +294,12 @@ def random_network(seed, n_nodes=3, m_edges=3, dims=2, p=1, q_exo=2,
         roles = {i: ("slave" if i in slave_ids else "master")
                  for i in range(1, n_nodes + 1)}
     nu0, eta0, etabar0 = {}, {}, {}
-    if nonzero_refs:
-        for i in range(1, n_nodes + 1):
-            seeds = NODE_ROLES[roles[i] if roles else regime].seeds
-            # nu0 before eta0 keeps every seed's draws; etabar0 stays zero
-            for name, values in (("nu0", nu0), ("eta0", eta0)):
-                if name in seeds:
-                    values[i] = rng.uniform(-1.0, 1.0, size=q_exo)
+    for i in range(1, n_nodes + 1):
+        seeds = NODE_ROLES[roles[i] if roles else regime].seeds
+        # nu0 before eta0 keeps every seed's draws; etabar0 stays zero
+        for name, values in (("nu0", nu0), ("eta0", eta0)):
+            if name in seeds:
+                values[i] = rng.uniform(-1.0, 1.0, size=q_exo)
     return Scenario(
         name=f"random-{seed}",
         nodes=nodes, edges=edges, edge_ends=tuple(edge_ends),

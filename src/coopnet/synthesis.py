@@ -24,9 +24,9 @@ from .analysis import (
     is_hurwitz,
     lyapunov_kernel_basis,
     lyapunov_solve,
+    marginal_eig,
     marginal_kernel_certificate,
     observable,
-    real_marginal_basis,
     spectral_abscissa,
     spr_certificate,
     sylvester_solve,
@@ -39,6 +39,7 @@ from .errors import (
     InternalModelViolated,
     NotHurwitz,
     NotHyperMinPhase,
+    SpectrumNotMarginal,
     SynthesisFailed,
     ValidationError,
 )
@@ -88,10 +89,8 @@ class InternalModel:
 
 def minimal_polynomial_coeffs(s):
     """Coefficients (a_1..a_q) of the minimal polynomial of a simple-spectrum S."""
-    s = np.atleast_2d(np.asarray(s, dtype=float))
     # simple spectrum: minimal polynomial == characteristic polynomial
-    real_marginal_basis(s, require_simple=True)
-    coeffs = np.poly(np.linalg.eigvals(s))
+    coeffs = np.poly(marginal_eig(s, require_simple=True)[0])
     coeffs = np.real_if_close(coeffs, tol=1e6).real
     return tuple(float(c) for c in coeffs[1:])
 
@@ -363,7 +362,11 @@ def _passifying_gains(node, im, seed):
     k_x = -kappa * np.linalg.solve(c @ b, c)
     rng = np.random.default_rng(seed)
     # the certificate scale is free: pick the best-damped closed node, the
-    # first minimum of the spectral abscissa over these scales
+    # first minimum of the spectral abscissa over these scales.  The first
+    # attempt always succeeds: with P_s^{-1} B = C.T and P_g^{-1} G1 +
+    # G1.T P_g^{-1} = 0, LaSalle's principle and the controllability of
+    # (G1, G2) make the closed node Hurwitz at every scale, so the re-draw
+    # of G2 below never runs (tests pin this on a panel)
     scales = np.geomspace(1e-6, 1e6, 25)
     im_try = im
     for attempt in range(5):
@@ -830,16 +833,14 @@ def check_assumptions(network, exo):
             "F full column rank; G full row rank" if ok
             else "rank condition fails"))
 
-    lam = np.linalg.eigvals(exo.S)
-    re_max = float(np.abs(lam.real).max(initial=0.0))
     try:
-        real_marginal_basis(exo.S, require_simple=True)
-        results.append(CheckResult(
-            "A2", "exosystem", True, re_max,
-            f"spectrum {np.round(lam, 6)}"))
-    except Exception as exc:
-        results.append(CheckResult("A2", "exosystem", False, re_max,
-                                   str(exc)))
+        lam = marginal_eig(exo.S, require_simple=True)[0]
+        ok, detail = True, f"spectrum {np.round(lam, 6)}"
+    except SpectrumNotMarginal as exc:
+        lam, ok, detail = np.linalg.eigvals(exo.S), False, str(exc)
+    results.append(CheckResult("A2", "exosystem", ok,
+                               float(np.abs(lam.real).max(initial=0.0)),
+                               detail))
 
     edge_certs = []
     for j, edge in enumerate(network.edges):
@@ -884,9 +885,6 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
     g_s = g_b = g_q = None
     if regime in ("cooperation", "master_slave"):
         g_s, g_b, g_q = cooperation_reference_matrices(exo)
-    if regime == "sync" and not observable(exo.S, exo.Q_eta):
-        warnings.warn("(S, Q_eta) is not observable; the synchronization "
-                      "limit may not be asymptotically reached", stacklevel=2)
 
     p = network.p
     # built once; a failed build is not cached, so every node reports it
@@ -928,8 +926,10 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
         results.append(CheckResult(
             "A6", "references", norm <= ZERO_SUM_TOL, norm,
             "command initial conditions sum to zero" if norm <= ZERO_SUM_TOL
-            else f"command sum has norm {norm:.3e} (tracking will carry "
-                 f"the predicted common bias)"))
+            else f"command sum has norm {norm:.3e}: the nodes track with "
+                 f"the predicted common bias, and the output sum drifts "
+                 f"without limit (the bias drives the reference generator "
+                 f"at resonance)"))
 
     if failures:
         return results, None

@@ -12,6 +12,7 @@ from coopnet.analysis import (
     invariant_zeros,
     lemma1_certificate,
     lyapunov_solve,
+    marginal_eig,
     marginal_kernel_certificate,
     marginal_spectrum_certificate,
     spectral_abscissa,
@@ -165,6 +166,65 @@ def test_marginal_kernel_allows_repeated_copies():
     p = marginal_kernel_certificate(g1)
     assert np.linalg.eigvalsh(p)[0] > 0
     assert np.abs(g1 @ p + p @ g1.T).max() <= 1e-8
+
+
+def _real_basis_certificates(s):
+    """The certificates from the real basis ``sqrt(2) [Re x, Im x]`` of
+    each conjugate eigenpair (x real for a zero eigenvalue):
+    ``(V_r^{-T} V_r^{-1}, V_r V_r^T)``."""
+    lam, vec = np.linalg.eig(s)
+    cols = []
+    for k in np.flatnonzero(lam.imag >= 0):
+        x = vec[:, k]
+        cols += [np.sqrt(2.0) * x.real, np.sqrt(2.0) * x.imag] \
+            if lam[k].imag > 0 else [x.real]
+    v = np.column_stack(cols)
+    vi = np.linalg.inv(v)
+    return vi.T @ vi, v @ v.T
+
+
+def test_marginal_certificates_equal_the_real_basis_construction():
+    """V = V_r M with M unitary on each conjugate pair, so the complex
+    products equal the real-basis ones, the p-copy kernel included."""
+    from coopnet.scenarios import _random_marginal_exosystem
+    from coopnet.synthesis import p_copy_internal_model
+
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        s, _, _ = _random_marginal_exosystem(rng, q=int(rng.integers(1, 6)),
+                                             p=1)
+        p_eta = marginal_spectrum_certificate(s).P
+        assert np.abs(p_eta - _real_basis_certificates(s)[0]).max() <= \
+            1e-12 * np.abs(p_eta).max()
+        g1 = p_copy_internal_model(s, int(rng.integers(1, 3))).G1
+        p_g = marginal_kernel_certificate(g1)
+        assert np.abs(p_g - _real_basis_certificates(g1)[1]).max() <= \
+            1e-12 * np.abs(p_g).max()
+
+
+_R2 = np.array([[0.0, -2.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize("s", [
+    np.array([[0.0, 1.0], [0.0, 0.0]]),
+    np.block([[_R2, np.eye(2)], [np.zeros((2, 2)), _R2]]),
+], ids=["nilpotent", "rotation-jordan"])
+def test_defective_marginal_spectrum_rejected(s):
+    """A Jordan block on the imaginary axis has no marginal certificate:
+    its eigenvectors do not span."""
+    with pytest.raises(SpectrumNotMarginal, match="defective"):
+        marginal_eig(s, require_simple=False)
+    with pytest.raises(SpectrumNotMarginal, match="defective"):
+        marginal_kernel_certificate(s)
+    with pytest.raises(SpectrumNotMarginal):
+        marginal_spectrum_certificate(s)
+
+
+def test_marginal_eig_returns_the_decomposition():
+    s = scipy.linalg.block_diag(ROT, [[0.0]])
+    lam, v = marginal_eig(s)
+    assert np.allclose(s @ v, v * lam, atol=1e-9 * W)
+    assert sorted(np.round(lam.imag / W, 12)) == [-1.0, 0.0, 1.0]
 
 
 def test_build_exosystem_injection_matrix():
@@ -418,3 +478,4 @@ def test_sylvester_residuals_on_random_instances():
         bound = 1e-10 * (np.linalg.norm(a, 2) + np.linalg.norm(s, 2)) * \
             max(1.0, np.linalg.norm(x)) + 1e-12
         assert resid <= bound
+

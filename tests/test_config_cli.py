@@ -17,6 +17,8 @@ from coopnet.errors import ParseError, ValidationError
 from coopnet.scenarios import demo_power_network, random_network
 from coopnet.network import is_static
 
+from helpers import with_zero_sum
+
 
 def test_roundtrip_demo_scenario():
     scn = demo_power_network()
@@ -136,6 +138,27 @@ def test_cli_check_reports_unstable_edge(tmp_path, capsys):
     assert "A3" in out and "edge 1" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("zero_sum", [False, True], ids=["drift", "zero-sum"])
+def test_cli_check_a6_line(tmp_path, capsys, zero_sum):
+    """Commands that do not sum to zero leave a common bias that drives
+    the reference generator at resonance: the A6 line says the output sum
+    drifts, and it is a report, not a failed check."""
+    scn = random_network(200, regime="cooperation")
+    if zero_sum:
+        scn = with_zero_sum(scn)
+    cfg = tmp_path / "coop.cfg"
+    cfg.write_text(format_config(scn))
+    assert main(["check", "--config", str(cfg)]) == 0
+    a6 = [line for line in capsys.readouterr().out.splitlines()
+          if line.strip().startswith("A6")]
+    assert len(a6) == 1
+    if zero_sum:
+        assert "pass" in a6[0] and "sum to zero" in a6[0]
+    else:
+        assert "FAIL" in a6[0] and "common bias" in a6[0]
+        assert "output sum drifts without limit" in a6[0]
+
+
 def test_cli_role_of_an_unknown_node_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "roles.cfg"
     cfg.write_text(_demo_text(**{"3:master": "3:master 9:slave"}))
@@ -212,6 +235,16 @@ def test_cli_demo_short_horizon_fails_threshold(capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "threshold_node1" in out and "FAIL" in out
+
+
+def test_cli_demo_hint_names_the_run_horizon_and_mode(capsys):
+    """An overridden horizon that still fails is the one the hint names,
+    with the slowest error mode measured on the run."""
+    assert main(["demo", "--t-end", "2"]) == 2
+    hint = capsys.readouterr().out.splitlines()[-1]
+    assert hint.startswith("demo checks FAILED")
+    assert "at the 2 s horizon" in hint and "1 s" not in hint
+    assert "mode -1.1648 +/- 314.30j" in hint and "try --t-end 8" in hint
 
 
 def test_cli_demo_paper_horizon_passes(capsys):

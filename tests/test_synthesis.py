@@ -453,3 +453,30 @@ def test_p_copy_satisfies_divisibility_for_random_spectra():
             im = p_copy_internal_model(s, p)
             validate_internal_model(im, s)  # PBH + polynomial division
             assert im.G1.shape == (p * s.shape[0], p * s.shape[0])
+
+
+def test_unobservable_sync_exosystem_warns_once():
+    """(S, Q_eta) unobservable: build_exosystem warns, and the sync
+    assumption report does not repeat the warning."""
+    s = scipy.linalg.block_diag([[0.0, -1.0], [1.0, 0.0]],
+                                [[0.0, -2.0], [2.0, 0.0]])
+    q = np.array([[1.0, 0.0, 0.0, 0.0]])
+    scn = replace(random_network(100, regime="sync", q_exo=4), S=s,
+                  Q_eta=q, Q_v=q)
+    with pytest.warns(UserWarning, match="not observable") as record:
+        synthesis.assumption_report(scn.network(), scn.exosystem(), "sync")
+    assert len(record) == 1
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_passification_keeps_the_internal_model(regime):
+    """The internal-model re-draw of _passifying_gains never runs: the
+    closed node is Hurwitz at every certificate scale, so the first
+    attempt returns the model it was given."""
+    for seed, kw in [(s, kw) for s in range(3) for kw in (
+            {}, dict(n_nodes=5, m_edges=6, dims=3),
+            dict(n_nodes=4, m_edges=5, dims=3, p=2, q_exo=4))]:
+        scn = random_network(seed, regime=regime, **kw)
+        im = p_copy_internal_model(scn.S, scn.Q_eta.shape[0])
+        for i, node in enumerate(scn.nodes):
+            assert synthesis._passifying_gains(node, im, seed + i)[2] is im
