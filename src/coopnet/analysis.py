@@ -412,27 +412,6 @@ def marginal_kernel_certificate(g1):
     return p
 
 
-def lyapunov_kernel_basis(g1):
-    """Basis of symmetric solutions of ``G1 P + P G1.T = 0``."""
-    g1 = _as_square(g1, "G1")
-    c = g1.shape[0]
-    if c == 0:
-        return []
-    op = np.kron(np.eye(c), g1) + np.kron(g1, np.eye(c))
-    sym = []
-    for i in range(c):
-        for j in range(i, c):
-            e = np.zeros((c, c))
-            e[i, j] = e[j, i] = 1.0
-            sym.append(e.ravel())
-    bsym = np.array(sym).T
-    mat = op @ bsym
-    u, sv, vt = np.linalg.svd(mat)
-    cutoff = (sv > RANK_RTOL * max(1.0, sv.max())).sum() if sv.size else 0
-    null = vt.T[:, cutoff:]
-    return [(bsym @ null[:, k]).reshape(c, c) for k in range(null.shape[1])]
-
-
 # ---------------------------------------------------------------------------
 # strict positive realness
 

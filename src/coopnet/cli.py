@@ -72,10 +72,6 @@ def _apply_overrides(scn, args):
     return scn
 
 
-def _realize(scn, seed):
-    return scenarios.realize(scn, seed=seed)
-
-
 def _fmt_mat(mat):
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     return " | ".join("; ".join(f"{v:.10g}" for v in row) for row in mat)
@@ -154,7 +150,7 @@ def cmd_check(args):
     network, exo = scn.network(), scn.exosystem()
     results, cset = assumption_report(
         network, exo, scn.regime, roles=scn.roles, eps=scn.eps,
-        gains=scn.gains, seed=args.seed, nu0=scn.nu0 or None)
+        gains=scn.gains, nu0=scn.nu0 or None)
     print(f"assumption report for scenario {scn.name!r} "
           f"(regime {scn.regime}, eps {scn.eps:g})")
     for r in results:
@@ -169,7 +165,7 @@ def cmd_check(args):
 
 def cmd_synth(args):
     scn = _apply_overrides(_load_scenario(args.config), args)
-    rz = _realize(scn, args.seed)
+    rz = scenarios.realize(scn)
     lines = [f"synthesized controllers for {scn.name!r} "
              f"(regime {scn.regime})"]
     for i, ctrl in enumerate(rz.cset.controllers, start=1):
@@ -203,7 +199,7 @@ def cmd_synth(args):
 
 def cmd_eps(args):
     scn = _load_scenario(args.config)
-    rz = _realize(scn, args.seed)
+    rz = scenarios.realize(scn)
     eps_hi = args.eps if args.eps is not None else 1000.0
     est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=eps_hi)
     print(f"coupling-gain boundary for {scn.name!r} (ceiling {eps_hi:g})")
@@ -230,7 +226,7 @@ def cmd_eps(args):
 
 def cmd_simulate(args):
     scn = _apply_overrides(_load_scenario(args.config), args)
-    rz = _realize(scn, args.seed)
+    rz = scenarios.realize(scn)
     x0 = initial_state(rz.cl, nu0=scn.nu0, eta0=scn.eta0,
                        etabar0=scn.etabar0)
     result = integrate(rz.cl, x0, t_end=scn.t_end, dt=scn.dt,
@@ -277,7 +273,7 @@ def cmd_demo(args):
               getattr(args, "eps", None) in (None, scn.eps))
     scn = _apply_overrides(scn, args)
     # realize raises AssumptionFailed (exit 1) when any check fails
-    rz = _realize(scn, args.seed)
+    rz = scenarios.realize(scn)
     print(f"demo scenario {scn.name!r}: assumption checks all passed")
 
     from .analysis import rightmost_eigenvalue
@@ -354,7 +350,8 @@ def build_parser():
                        default=None if config_required else "power_network",
                        help="built-in scenario name or config file path")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for synthesis searches")
+                       help="accepted and ignored: no synthesis step is "
+                            "random")
         p.add_argument("--eps", type=float, default=None,
                        help="coupling gain override (search ceiling for "
                             "the eps command)")

@@ -28,6 +28,17 @@ _TOPO_KEYS = {"H"}
 _REF_RE = re.compile(r"^(nu|eta|etabar)(\d+)$")
 
 
+def _parse_number(text, field, kind=float):
+    """One finite ``kind`` value, else ValidationError naming ``field``."""
+    try:
+        val = kind(text)
+    except ValueError as exc:
+        raise ValidationError(field, f"bad number {text!r}") from exc
+    if not np.isfinite(val):
+        raise ValidationError(field, f"non-finite value {text!r}")
+    return val
+
+
 def _parse_matrix(text, field):
     rows = []
     for row_text in text.split("|"):
@@ -36,13 +47,7 @@ def _parse_matrix(text, field):
         for e in entries:
             if not e:
                 raise ValidationError(field, "empty matrix entry")
-            try:
-                val = float(e)
-            except ValueError as exc:
-                raise ValidationError(field, f"bad number {e!r}") from exc
-            if not np.isfinite(val):
-                raise ValidationError(field, f"non-finite entry {e!r}")
-            row.append(val)
+            row.append(_parse_number(e, field))
         rows.append(row)
     if len({len(r) for r in rows}) != 1:
         raise ValidationError(field, "ragged matrix rows")
@@ -158,7 +163,8 @@ def parse_config(text):
 
     name = need(scenario_kv, "name", "scenario.name")
     regime = need(scenario_kv, "regime", "scenario.regime")
-    eps = float(need(scenario_kv, "eps", "scenario.eps"))
+    eps = _parse_number(need(scenario_kv, "eps", "scenario.eps"),
+                        "scenario.eps")
     roles = None
     if "roles" in scenario_kv:
         roles = {}
@@ -256,21 +262,16 @@ def parse_config(text):
             vec = _parse_matrix(value, f"references.{key}").ravel()
             {"nu": nu0, "eta": eta0, "etabar": etabar0}[kind][idx] = vec
 
-    dt, t_end, store_every = 1e-3, 1.0, None
-    if sim_kv:
-        if "dt" in sim_kv:
-            dt = float(sim_kv["dt"][0])
-        if "t_end" in sim_kv:
-            t_end = float(sim_kv["t_end"][0])
-        if "store_every" in sim_kv:
-            store_every = int(sim_kv["store_every"][0])
+    sim = {"dt": 1e-3, "t_end": 1.0, "store_every": None}
+    for key, (value, _) in (sim_kv or {}).items():
+        sim[key] = _parse_number(value, f"simulation.{key}",
+                                 int if key == "store_every" else float)
 
     scn = Scenario(
         name=name, nodes=tuple(nodes), edges=tuple(edges),
         edge_ends=tuple(edge_ends), S=s_mat, Q_eta=q_eta, Q_v=q_v,
         P_eta=p_eta, regime=regime, roles=roles, gains=gains, eps=eps,
-        nu0=nu0, eta0=eta0, etabar0=etabar0, dt=dt, t_end=t_end,
-        store_every=store_every).validate()
+        nu0=nu0, eta0=eta0, etabar0=etabar0, **sim).validate()
 
     if topo_kv and "H" in topo_kv:
         h = _parse_matrix(topo_kv["H"][0], "topology.H")

@@ -90,14 +90,14 @@ class Realized:
     cl: object
 
 
-def realize(scn, eps=None, seed=0):
+def realize(scn, eps=None):
     """Build controllers, regulation maps and the closed loop for a scenario."""
     scn.validate()
     network = scn.network()
     exo = scn.exosystem()
     eps_val = scn.eps if eps is None else float(eps)
     cset = build_controllers(network, exo, scn.regime, roles=scn.roles,
-                             eps=eps_val, gains=scn.gains, seed=seed)
+                             eps=eps_val, gains=scn.gains)
     maps = build_maps(network, cset)
     cl = assemble(scn.regime, network, cset, maps)
     return Realized(scenario=scn, network=network, cset=cset, maps=maps,

@@ -18,11 +18,11 @@ from .analysis import (
     Exosystem,
     PASSIVITY_TOL,
     STRICT_MARGIN,
+    _rank_c,
     _sym,
     controllable,
     hyper_min_phase_check,
     is_hurwitz,
-    lyapunov_kernel_basis,
     lyapunov_solve,
     marginal_eig,
     marginal_kernel_certificate,
@@ -57,6 +57,8 @@ REGIMES = ("tracking", "sync", "cooperation", "master_slave")
 MAP_IDENTITY_TOL = 1e-8
 #: largest output-feedback gain kappa that passify_node tries
 KAPPA_MAX = 2 ** 24
+#: scales of G1's marginal-kernel certificate that passify_node damps with
+CERTIFICATE_SCALES = np.geomspace(1e-6, 1e6, 25)
 #: norm below which the cooperation commands count as summing to zero
 ZERO_SUM_TOL = 1e-10
 
@@ -67,12 +69,13 @@ ZERO_SUM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class InternalModel:
-    """p parallel copies of the reference dynamics in companion form.
+    """p parallel copies of the reference dynamics, in any coordinates.
 
-    ``G1`` is block diagonal with p copies of the companion matrix of the
-    reference generator's minimal polynomial; ``G2`` stacks the matching
-    unit input columns.  ``minimal_poly_coeffs`` holds (a_1, ..., a_q) of
-    lambda^q + a_1 lambda^{q-1} + ... + a_q.
+    :func:`p_copy_internal_model` builds ``G1`` block diagonal with p
+    companion blocks of the reference generator's minimal polynomial and
+    ``G2`` with the matching unit input columns; a supplied model only has
+    to pass :func:`validate_internal_model`.  ``minimal_poly_coeffs`` holds
+    (a_1, ..., a_q) of lambda^q + a_1 lambda^{q-1} + ... + a_q.
     """
 
     G1: np.ndarray
@@ -88,23 +91,17 @@ class InternalModel:
 
 
 def minimal_polynomial_coeffs(s):
-    """Coefficients (a_1..a_q) of the minimal polynomial of a simple-spectrum S."""
-    # simple spectrum: minimal polynomial == characteristic polynomial
-    coeffs = np.poly(marginal_eig(s, require_simple=True)[0])
-    coeffs = np.real_if_close(coeffs, tol=1e6).real
+    """Coefficients (a_1..a_q) of the minimal polynomial of a marginal,
+    simple-spectrum S: the product of lambda^2 + w^2 over its eigenvalues
+    i w with w > 0, times lambda when q is odd, so a_1, a_3, ... are
+    exactly 0."""
+    lam = marginal_eig(s, require_simple=True)[0]
+    coeffs = np.ones(1)
+    for w in lam.imag[lam.imag > 0]:
+        coeffs = np.convolve(coeffs, [1.0, 0.0, w * w])
+    if lam.size % 2:
+        coeffs = np.append(coeffs, 0.0)
     return tuple(float(c) for c in coeffs[1:])
-
-
-def companion_pair(coeffs):
-    """Controllable-canonical (alpha, beta) for lambda^q + a_1 ... + a_q."""
-    q = len(coeffs)
-    alpha = np.zeros((q, q))
-    if q > 1:
-        alpha[:-1, 1:] = np.eye(q - 1)
-    alpha[-1, :] = -np.asarray(coeffs, dtype=float)[::-1]
-    beta = np.zeros((q, 1))
-    beta[-1, 0] = 1.0
-    return alpha, beta
 
 
 def p_copy_internal_model(s, p):
@@ -118,45 +115,45 @@ def p_copy_internal_model(s, p):
     if p < 1:
         raise ValidationError("p", "need at least one copy")
     coeffs = minimal_polynomial_coeffs(s)
-    alpha, beta = companion_pair(coeffs)
-    g1 = np.kron(np.eye(p), alpha)
-    g2 = np.kron(np.eye(p), beta)
-    im = InternalModel(G1=g1, G2=g2, copies=int(p), block_dim=len(coeffs),
-                       minimal_poly_coeffs=coeffs)
-    validate_internal_model(im, np.atleast_2d(np.asarray(s, dtype=float)))
-    return im
+    q = len(coeffs)
+    alpha = np.eye(q, k=1)
+    alpha[-1] = -np.asarray(coeffs)[::-1]
+    return internal_model_from_matrices(np.kron(np.eye(p), alpha),
+                                        np.kron(np.eye(p), np.eye(q)[:, -1:]),
+                                        s)
 
 
 def internal_model_from_matrices(g1, g2, s):
-    """Wrap user-supplied (G1, G2) after checking the internal-model property.
-
-    Checks controllability of (G1, G2) and that the minimal polynomial of
-    ``s`` divides the characteristic polynomial of G1.
-    """
+    """Wrap (G1, G2), with as many copies as G2 has columns, after
+    :func:`validate_internal_model`."""
     g1 = np.atleast_2d(np.asarray(g1, dtype=float))
     g2 = np.atleast_2d(np.asarray(g2, dtype=float))
     s = np.atleast_2d(np.asarray(s, dtype=float))
     coeffs = minimal_polynomial_coeffs(s)
-    copies = g2.shape[1]
-    im = InternalModel(G1=g1, G2=g2, copies=copies, block_dim=len(coeffs),
-                       minimal_poly_coeffs=coeffs)
-    validate_internal_model(im, s)
-    return im
+    im = InternalModel(G1=g1, G2=g2, copies=g2.shape[1],
+                       block_dim=len(coeffs), minimal_poly_coeffs=coeffs)
+    return validate_internal_model(im, s)
 
 
 def validate_internal_model(im, s):
-    """Controllability plus divisibility of char(G1) by minpoly(S)."""
+    """PBH controllability of (G1, G2) and the p-copy condition: every
+    eigenvalue lambda of S has ``rank(lambda I - G1) <= c - copies``.
+
+    Raises
+    ------
+    InternalModelViolated
+        If (G1, G2) is not controllable, or G1 lacks a copy of an
+        eigenvalue of S (the message names it).
+    """
     if not controllable(im.G1, im.G2):
         raise InternalModelViolated("(G1, G2) is not controllable")
-    char = np.poly(np.linalg.eigvals(im.G1))
-    char = np.real_if_close(char, tol=1e6).real
-    minpoly = np.concatenate([[1.0], np.asarray(im.minimal_poly_coeffs)])
-    _, rem = np.polydiv(char, minpoly)
-    scale = max(1.0, np.abs(char).max())
-    if rem.size and np.abs(rem).max() > 1e-10 * scale:
-        raise InternalModelViolated(
-            "reference minimal polynomial does not divide char(G1) "
-            f"(remainder {np.abs(rem).max():.2e})")
+    eye = np.eye(im.c)
+    for lam in marginal_eig(s, require_simple=True)[0]:
+        held = im.c - _rank_c(lam * eye - im.G1)
+        if held < im.copies:
+            raise InternalModelViolated(
+                f"G1 holds {held} of {im.copies} copies of the reference "
+                f"eigenvalue {lam:.6g}: copy {held + 1} is missing")
     return im
 
 
@@ -316,7 +313,7 @@ def _storage_test(a, b, c):
     return storage
 
 
-def passify_node(node, im, exo, seed=0):
+def passify_node(node, im, exo):
     """Design passifying gains for a direct-coupling node (``D_in == B``).
 
     Output feedback ``K_x = -kappa (C B)^{-1} C`` with the first kappa of
@@ -332,15 +329,15 @@ def passify_node(node, im, exo, seed=0):
         If the node fails the relative-degree-one / stable-zeros test.
     SynthesisFailed
         If no kappa of the lattice admits a storage in the family (proven
-        for each), or no internal-model completion gives a Hurwitz node.
+        for each), or no certificate scale gives a Hurwitz closed node.
     """
-    k_x, k_zeta, im, phat = _passifying_gains(node, im, seed)
+    k_x, k_zeta, phat = _passifying_gains(node, im)
     return make_node_controller(node, "tracking", k_x, k_zeta, im,
                                 exo.Q_eta, phat)
 
 
-def _passifying_gains(node, im, seed):
-    """Gains, internal model and unverified storage of passify_node."""
+def _passifying_gains(node, im):
+    """Gains and unverified storage of passify_node."""
     a, b, c = node.A, node.B, node.C
     if node.D_in is None or node.D_in.shape != b.shape or \
             np.abs(node.D_in - b).max() > 0:
@@ -360,41 +357,26 @@ def _passifying_gains(node, im, seed):
                 f"storage blkdiag(sym(C B), rho P2) with margin "
                 f"{STRICT_MARGIN:g}")
     k_x = -kappa * np.linalg.solve(c @ b, c)
-    rng = np.random.default_rng(seed)
     # the certificate scale is free: pick the best-damped closed node, the
-    # first minimum of the spectral abscissa over these scales.  The first
-    # attempt always succeeds: with P_s^{-1} B = C.T and P_g^{-1} G1 +
-    # G1.T P_g^{-1} = 0, LaSalle's principle and the controllability of
-    # (G1, G2) make the closed node Hurwitz at every scale, so the re-draw
-    # of G2 below never runs (tests pin this on a panel)
-    scales = np.geomspace(1e-6, 1e6, 25)
-    im_try = im
-    for attempt in range(5):
-        p_g_base = marginal_kernel_certificate(im_try.G1)
-        ahat = hat_matrices(node, k_x, np.zeros((node.m, im_try.c)),
-                            im_try)[0]
-        stack = np.repeat(ahat[None], len(scales), axis=0)
-        for a_rho, rho in zip(stack, scales):
-            a_rho[:node.n, node.n:] = node.B @ -np.linalg.solve(
-                (rho * p_g_base).T, im_try.G2).T
-        absc = np.linalg.eigvals(stack).real.max(axis=1)
-        best = int(np.argmin(absc))
-        if absc[best] < 0:
-            p_g = scales[best] * p_g_base
-            k_zeta = -np.linalg.solve(p_g.T, im_try.G2).T
-            break
-        # marginal modes unobservable through K_zeta: re-draw G2
-        g2 = im_try.G2 + 0.05 * rng.standard_normal(im_try.G2.shape)
-        if not controllable(im_try.G1, g2):
-            continue
-        im_try = InternalModel(
-            G1=im_try.G1, G2=g2, copies=im_try.copies,
-            block_dim=im_try.block_dim,
-            minimal_poly_coeffs=im_try.minimal_poly_coeffs)
-    else:
+    # first minimum of the spectral abscissa over these scales.  With
+    # P_s^{-1} B = C.T and P_g^{-1} G1 + G1.T P_g^{-1} = 0, LaSalle's
+    # principle and the controllability of (G1, G2) make the closed node
+    # Hurwitz at every scale (tests pin this on a panel)
+    p_g_base = marginal_kernel_certificate(im.G1)
+    stack = np.repeat(hat_matrices(node, k_x, np.zeros((node.m, im.c)),
+                                   im)[0][None], len(CERTIFICATE_SCALES), 0)
+    for a_rho, rho in zip(stack, CERTIFICATE_SCALES):
+        a_rho[:node.n, node.n:] = node.B @ -np.linalg.solve(
+            (rho * p_g_base).T, im.G2).T
+    absc = np.linalg.eigvals(stack).real.max(axis=1)
+    best = int(np.argmin(absc))
+    if absc[best] >= 0:
         raise SynthesisFailed(
-            "closed node not Hurwitz for any internal-model completion")
-    return k_x, k_zeta, im_try, _sym(np.linalg.inv(block_diag([p_s, p_g])))
+            f"closed node not Hurwitz at any certificate scale (best "
+            f"spectral abscissa {absc[best]:.3e})")
+    p_g = CERTIFICATE_SCALES[best] * p_g_base
+    k_zeta = -np.linalg.solve(p_g.T, im.G2).T
+    return k_x, k_zeta, _sym(np.linalg.inv(block_diag([p_s, p_g])))
 
 
 def verify_A5(node, k_x, k_zeta, im, phat=None):
@@ -402,9 +384,9 @@ def verify_A5(node, k_x, k_zeta, im, phat=None):
 
     When ``phat`` is given it is checked directly.  Otherwise a certificate
     is synthesized in the block-diagonal storage family of the constructive
-    design: P_g is recovered from ``K_zeta P_g = -G2.T`` inside the
-    marginal Lyapunov kernel of G1, and P_s by the exact test of
-    :func:`_storage_test` with the supplied K_x.
+    design: P_g is recovered from ``K_zeta P_g = -G2.T`` on the
+    eigenvectors of G1 (see :func:`_gain_storage`), and P_s by the exact
+    test of :func:`_storage_test` with the supplied K_x.
 
     Returns the passivity Certificate (storage form).
 
@@ -430,14 +412,24 @@ def _gain_storage(node, k_x, k_zeta, im):
             "indirect coupling (D_in != B): supply the certificate "
             "explicitly")
 
-    # P_g from the marginal kernel, pinned by the supplied K_zeta
-    basis = lyapunov_kernel_basis(im.G1)
-    if not basis:
-        raise CertificateFailed("marginal Lyapunov kernel of G1 is empty")
-    cols = np.column_stack([(k_zeta @ m).ravel() for m in basis])
-    target = (-im.G2.T).ravel()
-    theta, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    p_g = _sym(sum(t * m for t, m in zip(theta, basis)))
+    # P_g = Re(V D V^H) solves G1 P + P G1.T = 0 exactly when D commutes
+    # with the imaginary diag(lam): D is block diagonal on each group J of
+    # equal eigenvalues, and K_zeta P_g = -G2.T pins each block,
+    # (K_zeta V_J) D_JJ = -G2.T V^{-H}_J
+    try:
+        lam, v = marginal_eig(im.G1, require_simple=False)
+    except SpectrumNotMarginal as exc:
+        raise CertificateFailed(f"G1 has no marginal storage: {exc}") \
+            from None
+    vih = np.linalg.inv(v).conj().T
+    same = np.abs(lam[:, None] - lam[None, :]) <= \
+        1e-8 * max(1.0, np.abs(lam).max(initial=0.0))
+    d = np.zeros((im.c, im.c), dtype=complex)
+    for group in {tuple(np.flatnonzero(row)) for row in same}:
+        j = list(group)
+        d[np.ix_(j, j)] = np.linalg.lstsq(
+            k_zeta @ v[:, j], -im.G2.T @ vih[:, j], rcond=None)[0]
+    p_g = _sym((v @ d @ v.conj().T).real)
     resid = np.abs(k_zeta @ p_g + im.G2.T).max()
     if resid > 1e-8 * max(1.0, np.abs(im.G2).max()):
         raise CertificateFailed(
@@ -865,7 +857,7 @@ def check_assumptions(network, exo):
 
 
 def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
-                      seed=0, nu0=None):
+                      nu0=None):
     """Run every assumption check and attempt the controller construction.
 
     Raises only what :func:`assign_roles` raises, before any check runs;
@@ -898,14 +890,11 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
             NODE_ROLES[role].generator == "exo_state" else g_q
         try:
             supplied = gains.get(i + 1)
-            if supplied is None:
-                k_x, k_zeta, im, phat = _passifying_gains(
-                    node, shared_im(), seed + i)
-            else:
-                im = shared_im() if supplied.G1 is None \
-                    else internal_model_from_matrices(supplied.G1,
-                                                      supplied.G2, exo.S)
-                k_x, k_zeta, phat = supplied.K_x, supplied.K_zeta, None
+            im = shared_im() if supplied is None or supplied.G1 is None \
+                else internal_model_from_matrices(supplied.G1, supplied.G2,
+                                                  exo.S)
+            k_x, k_zeta, phat = _passifying_gains(node, im) \
+                if supplied is None else (supplied.K_x, supplied.K_zeta, None)
             ctrl = make_node_controller(node, role, k_x, k_zeta, im, ref_q,
                                         phat)
             controllers.append(ctrl)
@@ -960,9 +949,11 @@ def build_controllers(network, exo, regime, roles=None, eps=0.0, gains=None,
         Shared coupling gain stored on the controller set.
     gains : dict, optional
         1-based node id -> NodeGains for externally supplied gains.
+    seed : int
+        Accepted and ignored: no synthesis step is random.
     """
     results, cset = assumption_report(network, exo, regime, roles=roles,
-                                      eps=eps, gains=gains, seed=seed)
+                                      eps=eps, gains=gains)
     if cset is None:
         raise AssumptionFailed([r for r in results if not r.passed])
     return cset

@@ -150,7 +150,7 @@ def test_criterion_2_internal_model_identity():
         exo = build_exosystem(s, q_eta, q_v)
         node = _random_node(rng, n=int(rng.integers(1, 4)), p=1)
         im = p_copy_internal_model(exo.S, 1)
-        ctrl = passify_node(node, im, exo, seed=seed)
+        ctrl = passify_node(node, im, exo)
         pi = regulator_map(ctrl.Ahat, ctrl.Dhat_ref, ctrl.Chat, exo.S,
                            exo.Q_eta)
         worst = max(worst, np.abs(ctrl.Chat @ pi - exo.Q_eta).max())

@@ -113,6 +113,27 @@ def test_bad_number_rejected():
         parse_config(text)
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("eps = 20", "eps = twenty", "scenario.eps"),
+    ("eps = 20", "eps = nan", "scenario.eps"),
+    ("dt = 9.9999999999999995e-07", "dt = 1e-6s", "simulation.dt"),
+    ("t_end = 1", "t_end = one", "simulation.t_end"),
+    ("t_end = 1", "t_end = inf", "simulation.t_end"),
+    ("t_end = 1", "t_end = 1\nstore_every = 2.5", "simulation.store_every"),
+], ids=["eps", "eps-nan", "dt", "t_end", "t_end-inf", "store_every"])
+def test_bad_scalar_names_field(tmp_path, capsys, old, new, field):
+    """A malformed or non-finite scalar is a configuration error (exit 3)
+    that names its field."""
+    text = _demo_text(**{old: new})
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text)
+    assert exc.value.field == field
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["check", "--config", str(cfg)]) == 3
+    assert field in capsys.readouterr().err
+
+
 def test_ground_node_with_matrices_rejected():
     text = _demo_text(**{"ground = true": "ground = true\nA = 0"})
     with pytest.raises(ValidationError):
@@ -511,6 +532,26 @@ def test_benchmark_hooks_resolve(monkeypatch):
     for module, attr, *_ in pipelines.CLI_CALLS:
         assert callable(getattr(module, attr, None)), \
             f"{module.__name__}.{attr}"
+
+
+def test_benchmark_calls_into_coopnet_resolve(monkeypatch):
+    """perfbench's command lines parse, and its library pipeline runs on
+    one network: a dropped option or keyword would fail every benchmark
+    run."""
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import gates
+    import pipelines
+    import spans
+
+    from coopnet.cli import build_parser
+
+    for make_argv in gates.CLI_ARGS.values():
+        build_parser().parse_args(make_argv(7, "out"))
+    case = pipelines.random_n5_cases(0)[0]
+    ok, detail = pipelines.check_network(
+        case, pipelines.network_pipeline(spans.OFF, case))
+    assert ok, detail
 
 
 def test_demo_prediction_loads_no_scipy():

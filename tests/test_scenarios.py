@@ -94,6 +94,15 @@ def test_generated_scenarios_pass_all_checks_for_100_seeds():
             assert np.abs(cert.P @ edge.B - edge.C.T).max() <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [22, 23, 25])
+def test_five_dimensional_exosystem_realizes(seed):
+    """A q = 5 spectrum's minimal polynomial has exact zero coefficients,
+    so the companion internal model's storage certificate holds."""
+    rz = realize(random_network(seed, q_exo=5))
+    assert all(c.im.minimal_poly_coeffs[0::2] == (0.0, 0.0, 0.0)
+               for c in rz.cset.controllers)
+
+
 def test_zero_sum_helper():
     scn = with_zero_sum(random_network(seed=8, regime="cooperation"))
     total = sum(np.asarray(v) for v in scn.nu0.values())

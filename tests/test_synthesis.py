@@ -90,6 +90,46 @@ def test_user_internal_model_rejects_wrong_spectrum():
         internal_model_from_matrices(other, [[0.0], [1.0]], ROT)
 
 
+def test_user_internal_model_rejects_a_missing_copy():
+    """G1 = companion(S) (+) rot(5) holds S's spectrum once: with two
+    inputs (p = 2) and (G1, G2) controllable, the second copy is missing."""
+    alpha = p_copy_internal_model(ROT, p=1).G1
+    g1 = scipy.linalg.block_diag(alpha, [[0.0, -5.0], [5.0, 0.0]])
+    g2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    assert controllable(g1, g2)
+    with pytest.raises(InternalModelViolated,
+                       match="holds 1 of 2 copies .* copy 2 is missing"):
+        internal_model_from_matrices(g1, g2, ROT)
+
+
+def test_minimal_polynomial_zero_coefficients_are_exact():
+    """A spectrum symmetric about the real axis and on the imaginary axis
+    makes every coefficient a_1, a_3, ... exactly 0; the others match
+    numpy's characteristic polynomial."""
+    from coopnet.scenarios import _random_marginal_exosystem
+
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        s = _random_marginal_exosystem(rng, q=1 + seed % 6, p=1)[0]
+        coeffs = synthesis.minimal_polynomial_coeffs(s)
+        assert len(coeffs) == s.shape[0]
+        assert all(c == 0.0 for c in coeffs[0::2])
+        ref = np.poly(np.linalg.eigvals(s)).real[1:]
+        assert np.abs(np.array(coeffs) - ref).max() <= \
+            1e-9 * np.abs(ref).max(initial=1.0)
+
+
+def test_gain_storage_names_a_non_marginal_g1():
+    """A supplied G1 with a stable extra mode passes the copy condition
+    but has no marginal storage: the failure is a certificate failure."""
+    alpha = p_copy_internal_model(ROT, p=1).G1
+    g1 = scipy.linalg.block_diag(alpha, [[-1.0]])
+    im = internal_model_from_matrices(g1, [[0.0], [1.0], [1.0]], ROT)
+    node = node_system(A=[[0.0]], B=[[1.0]], C=[[1.0]])
+    with pytest.raises(CertificateFailed, match="G1 has no marginal storage"):
+        synthesis._gain_storage(node, [[-1.0]], [[0.0, -1.0, -1.0]], im)
+
+
 # ---------------------------------------------------------------------------
 # passification
 
@@ -153,7 +193,7 @@ def test_passify_satisfies_storage_clauses():
     im = p_copy_internal_model(ROT, p=1)
     for seed in range(10):
         node = random_panel_node(seed)
-        assert_storage_clauses(node, passify_node(node, im, exo, seed=seed))
+        assert_storage_clauses(node, passify_node(node, im, exo))
 
 
 def family_has_storage(node, kappa):
@@ -188,7 +228,7 @@ def test_exact_kappa_is_the_first_feasible_lattice_point(seed):
     exo = rot_exo()
     im = p_copy_internal_model(ROT, p=1)
     node = random_panel_node(seed)
-    ctrl = passify_node(node, im, exo, seed=seed)
+    ctrl = passify_node(node, im, exo)
     assert_storage_clauses(node, ctrl)
     kappa = float(-(ctrl.K_x @ node.B)[0, 0])
     assert family_has_storage(node, kappa)
@@ -206,7 +246,7 @@ def test_verify_proves_a_state_loop_infeasible():
     im = p_copy_internal_model(ROT, p=1)
     node = random_panel_node(8)
     assert node.n > node.p
-    ctrl = passify_node(node, im, exo, seed=8)
+    ctrl = passify_node(node, im, exo)
     assert np.allclose(ctrl.K_x @ node.B, [[-2.0]])
     verify_A5(node, ctrl.K_x, ctrl.K_zeta, ctrl.im)
     k_x = -np.linalg.solve(node.C @ node.B, node.C)
@@ -298,7 +338,7 @@ def test_regulator_identity_on_random_passified_nodes():
     im = p_copy_internal_model(ROT, p=1)
     for seed in range(20):
         node = random_panel_node(seed)
-        ctrl = passify_node(node, im, exo, seed=seed)
+        ctrl = passify_node(node, im, exo)
         pi = regulator_map(ctrl.Ahat, ctrl.Dhat_ref, ctrl.Chat, exo.S,
                            exo.Q_eta)
         assert np.abs(ctrl.Chat @ pi - exo.Q_eta).max() <= 1e-8
@@ -441,18 +481,19 @@ def test_static_node_requires_master_role():
                           gains=scn.gains)
 
 
-def test_p_copy_satisfies_divisibility_for_random_spectra():
+def test_p_copy_satisfies_the_copy_condition_for_random_spectra():
+    from coopnet.analysis import marginal_kernel_certificate
     from coopnet.scenarios import _random_marginal_exosystem
     from coopnet.synthesis import validate_internal_model
 
-    for seed in range(10):
+    for seed in range(30):
         rng = np.random.default_rng(seed)
-        s, _, _ = _random_marginal_exosystem(rng, q=int(rng.integers(1, 5)),
-                                             p=1)
-        for p in (1, 2):
+        s, _, _ = _random_marginal_exosystem(rng, q=1 + seed % 6, p=1)
+        for p in (1, 2, 3):
             im = p_copy_internal_model(s, p)
-            validate_internal_model(im, s)  # PBH + polynomial division
+            validate_internal_model(im, s)  # PBH + rank(lam I - G1) <= c - p
             assert im.G1.shape == (p * s.shape[0], p * s.shape[0])
+            marginal_kernel_certificate(im.G1)
 
 
 def test_unobservable_sync_exosystem_warns_once():
@@ -468,15 +509,56 @@ def test_unobservable_sync_exosystem_warns_once():
     assert len(record) == 1
 
 
+#: the passification panel: (random_network seed, size keywords)
+PASSIFY_PANEL = [(seed, kw) for seed in range(3) for kw in (
+    {}, dict(n_nodes=5, m_edges=6, dims=3),
+    dict(n_nodes=4, m_edges=5, dims=3, p=2, q_exo=4))]
+
+
 @pytest.mark.parametrize("regime", REGIMES)
-def test_passification_keeps_the_internal_model(regime):
-    """The internal-model re-draw of _passifying_gains never runs: the
-    closed node is Hurwitz at every certificate scale, so the first
-    attempt returns the model it was given."""
-    for seed, kw in [(s, kw) for s in range(3) for kw in (
-            {}, dict(n_nodes=5, m_edges=6, dims=3),
-            dict(n_nodes=4, m_edges=5, dims=3, p=2, q_exo=4))]:
+def test_closed_node_hurwitz_at_every_certificate_scale(regime):
+    """With P_s^{-1} B = C.T and G1's marginal-kernel storage, the closed
+    node is Hurwitz at every scale passify_node tries, so the scale search
+    cannot come back empty."""
+    from coopnet.analysis import marginal_kernel_certificate
+
+    for seed, kw in PASSIFY_PANEL:
         scn = random_network(seed, regime=regime, **kw)
         im = p_copy_internal_model(scn.S, scn.Q_eta.shape[0])
-        for i, node in enumerate(scn.nodes):
-            assert synthesis._passifying_gains(node, im, seed + i)[2] is im
+        p_g = marginal_kernel_certificate(im.G1)
+        for node in scn.nodes:
+            k_x = synthesis._passifying_gains(node, im)[0]
+            for rho in synthesis.CERTIFICATE_SCALES:
+                k_zeta = -np.linalg.solve(rho * p_g, im.G2).T
+                ahat = hat_matrices(node, k_x, k_zeta, im)[0]
+                assert spectral_abscissa(ahat) < 0, (seed, kw, rho)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_recovers_the_two_copy_storage(seed):
+    """verify_A5 without a certificate recovers the P_g passify_node
+    built, for a two-copy internal model (p = 2); a P_g = M (x) P_0 that
+    mixes the copies (M > 0 not diagonal) from the K_zeta it gives; and
+    T P_g T.T for the model in coordinates zeta' = T zeta, where the
+    repeated eigenvalues of G1 are no longer bit-equal."""
+    from coopnet.analysis import marginal_kernel_certificate
+
+    scn = random_network(seed, n_nodes=4, m_edges=5, dims=3, p=2, q_exo=4)
+    exo = scn.exosystem()
+    im = p_copy_internal_model(scn.S, 2)
+    mixed = np.kron([[2.0, 1.0], [1.0, 1.0]],
+                    marginal_kernel_certificate(im.G1[:4, :4]))
+    t = np.eye(8) + 0.3 * np.random.default_rng(seed).standard_normal((8, 8))
+    im_t = internal_model_from_matrices(t @ im.G1 @ np.linalg.inv(t),
+                                        t @ im.G2, scn.S)
+    for node in scn.nodes:
+        ctrl = passify_node(node, im, exo)
+        n = node.n
+        p_g = np.linalg.inv(ctrl.Phat.P)[n:, n:]
+        for model, k_zeta, want in (
+                (im, ctrl.K_zeta, p_g),
+                (im, -np.linalg.solve(mixed, im.G2).T, mixed),
+                (im_t, ctrl.K_zeta @ np.linalg.inv(t), t @ p_g @ t.T)):
+            cert = verify_A5(node, ctrl.K_x, k_zeta, model)
+            got = np.linalg.inv(cert.P)[n:, n:]
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
