@@ -15,10 +15,10 @@ from .analysis import (
     LtiSystem,
     build_exosystem,
     edge_system,
-    hyper_min_phase_check,
     lemma1_certificate,
     lyapunov_solve,
     marginal_spectrum_certificate,
+    node_normal_form,
     node_system,
     spectral_abscissa,
     spr_certificate,
@@ -66,9 +66,9 @@ __all__ = [
     "assemble", "assemble_weighted_blocks", "build_controllers",
     "build_exosystem", "build_maps", "check_connected", "complement_basis",
     "demo_power_network", "edge_system", "epsilon_star", "error_metrics",
-    "hyper_min_phase_check", "incidence_from_edge_list", "initial_state",
-    "integrate", "lemma1_certificate", "lyapunov_solve",
-    "marginal_spectrum_certificate", "node_system", "p_copy_internal_model",
+    "incidence_from_edge_list", "initial_state", "integrate",
+    "lemma1_certificate", "lyapunov_solve", "marginal_spectrum_certificate",
+    "node_normal_form", "node_system", "p_copy_internal_model",
     "passify_node", "random_network", "realize", "regulator_map",
     "spectral_abscissa", "spr_certificate", "steady_state_prediction",
     "suggest_dt", "sylvester_solve", "verify_A5",

@@ -5,8 +5,8 @@ numerical contract: solvers check their residuals, certificate constructors
 re-verify the inequalities they claim before returning, and every strict
 inequality carries a certified slack.  Tolerances are module constants.
 scipy is imported only inside the routines that need it (the Lyapunov
-solver, the Riccati branch of the SPR certificate and the invariant
-zeros), so importing the package loads numpy alone.
+solver and the Riccati branch of the SPR certificate), so importing the
+package loads numpy alone.
 """
 
 import warnings
@@ -20,6 +20,7 @@ from .errors import (
     HypothesisViolated,
     Infeasible,
     NotHurwitz,
+    NotHyperMinPhase,
     RepeatedEigenvalue,
     SingularPencil,
     SpectrumNotMarginal,
@@ -45,8 +46,6 @@ STRICT_MARGIN = 1e-8
 SPR_CENTRE = 0.75
 #: relative width of the bisection for the largest SPR margin
 SPR_BISECT_RTOL = 1e-3
-#: threshold below which invariant zeros count as stable
-PBH_RE_TOL = 1e-9
 #: tolerance for passivity inequalities (assumption A5, Lemma 1's P_w W1)
 PASSIVITY_TOL = 1e-9
 
@@ -143,11 +142,13 @@ class Certificate:
     ``slack`` is the margin of the strict inequality the certificate
     witnesses (0 for purely semidefinite identities); ``kind`` is one of
     ``lyapunov``, ``spr``, ``passivity``, ``marginal_spectrum``, ``lemma1``.
+    ``bound``: the largest violation its check accepted, when it has one.
     """
 
     P: np.ndarray
     slack: float
     kind: str
+    bound: float = None
 
     def __post_init__(self):
         p = _as_square(self.P, "P")
@@ -238,10 +239,6 @@ def rightmost_eigenvalue(a):
 def spectral_abscissa(a):
     """Largest real part over the eigenvalues of ``a``."""
     return rightmost_eigenvalue(a).real
-
-
-def is_hurwitz(a, tol=0.0):
-    return spectral_abscissa(a) < -abs(tol)
 
 
 def lyapunov_solve(a, q):
@@ -563,50 +560,42 @@ def _rank_c(m):
     return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
-def invariant_zeros(a, b, c):
-    """Finite invariant zeros of (A, B, C) via the system-pencil QZ."""
-    a = _as_square(a, "A")
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    import scipy.linalg
+def node_normal_form(a, b, c):
+    """Normal form ``(T, T^{-1}, T A T^{-1})`` of a hyper-minimum-phase node.
 
-    n, m, p = a.shape[0], b.shape[1], c.shape[0]
-    pencil = np.block([[a, b], [c, np.zeros((p, m))]])
-    weight = np.block([[np.eye(n), np.zeros((n, m))],
-                       [np.zeros((p, n + m))]])
-    alpha, beta, *_ = scipy.linalg.eig(pencil, weight, right=False,
-                                       homogeneous_eigvals=True)
-    scale = max(1.0, np.abs(alpha).max(initial=0.0))
-    finite = np.abs(beta) > 1e-10 * scale
-    return alpha[finite] / beta[finite]
-
-
-def hyper_min_phase_check(a, b, c):
-    """CB symmetric positive definite and all invariant zeros strictly stable.
-
-    Systems with no finite zeros (e.g. n == p square relative-degree-one)
-    pass the zero condition vacuously.
+    T = [C; W] with W B = 0 (rows of W: an orthonormal basis of B's left
+    null space).  The trailing (n - p) block of ``T A T^{-1}`` is the zero
+    dynamics, whose eigenvalues are the invariant zeros (none if n == p).
 
     Raises
     ------
     DimensionMismatch
         If ``C @ B`` is not square (m != p).
+    NotHyperMinPhase
+        Naming the cause: C B not symmetric or not positive definite, T
+        singular, or an invariant zero with Re >= -``MARGINAL_RE_TOL``.
     """
     a = _as_square(a, "A")
     b = np.atleast_2d(np.asarray(b, dtype=float))
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    cb = c @ b
-    if cb.shape[0] != cb.shape[1]:
-        raise DimensionMismatch(
-            f"C B must be square for the relative-degree-one test, "
-            f"got {cb.shape}")
-    scale = max(1.0, np.abs(cb).max())
-    if np.abs(cb - cb.T).max() > 1e-10 * scale:
-        return False
-    if np.linalg.eigvalsh(_sym(cb))[0] <= 0:
-        return False
-    zeros = invariant_zeros(a, b, c)
-    return bool(np.all(zeros.real < -PBH_RE_TOL))
+    if (cb := c @ b).shape[0] != cb.shape[1]:
+        raise DimensionMismatch(f"C B must be square, got {cb.shape}")
+    if np.abs(cb - cb.T).max() > 1e-10 * max(1.0, np.abs(cb).max()):
+        raise NotHyperMinPhase("C B is not symmetric")
+    if (lmin := np.linalg.eigvalsh(_sym(cb))[0]) <= 0:
+        raise NotHyperMinPhase(
+            f"C B is not positive definite (smallest eigenvalue {lmin:.4g})")
+    n, p = a.shape[0], cb.shape[0]
+    t = np.vstack([c, null_space(b.T).T])
+    if t.shape != (n, n) or np.linalg.matrix_rank(t) < n:
+        raise NotHyperMinPhase("T = [C; W] is singular")
+    ti = np.linalg.inv(t)
+    ap = t @ a @ ti
+    if (zero := rightmost_eigenvalue(ap[p:, p:])).real >= -MARGINAL_RE_TOL:
+        raise NotHyperMinPhase(
+            f"invariant zero {zero.real if zero.imag == 0 else zero:+.4g} "
+            f"is not stable (Re >= -{MARGINAL_RE_TOL:g})")
+    return t, ti, ap
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +657,7 @@ def lemma1_certificate(w1, w2, w3, w4, w5, p_w, q_w):
     if cross > 1e-8 * cross_scale:
         raise HypothesisViolated(
             f"P_w W2 = -W3.T Q_w fails (residual {cross:.2e})")
-    if not is_hurwitz(w1, tol=MARGINAL_RE_TOL):
+    if spectral_abscissa(w1) >= -MARGINAL_RE_TOL:
         raise HypothesisViolated("W1 is not Hurwitz")
 
     p_r = lyapunov_solve(w1, np.eye(n1))

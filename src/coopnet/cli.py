@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import scenarios, svg
-from .analysis import PASSIVITY_TOL, STRICT_MARGIN
+from .analysis import STRICT_MARGIN
 from .closedloop import BRACKET_REL_WIDTH, STABILITY_TOL, epsilon_star
 from .config import format_config, parse_config
 from .errors import (
@@ -178,8 +178,8 @@ def cmd_synth(args):
             f"  K_zeta = {_fmt_mat(ctrl.K_zeta)}",
             f"  internal model: {ctrl.im.copies} copies, min poly coeffs "
             f"{tuple(round(c, 12) for c in ctrl.im.minimal_poly_coeffs)}",
-            f"  passivity slack = {ctrl.Phat.slack:.3e} (tolerance "
-            f"{PASSIVITY_TOL:g}), min eig P = {ctrl.Phat.min_eig:.3e}",
+            f"  passivity slack = {ctrl.Phat.slack:.3e} (accepted above "
+            f"{-ctrl.Phat.bound:.3e}), min eig P = {ctrl.Phat.min_eig:.3e}",
         ]
     for j, cert in enumerate(rz.cset.edge_certificates, start=1):
         lines.append(f"edge {j}: SPR slack = {cert.slack:.3e} "

@@ -248,6 +248,15 @@ def parse_config(text):
         g2 = _parse_matrix(kv["G2"][0], f"{field}.G2") if "G2" in kv else None
         if (g1 is None) != (g2 is None):
             raise ValidationError(field, "supply G1 and G2 together")
+        if not is_static(nodes[i - 1]):
+            n, m = nodes[i - 1].B.shape
+            c = p_dim * s_mat.shape[0] if g1 is None else g1.shape[0]
+            for key, mat, want in (("G1", g1, (c, c)), ("G2", g2, (c, p_dim)),
+                                   ("K_zeta", k_zeta, (m, c)),
+                                   ("K_x", k_x, (m, n))):
+                if mat is not None and mat.shape != want:
+                    raise ValidationError(f"{field}.{key}",
+                                          f"shape {mat.shape}, want {want}")
         gains[i] = NodeGains(K_x=k_x, K_zeta=k_zeta, G1=g1, G2=g2)
 
     nu0, eta0, etabar0 = {}, {}, {}

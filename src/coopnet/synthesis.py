@@ -21,11 +21,10 @@ from .analysis import (
     _rank_c,
     _sym,
     controllable,
-    hyper_min_phase_check,
-    is_hurwitz,
     lyapunov_solve,
     marginal_eig,
     marginal_kernel_certificate,
+    node_normal_form,
     observable,
     spectral_abscissa,
     spr_certificate,
@@ -38,7 +37,6 @@ from .errors import (
     IdentityViolated,
     InternalModelViolated,
     NotHurwitz,
-    NotHyperMinPhase,
     SpectrumNotMarginal,
     SynthesisFailed,
     ValidationError,
@@ -48,7 +46,6 @@ from .topology import (
     assemble_weighted_blocks,
     block_diag,
     check_connected,
-    null_space,
 )
 
 REGIMES = ("tracking", "sync", "cooperation", "master_slave")
@@ -239,19 +236,19 @@ def _passivity_certificate(p, ahat, dhat, chat):
     p = _sym(np.asarray(p, dtype=float))
     if np.linalg.eigvalsh(p)[0] <= 0:
         raise CertificateFailed("storage matrix is not positive definite")
-    scale = max(1.0, float(np.linalg.norm(p, 2)) *
-                float(np.linalg.norm(ahat, 2)))
+    bound = PASSIVITY_TOL * max(1.0, float(np.linalg.norm(p, 2)) *
+                                float(np.linalg.norm(ahat, 2)))
     lmax = float(np.linalg.eigvalsh(_sym(p @ ahat + ahat.T @ p))[-1])
-    if lmax > PASSIVITY_TOL * scale:
+    if lmax > bound:
         raise CertificateFailed(
             f"storage inequality fails: lambda_max {lmax:.3e} > "
-            f"{PASSIVITY_TOL * scale:.3e}")
+            f"{bound:.3e}")
     eq = np.abs(p @ dhat - chat.T).max()
     eq_scale = max(1.0, np.abs(chat).max())
     if eq > PASSIVITY_TOL * eq_scale:
         raise CertificateFailed(
             f"storage equality P Dhat = Chat.T fails (residual {eq:.3e})")
-    return Certificate(P=p, slack=-lmax, kind="passivity")
+    return Certificate(P=p, slack=-lmax, kind="passivity", bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +258,7 @@ def _passivity_certificate(p, ahat, dhat, chat):
 def _storage_test(a, b, c):
     """Exact storage test for the state loops ``a - kappa B (C B)^{-1} C``.
 
-    With T = [C; W] and ``W B = 0``, the family is ``T P_s T.T =
+    With T = [C; W] of :func:`node_normal_form`, the family is ``T P_s T.T =
     blkdiag(sym(C B), rho P2)``, rho > 0, ``A22 P2 + P2 A22.T = -I`` (no rho
     when n = p).  The gain shifts only the (1,1) block of ``T a T^{-1}``, by
     -kappa I, so ``A' P' + P' A'.T = M0(kappa) + rho M1``, M1 free of
@@ -272,23 +269,17 @@ def _storage_test(a, b, c):
     ``lambda_max < -STRICT_MARGIN max(1, ||A_k|| ||P_s||)``, or None, which
     proves the family holds none.
     """
+    _, ti, ap = node_normal_form(a, b, c)
     p_dim, n = c.shape
-    t = np.vstack([c, null_space(b.T).T])
-    if np.linalg.matrix_rank(t) < n:
-        raise NotHyperMinPhase("output map and input complement do not span")
-    ti = np.linalg.inv(t)
     bk = b @ np.linalg.solve(c @ b, c)
-    ap = t @ a @ ti
     e1 = block_diag([_sym(c @ b), np.zeros((n - p_dim, n - p_dim))])
     m0 = _sym(ap @ e1 + e1 @ ap.T)
     e2 = m1 = np.zeros((n, n))
     if n > p_dim:
-        a22 = ap[p_dim:, p_dim:]
-        if not is_hurwitz(a22):
-            raise NotHyperMinPhase("zero dynamics are not Hurwitz")
         # A22 P2 + P2 A22.T = -I   (dual orientation)
         e2 = block_diag([np.zeros((p_dim, p_dim)),
-                         lyapunov_solve(a22.T, np.eye(n - p_dim))])
+                         lyapunov_solve(ap[p_dim:, p_dim:].T,
+                                        np.eye(n - p_dim))])
         m1 = _sym(ap @ e2 + e2 @ ap.T)
 
     def storage(kappa):
@@ -326,7 +317,7 @@ def passify_node(node, im, exo):
     Raises
     ------
     NotHyperMinPhase
-        If the node fails the relative-degree-one / stable-zeros test.
+        If the node is not hyper-minimum-phase (:func:`node_normal_form`).
     SynthesisFailed
         If no kappa of the lattice admits a storage in the family (proven
         for each), or no certificate scale gives a Hurwitz closed node.
@@ -339,13 +330,9 @@ def passify_node(node, im, exo):
 def _passifying_gains(node, im):
     """Gains and unverified storage of passify_node."""
     a, b, c = node.A, node.B, node.C
-    if node.D_in is None or node.D_in.shape != b.shape or \
-            np.abs(node.D_in - b).max() > 0:
+    if not np.array_equal(node.D_in, b):
         raise ValidationError(
             "node.D_in", "constructive passification needs D_in == B")
-    if not hyper_min_phase_check(a, b, c):
-        raise NotHyperMinPhase(
-            "node fails the hyper-minimum-phase conditions")
 
     storage = _storage_test(a, b, c)
     kappa = 0.0
@@ -397,6 +384,8 @@ def verify_A5(node, k_x, k_zeta, im, phat=None):
         for the state loop this is proven by :func:`_storage_test`.
     NotHurwitz
         If the closed node is not Hurwitz.
+    NotHyperMinPhase
+        If the node is not hyper-minimum-phase (:func:`node_normal_form`).
     """
     p = phat.P if isinstance(phat, Certificate) else phat
     return make_node_controller(node, "tracking", k_x, k_zeta, im, None,
@@ -405,9 +394,7 @@ def verify_A5(node, k_x, k_zeta, im, phat=None):
 
 def _gain_storage(node, k_x, k_zeta, im):
     """Unverified block-diagonal storage matching supplied gains."""
-    a, b, c = node.A, node.B, node.C
-    if node.D_in is None or node.D_in.shape != b.shape or \
-            np.abs(node.D_in - b).max() > 0:
+    if not np.array_equal(node.D_in, node.B):
         raise CertificateFailed(
             "indirect coupling (D_in != B): supply the certificate "
             "explicitly")
@@ -439,7 +426,7 @@ def _gain_storage(node, k_x, k_zeta, im):
         raise CertificateFailed(
             "storage pinned by K_zeta is not positive definite")
 
-    p_s = _storage_test(a + b @ k_x, b, c)(0.0)
+    p_s = _storage_test(node.A + node.B @ k_x, node.B, node.C)(0.0)
     if p_s is None:
         raise CertificateFailed(
             "state loop proven infeasible in the block-diagonal storage "

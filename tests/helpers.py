@@ -43,3 +43,22 @@ def relabel_cyclically(scn):
         edge_ends=tuple((new(a), new(b)) for a, b in scn.edge_ends),
         roles=moved(scn.roles), gains=moved(scn.gains), nu0=moved(scn.nu0),
         eta0=moved(scn.eta0), etabar0=moved(scn.etabar0))
+
+
+def relative_degree_one_node(seed, n=4, p=3):
+    """(A, B, C) of a random node with C B symmetric positive definite.
+
+    Its system pencil has its infinite eigenvalues in 2x2 Jordan blocks,
+    which rounding splits, so a QZ of the pencil can report spurious
+    finite zeros near 1e8.
+    """
+    from coopnet.topology import null_space
+
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, p))
+    m = rng.standard_normal((p, p))
+    cb = m @ m.T + 0.1 * np.eye(p)
+    c = cb @ np.linalg.pinv(b) + \
+        rng.standard_normal((p, n - p)) @ null_space(b.T).T
+    return a, b, c

@@ -8,13 +8,12 @@ from coopnet.analysis import (
     Certificate,
     build_exosystem,
     edge_system,
-    hyper_min_phase_check,
-    invariant_zeros,
     lemma1_certificate,
     lyapunov_solve,
     marginal_eig,
     marginal_kernel_certificate,
     marginal_spectrum_certificate,
+    node_normal_form,
     spectral_abscissa,
     spr_certificate,
     sylvester_solve,
@@ -24,11 +23,14 @@ from coopnet.errors import (
     HypothesisViolated,
     Infeasible,
     NotHurwitz,
+    NotHyperMinPhase,
     RepeatedEigenvalue,
     SingularPencil,
     SpectrumNotMarginal,
 )
 from coopnet.scenarios import demo_power_network, random_network, realize
+
+from helpers import relative_degree_one_node
 
 W = 100.0 * np.pi
 ROT = np.array([[0.0, -W], [W, 0.0]])
@@ -302,23 +304,89 @@ def test_spr_rejects_bad_supplied_certificate():
 
 
 def test_hyper_min_phase_examples():
-    assert hyper_min_phase_check([[0.0]], [[1.0]], [[1.0]])
-    assert not hyper_min_phase_check([[0.0]], [[1.0]], [[-1.0]])
+    t, ti, ap = node_normal_form([[0.0]], [[1.0]], [[1.0]])
+    assert np.array_equal(t, [[1.0]]) and np.array_equal(ap, [[0.0]])
+    with pytest.raises(NotHyperMinPhase, match="C B is not positive "
+                                                "definite"):
+        node_normal_form([[0.0]], [[1.0]], [[-1.0]])
+    with pytest.raises(NotHyperMinPhase, match="C B is not symmetric"):
+        node_normal_form(np.zeros((2, 2)), np.eye(2), [[1.0, 1.0],
+                                                       [0.0, 1.0]])
 
 
 def test_hyper_min_phase_with_stable_zero():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([[0.0], [1.0]])
     c = np.array([[1.0, 1.0]])
-    zeros = invariant_zeros(a, b, c)
-    assert zeros.size == 1 and np.isclose(zeros[0].real, -1.0, atol=1e-9)
-    assert hyper_min_phase_check(a, b, c)
+    t, ti, ap = node_normal_form(a, b, c)
+    assert np.allclose(t @ ti, np.eye(2), atol=1e-15)
+    assert np.abs(t[1:] @ b).max() <= 1e-15
+    assert np.allclose(ap, t @ a @ ti, atol=1e-15)
+    assert ap[1, 1] == pytest.approx(-1.0, abs=1e-12)
+    with pytest.raises(NotHyperMinPhase, match="invariant zero \\+1 is not "
+                                                "stable"):
+        node_normal_form(a, b, [[-1.0, 1.0]])
 
 
 def test_hyper_min_phase_rejects_nonsquare_cb():
     with pytest.raises(DimensionMismatch):
-        hyper_min_phase_check(np.zeros((2, 2)), np.ones((2, 2)),
-                              np.ones((1, 2)))
+        node_normal_form(np.zeros((2, 2)), np.ones((2, 2)), np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("seed", [1030, 1470, 1775])
+def test_normal_form_zeros_are_the_projected_spectrum(seed):
+    """Relative-degree-one nodes whose stable zero the system-pencil QZ
+    hid behind spurious zeros near 1e8: the zeros of the normal form are
+    the nonzero eigenvalues of (I - B (C B)^{-1} C) A, an oracle that
+    shares nothing with either construction, and its other p are 0."""
+    a, b, c = relative_degree_one_node(seed)
+    p = c.shape[0]
+    ap = node_normal_form(a, b, c)[2]
+    zeros = np.linalg.eigvals(ap[p:, p:])
+    proj = (np.eye(a.shape[0]) - b @ np.linalg.solve(c @ b, c)) @ a
+    lam = np.linalg.eigvals(proj)
+    lam = lam[np.argsort(np.abs(lam))]
+    assert np.abs(lam[:p]).max() <= 1e-12 * np.linalg.norm(proj, 2)
+    assert np.allclose(np.sort_complex(lam[p:]), np.sort_complex(zeros),
+                       rtol=1e-10, atol=0.0)
+    assert zeros.real.max() < 0
+
+
+def test_unstable_zero_is_named():
+    with pytest.raises(NotHyperMinPhase,
+                       match="invariant zero \\+3.452 is not stable"):
+        node_normal_form(*relative_degree_one_node(235))
+
+
+def _pencil_zeros(a, b, c):
+    """Finite eigenvalues of the system pencil (the QZ oracle)."""
+    n, p = a.shape[0], c.shape[0]
+    pencil = np.block([[a, b], [c, np.zeros((p, p))]])
+    weight = scipy.linalg.block_diag(np.eye(n), np.zeros((p, p)))
+    alpha, beta = scipy.linalg.eig(pencil, weight, right=False,
+                                   homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-10 * max(1.0, np.abs(alpha).max())
+    return alpha[finite] / beta[finite]
+
+
+def test_normal_form_zeros_match_the_system_pencil():
+    """On the random_network panel the zeros of the normal form equal the
+    QZ zeros of the system pencil wherever the QZ finds n - p finite ones
+    (a split infinite eigenvalue can add spurious ones)."""
+    compared = 0
+    for seed in range(12):
+        for kw in ({}, dict(n_nodes=5, m_edges=6, dims=3),
+                   dict(n_nodes=4, m_edges=5, dims=3, p=2, q_exo=4)):
+            for node in random_network(seed=seed, **kw).nodes:
+                p, n = node.C.shape
+                ap = node_normal_form(node.A, node.B, node.C)[2]
+                qz = _pencil_zeros(node.A, node.B, node.C)
+                if qz.size != n - p:
+                    continue
+                compared += 1
+                for z in np.linalg.eigvals(ap[p:, p:]):
+                    assert np.abs(qz - z).min() <= 1e-10 * max(1.0, abs(z))
+    assert compared >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,59 @@ def test_cli_check_a6_line(tmp_path, capsys, zero_sum):
         assert "output sum drifts without limit" in a6[0]
 
 
+_GROUND_NODE = "[node 3]\nA = 0\nB = 20000\nC = 1\nD = 20000\n"
+
+
+@pytest.mark.parametrize("node, cause", [
+    ("A = 0; 1 | 0; 0\nB = 0 | 1\nC = -1; 1\nD = 0 | 1\n",
+     "invariant zero +1 is not stable"),
+    ("A = 0\nB = 20000\nC = -1\nD = 20000\n",
+     "C B is not positive definite"),
+], ids=["unstable-zero", "negative-cb"])
+def test_cli_check_names_why_a_synthesized_node_fails(tmp_path, capsys,
+                                                      node, cause):
+    """The tracking demo's ground node is synthesized: a node that is not
+    hyper-minimum-phase there fails A5 with its cause."""
+    text = format_config(demo_power_network("tracking"))
+    assert _GROUND_NODE in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(_GROUND_NODE, "[node 3]\n" + node))
+    assert main(["check", "--config", str(cfg)]) == 1
+    a5 = [line for line in capsys.readouterr().out.splitlines()
+          if line.strip().startswith("A5 node 3")]
+    assert len(a5) == 1 and "FAIL" in a5[0] and cause in a5[0]
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("G2 = 1 | 1\n", "G2 = 1 | 1 | 1\n", "controllers[0].G2"),
+    ("K_x = -1\n", "K_x = -1; 0\n", "controllers[0].K_x"),
+], ids=["G2-rows", "K_x-columns"])
+def test_cli_supplied_controller_shape_is_config_error(tmp_path, capsys,
+                                                       old, new, field):
+    ref = importlib.resources.files("coopnet").joinpath(
+        "data/power_network.cfg").read_text(encoding="utf-8")
+    assert ref.count(old) == 1
+    text = ref.replace(old, new)
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text)
+    assert exc.value.field == field
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["check", "--config", str(cfg)]) == 3
+    assert field in capsys.readouterr().err
+
+
+def test_cli_synth_prints_the_applied_passivity_bound(capsys):
+    """The bound is PASSIVITY_TOL max(1, ||P|| ||Ahat||): 8.2e5 for node 2,
+    whose slack -7.451e-09 is rounding."""
+    assert main(["synth", "--config", "power_network"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    line = lines[lines.index("node 2 (slave):") + 4]
+    assert "passivity slack = -7.451e-09" in line
+    bound = -float(line.split("accepted above ")[1].split(")")[0])
+    assert bound == pytest.approx(8.2e5, rel=0.01)
+
+
 def test_cli_role_of_an_unknown_node_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "roles.cfg"
     cfg.write_text(_demo_text(**{"3:master": "3:master 9:slave"}))
@@ -500,12 +553,18 @@ _MAIN_THEN_LIST_SCIPY = (
     (["synth", "--config", "power_network"], 0),
     (["eps", "--config", "power_network"], 0),
     (["simulate", "--config", "power_network", "--emit", "csv", "--out"], 0),
-], ids=["demo", "check", "synth", "eps", "simulate"])
+    (["synth", "--config", "tracking.cfg"], 0),
+], ids=["demo", "check", "synth", "eps", "simulate", "synth-tracking"])
 def test_cli_hot_path_loads_no_scipy(tmp_path, argv, exit_code):
-    """The built-in network's commands run on numpy alone, and only a
-    command that writes a CSV builds the formatter's tables."""
+    """The built-in network's commands run on numpy alone, also when they
+    synthesize a node's gains (the tracking demo's ground node), and only
+    a command that writes a CSV builds the formatter's tables."""
     if argv[-1] == "--out":
         argv = argv + [str(tmp_path)]
+    if argv[-1] == "tracking.cfg":
+        argv = argv[:-1] + [str(tmp_path / argv[-1])]
+        (tmp_path / "tracking.cfg").write_text(
+            format_config(demo_power_network("tracking")))
     proc = subprocess.run(
         [sys.executable, "-c", _MAIN_THEN_LIST_SCIPY] + argv,
         capture_output=True, text=True, env=_child_env(), timeout=300)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coopnet.analysis import hyper_min_phase_check, spr_certificate
+from coopnet.analysis import node_normal_form, spr_certificate
 from coopnet.errors import InfeasibleDims
 from coopnet.network import is_static
 from coopnet.scenarios import (
@@ -86,7 +86,7 @@ def test_generated_scenarios_pass_all_checks_for_100_seeds():
         scn = random_network(seed=seed, n_nodes=3, m_edges=3, dims=2)
         assert scn.topology().connected
         for node in scn.nodes:
-            assert hyper_min_phase_check(node.A, node.B, node.C)
+            node_normal_form(node.A, node.B, node.C)
             assert node.rank_conditions_ok()
         for edge in scn.edges:
             cert = spr_certificate(edge)

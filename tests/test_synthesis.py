@@ -38,6 +38,8 @@ from coopnet.synthesis import (
 )
 from coopnet.topology import assemble_weighted_blocks
 
+from helpers import relative_degree_one_node
+
 W = 100.0 * np.pi
 ROT = np.array([[0.0, -W], [W, 0.0]])
 
@@ -162,6 +164,19 @@ def test_passify_rejects_wrong_sign_output():
     im = p_copy_internal_model(ROT, p=1)
     with pytest.raises(NotHyperMinPhase):
         passify_node(node, im, exo)
+
+
+@pytest.mark.parametrize("seed", [1030, 1470, 1775])
+def test_passify_node_with_stable_zero_behind_spurious_pencil_zeros(seed):
+    """Nodes with one stable zero (-28.2, -11.2, -4.0) that a QZ of the
+    system pencil reported beside spurious zeros near 1e8 passify."""
+    a, b, c = relative_degree_one_node(seed)
+    exo = build_exosystem([[0.0, -1.0], [1.0, 0.0]],
+                          Q_eta=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    im = p_copy_internal_model(exo.S, p=3)
+    ctrl = passify_node(node_system(A=a, B=b, C=c), im, exo)
+    assert spectral_abscissa(ctrl.Ahat) < 0
+    assert ctrl.Phat.slack >= -ctrl.Phat.bound
 
 
 def random_panel_node(seed):
