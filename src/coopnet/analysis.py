@@ -48,6 +48,11 @@ SPR_CENTRE = 0.75
 SPR_BISECT_RTOL = 1e-3
 #: tolerance for passivity inequalities (assumption A5, Lemma 1's P_w W1)
 PASSIVITY_TOL = 1e-9
+#: the conditions the SPR Riccati test fails on, by the code it reports
+RICCATI_FAILS = (None, "the (1,1) block is not negative definite",
+                 "the Riccati Hamiltonian has non-finite entries",
+                 "the Riccati A_bar is not Hurwitz",
+                 "the Riccati Hamiltonian has an imaginary eigenvalue")
 
 
 def _as_square(a, name="matrix"):
@@ -57,8 +62,13 @@ def _as_square(a, name="matrix"):
     return a
 
 
+def _mT(a):
+    """Transpose of each matrix of a stack (the last two axes)."""
+    return np.swapaxes(a, -1, -2)
+
+
 def _sym(a):
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + _mT(a))
 
 
 def _norm2(a):
@@ -414,35 +424,79 @@ def marginal_kernel_certificate(g1):
 
 
 def _spr_riccati_test(k, et, w, delta):
-    """Whether some Y gives ``Q E + E.T Q <= -delta I``, in normal form.
+    """Which edges of a stack have some Y giving ``Q E + E.T Q <= -delta
+    I``, in normal form.
 
-    With ``et = U^{-1} E U``, ``w = U.T U`` and ``U.T Q U = blkdiag(k, Y)``
-    the margin reads ``L(Y) = blkdiag(k, Y) et + et.T blkdiag(k, Y) + delta w
-    <= 0``.  Its (1,1) block -R must be negative definite; the Schur
-    complement is then ``A_bar.T Y + Y A_bar + Y S Y + Q_c < 0``, solvable
-    with Y > 0 exactly when A_bar is Hurwitz and the Hamiltonian
-    ``[[A_bar, S], [-Q_c, -A_bar.T]]`` has no imaginary-axis eigenvalue
-    (bounded real lemma).  Returns ``(reason, H)``: the failing condition or
-    None, and H when the test passes with a non-empty Y.
+    The leading axis runs over edges of one shape, each with its own
+    margin ``delta``.  With ``et = U^{-1} E U``, ``w = U.T U`` and ``U.T Q
+    U = blkdiag(k, Y)`` the margin reads ``L(Y) = blkdiag(k, Y) et + et.T
+    blkdiag(k, Y) + delta w <= 0``.  Its (1,1) block -R must be negative
+    definite; the Schur complement is then ``A_bar.T Y + Y A_bar + Y S Y +
+    Q_c < 0``, solvable with Y > 0 exactly when A_bar is Hurwitz and the
+    Hamiltonian ``[[A_bar, S], [-Q_c, -A_bar.T]]`` has no imaginary-axis
+    eigenvalue (bounded real lemma).  Returns ``(fails, H)``: per edge the
+    index in :data:`RICCATI_FAILS` of the failing condition (0 when the
+    test passes), and the stack of H, read only where the test passes
+    (None when Y is empty).
     """
-    m = k.shape[0]
-    a11, a12, a21, a22 = et[:m, :m], et[:m, m:], et[m:, :m], et[m:, m:]
-    r = -_sym(k @ a11 + a11.T @ k + delta * w[:m, :m])
-    if np.linalg.eigvalsh(r)[0] <= 0:
-        return "the (1,1) block is not negative definite", None
-    if a22.size == 0:
-        return None, None
-    c0 = a12.T @ k + delta * w[m:, :m]
-    abar = a22 + a21 @ np.linalg.solve(r, c0.T)
-    s = _sym(a21 @ np.linalg.solve(r, a21.T))
-    qc = _sym(c0 @ np.linalg.solve(r, c0.T) + delta * w[m:, m:])
-    h = np.block([[abar, s], [-qc, -abar.T]])
-    tol = MARGINAL_RE_TOL * max(1.0, _norm2(h))
-    if spectral_abscissa(abar) >= -tol:
-        return "the Riccati A_bar is not Hurwitz", None
-    if np.abs(np.linalg.eigvals(h).real).min() <= tol:
-        return "the Riccati Hamiltonian has an imaginary eigenvalue", None
-    return None, h
+    m = k.shape[-1]
+    a11 = et[:, :m, :m]
+    r = -_sym(k @ a11 + _mT(a11) @ k + delta[:, None, None] * w[:, :m, :m])
+    fails = np.where(np.linalg.eigvalsh(r)[:, 0] <= 0, 1, 0)
+    live = np.flatnonzero(fails == 0)
+    if et.shape[-1] == m or live.size == 0:
+        return fails, None
+    # the edges that pass, with blocks sliced as from a single edge's et
+    k, et, w, r = k[live], et[live], w[live], r[live]
+    d = delta[live, None, None]
+    a12, a21, a22 = et[:, :m, m:], et[:, m:, :m], et[:, m:, m:]
+    c0 = _mT(a12) @ k + d * w[:, m:, :m]
+    abar = a22 + a21 @ np.linalg.solve(r, _mT(c0))
+    s = _sym(a21 @ np.linalg.solve(r, _mT(a21)))
+    qc = _sym(c0 @ np.linalg.solve(r, _mT(c0)) + d * w[:, m:, m:])
+    h = np.block([[abar, s], [-qc, -_mT(abar)]])
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    h[~finite] = 0.0  # keeps one edge's overflow out of the stack's LAPACK
+    tol = MARGINAL_RE_TOL * np.maximum(1.0, np.linalg.norm(h, 2,
+                                                           axis=(-2, -1)))
+    n_y = a22.shape[-1]
+    stable = np.linalg.eigvals(h[:, :n_y, :n_y]).real.max(axis=-1) < -tol
+    split = np.abs(np.linalg.eigvals(h).real).min(axis=-1) > tol
+    fails[live] = np.select([~finite, ~stable, ~split], [2, 3, 4])
+    h_all = np.zeros((len(fails),) + h.shape[1:])
+    h_all[live] = h
+    return fails, h_all
+
+
+def _spr_edge(edge):
+    """(E, F, G) of an edge, after the checks every SPR certificate needs."""
+    e, f, g = edge.A, edge.B, edge.C
+    if spectral_abscissa(e) >= -MARGINAL_RE_TOL:
+        raise NotHurwitz(f"edge state matrix has abscissa "
+                         f"{spectral_abscissa(e):.3e}")
+    if not full_column_rank(f) or not full_row_rank(g):
+        raise ValidationError("edge", "F must have full column rank and "
+                                      "G full row rank")
+    return e, f, g
+
+
+def _spr_normal_form(edge):
+    """``(k, et, w, U^{-1})`` of :func:`_spr_riccati_test` for one edge,
+    with U = [F, null(G)]: exactly the Q with ``U.T Q U = blkdiag((G F).T,
+    Y)`` meet ``Q F = G.T``, so (G F).T must be symmetric positive
+    definite."""
+    e, f, g = _spr_edge(edge)
+    gf = g @ f
+    if np.abs(gf - gf.T).max() > 1e-10 * max(1.0, np.abs(gf).max()):
+        raise Infeasible("G F is not symmetric, so no symmetric Q has "
+                         "Q F = G^T")
+    k = _sym(gf)
+    if np.linalg.eigvalsh(k)[0] <= 0:
+        raise Infeasible("G F is not positive definite, so no Q > 0 has "
+                         "Q F = G^T")
+    u = np.hstack([f, null_space(g)])
+    ui = np.linalg.inv(u)
+    return k, ui @ e @ u, u.T @ u, ui
 
 
 def spr_certificate(edge, Q=None, margin=STRICT_MARGIN):
@@ -450,12 +504,8 @@ def spr_certificate(edge, Q=None, margin=STRICT_MARGIN):
 
     Constructs (or verifies) symmetric ``Q > 0`` with ``Q F = G.T`` and
     ``lambda_max(Q E + E.T Q) < -margin``; the achieved slack is recorded
-    on the returned certificate.  With U = [F, null(G)], exactly the Q with
-    ``U.T Q U = blkdiag((G F).T, Y)`` meet the equality, so a certificate
-    exists iff (G F).T is symmetric positive definite and
-    :func:`_spr_riccati_test` passes.  The largest margin is bisected on
-    that test; Y is the stabilizing Riccati solution at ``SPR_CENTRE`` times
-    it (kept above ``margin``), which is then the slack.
+    on the returned certificate.  The construction is
+    :func:`spr_certificates` on a stack of one edge.
 
     Raises
     ------
@@ -467,56 +517,86 @@ def spr_certificate(edge, Q=None, margin=STRICT_MARGIN):
     CertificateFailed
         If the constructed Q fails its re-verification.
     """
-    e, f, g = edge.A, edge.B, edge.C
-    if spectral_abscissa(e) >= -MARGINAL_RE_TOL:
-        raise NotHurwitz(f"edge state matrix has abscissa "
-                         f"{spectral_abscissa(e):.3e}")
-    if not full_column_rank(f) or not full_row_rank(g):
-        raise ValidationError("edge", "F must have full column rank and "
-                                      "G full row rank")
     if Q is not None:
-        return _checked_spr(_sym(_as_square(Q, "Q")), e, f, g, margin,
-                            "supplied Q", Infeasible)
-    n, m = f.shape
-    gf = g @ f
-    if np.abs(gf - gf.T).max() > 1e-10 * max(1.0, np.abs(gf).max()):
-        raise Infeasible("G F is not symmetric, so no symmetric Q has "
-                         "Q F = G^T")
-    k = _sym(gf)
-    if np.linalg.eigvalsh(k)[0] <= 0:
-        raise Infeasible("G F is not positive definite, so no Q > 0 has "
-                         "Q F = G^T")
-    u = np.hstack([f, null_space(g)])
-    ui = np.linalg.inv(u)
-    et, w = ui @ e @ u, u.T @ u
-    reason, _ = _spr_riccati_test(k, et, w, margin)
-    if reason is not None:
-        raise Infeasible(f"no SPR certificate with margin {margin:.1e}: "
-                         f"{reason}")
-    q_t = k  # Y is empty when G is square
-    if n > m:
-        import scipy.linalg
+        return _checked_spr(_sym(_as_square(Q, "Q")), *_spr_edge(edge),
+                            margin, "supplied Q", Infeasible)
+    cert = spr_certificates([edge], margin)[0]
+    if isinstance(cert, Exception):
+        raise cert
+    return cert
 
-        # the (1,1) block fails from the generalized eigenvalue hi on
-        lo = margin
-        hi = float(scipy.linalg.eigh(-_sym(k @ et[:m, :m] + et[:m, :m].T @ k),
-                                     w[:m, :m], eigvals_only=True)[0])
-        while hi > (1.0 + SPR_BISECT_RTOL) * lo:
-            mid = float(np.sqrt(lo * hi))
-            if _spr_riccati_test(k, et, w, mid)[0] is None:
-                lo = mid
-            else:
-                hi = mid
-        centre = max(SPR_CENTRE * lo, 0.5 * (margin + lo))
-        reason, h = _spr_riccati_test(k, et, w, centre)
-        if reason is not None:
-            raise CertificateFailed(f"at margin {centre:.3e}: {reason}")
-        # the stable invariant subspace [Z1; Z2] of H gives Y = Z2 Z1^{-1}
-        z = scipy.linalg.schur(h, output="real", sort="lhp")[1]
-        y = np.linalg.solve(z[:n - m, :n - m].T, z[n - m:, :n - m].T).T
-        q_t = block_diag([k, _sym(y)])
-    return _checked_spr(_sym(ui.T @ q_t @ ui), e, f, g, margin,
-                        "constructed Q", CertificateFailed)
+
+def spr_certificates(edges, margin=STRICT_MARGIN):
+    """The certificate of :func:`spr_certificate` for every edge, or the
+    exception it raises for that edge, in edge order.
+
+    Edges of one shape (n, m) are certified together, their Riccati tests
+    stacked.  With U = [F, null(G)] (:func:`_spr_normal_form`) a
+    certificate exists iff (G F).T is symmetric positive definite and
+    :func:`_spr_riccati_test` passes.  Each edge's largest margin is
+    bisected on that test, all edges of a shape in one loop; Y is the
+    stabilizing Riccati solution at ``SPR_CENTRE`` times it (kept above
+    ``margin``), which is then the slack.  One edge's failure leaves the
+    others' certificates unchanged.
+    """
+    out = [None] * len(edges)
+    groups = {}
+    for j, edge in enumerate(edges):
+        try:
+            form = _spr_normal_form(edge)
+        except Exception as exc:
+            out[j] = exc
+            continue
+        groups.setdefault(edge.B.shape, []).append((j, form))
+    for (n, m), group in groups.items():
+        idx = np.array([j for j, _ in group])
+        k, et, w, ui = (np.stack(x) for x in zip(*(nf for _, nf in group)))
+        fails, _ = _spr_riccati_test(k, et, w, np.full(len(idx), margin))
+        for j, fail in zip(idx, fails):
+            if fail:
+                out[j] = Infeasible(f"no SPR certificate with margin "
+                                    f"{margin:.1e}: {RICCATI_FAILS[fail]}")
+        keep = fails == 0
+        if not keep.any():
+            continue
+        idx, k, et, w, ui = idx[keep], k[keep], et[keep], w[keep], ui[keep]
+        if n > m:
+            import scipy.linalg
+
+            # the (1,1) block fails from the generalized eigenvalue hi on
+            b11 = -_sym(k @ et[:, :m, :m] + _mT(et[:, :m, :m]) @ k)
+            lo = np.full(len(idx), margin)
+            hi = np.array([scipy.linalg.eigh(b, w_[:m, :m],
+                                             eigvals_only=True)[0]
+                           for b, w_ in zip(b11, w)])
+            while (act := hi > (1.0 + SPR_BISECT_RTOL) * lo).any():
+                mid = np.sqrt(lo[act] * hi[act])
+                ok = _spr_riccati_test(k[act], et[act], w[act], mid)[0] == 0
+                lo[act] = np.where(ok, mid, lo[act])
+                hi[act] = np.where(ok, hi[act], mid)
+            centre = np.maximum(SPR_CENTRE * lo, 0.5 * (margin + lo))
+            fails, h = _spr_riccati_test(k, et, w, centre)
+        for i, j in enumerate(idx):
+            try:
+                q_t = k[i]  # Y is empty when G is square
+                if n > m:
+                    if fails[i]:
+                        raise CertificateFailed(f"at margin {centre[i]:.3e}: "
+                                                f"{RICCATI_FAILS[fails[i]]}")
+                    # the stable invariant subspace [Z1; Z2] of H gives
+                    # Y = Z2 Z1^{-1}
+                    z = scipy.linalg.schur(h[i], output="real",
+                                           sort="lhp")[1]
+                    y = np.linalg.solve(z[:n - m, :n - m].T,
+                                        z[n - m:, :n - m].T).T
+                    q_t = block_diag([k[i], _sym(y)])
+                edge = edges[j]
+                out[j] = _checked_spr(_sym(ui[i].T @ q_t @ ui[i]), edge.A,
+                                      edge.B, edge.C, margin,
+                                      "constructed Q", CertificateFailed)
+            except Exception as exc:
+                out[j] = exc
+    return out
 
 
 def _checked_spr(q, e, f, g, margin, what, error):

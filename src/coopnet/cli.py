@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     CoopnetError,
     NumericalFailure,
+    ValidationError,
 )
 from .sim import error_metrics, initial_state, integrate
 from .synthesis import assumption_report
@@ -53,18 +54,27 @@ def _load_scenario(source):
         return parse_config(fh.read())
 
 
+def _flag(args, attr, flag):
+    """The value of ``flag`` (None when not given), else ValidationError
+    naming it when the value is not finite."""
+    val = getattr(args, attr, None)
+    if val is not None and not np.isfinite(val):
+        raise ValidationError(flag, f"non-finite value {val!r}")
+    return val
+
+
 def _apply_overrides(scn, args):
     changes = {}
-    if getattr(args, "dt", None) is not None:
-        if args.dt <= 0:
+    if (dt := _flag(args, "dt", "--dt")) is not None:
+        if dt <= 0:
             raise ConfigError("--dt must be > 0")
-        changes["dt"] = args.dt
-    if getattr(args, "t_end", None) is not None:
-        if args.t_end <= 0:
+        changes["dt"] = dt
+    if (t_end := _flag(args, "t_end", "--t-end")) is not None:
+        if t_end <= 0:
             raise ConfigError("--t-end must be > 0")
-        changes["t_end"] = args.t_end
-    if getattr(args, "eps", None) is not None:
-        changes["eps"] = args.eps
+        changes["t_end"] = t_end
+    if (eps := _flag(args, "eps", "--eps")) is not None:
+        changes["eps"] = eps
     if changes:
         from dataclasses import replace
 
@@ -200,7 +210,8 @@ def cmd_synth(args):
 def cmd_eps(args):
     scn = _load_scenario(args.config)
     rz = scenarios.realize(scn)
-    eps_hi = args.eps if args.eps is not None else 1000.0
+    eps_hi = _flag(args, "eps", "--eps")
+    eps_hi = 1000.0 if eps_hi is None else eps_hi
     est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=eps_hi)
     print(f"coupling-gain boundary for {scn.name!r} (ceiling {eps_hi:g})")
     n_probes = len(est.probes)

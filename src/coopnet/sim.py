@@ -390,16 +390,18 @@ def error_metrics(result, window):
     if window <= 0 or window > horizon:
         raise EmptyWindow(
             f"window {window} outside (0, {horizon}]")
-    trail = t >= (t[-1] - window)
-    lead = t <= (t[0] + window)
-    if not trail.any() or not lead.any():
+    # the samples with t >= t[-1] - window and t <= t[0] + window
+    first = int(np.searchsorted(t, t[-1] - window))
+    stop = int(np.searchsorted(t, t[0] + window, side="right"))
+    if first == t.size or stop == 0:
         raise EmptyWindow("window contains no stored samples")
     metrics = {}
     for node_id, err in result.errors.items():
-        abs_err = np.abs(err)
-        tmax = float(abs_err[:, trail].max(initial=0.0))
-        lmax = float(abs_err[:, lead].max(initial=0.0))
-        rms = float(np.sqrt(np.mean(err[:, trail] ** 2)))
+        # contiguous, so the mean sums in the order of a row-major copy
+        trail = np.ascontiguousarray(err[:, first:])
+        tmax = float(np.abs(trail).max(initial=0.0))
+        lmax = float(np.abs(err[:, :stop]).max(initial=0.0))
+        rms = float(np.sqrt(np.mean(trail ** 2)))
         metrics[node_id] = NodeMetrics(max_error=tmax, rms_error=rms,
                                        decayed=bool(tmax < lmax))
     return metrics

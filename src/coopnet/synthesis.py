@@ -27,7 +27,7 @@ from .analysis import (
     node_normal_form,
     observable,
     spectral_abscissa,
-    spr_certificate,
+    spr_certificates,
     sylvester_solve,
 )
 from .errors import (
@@ -73,6 +73,9 @@ class InternalModel:
     ``G2`` with the matching unit input columns; a supplied model only has
     to pass :func:`validate_internal_model`.  ``minimal_poly_coeffs`` holds
     (a_1, ..., a_q) of lambda^q + a_1 lambda^{q-1} + ... + a_q.
+    :attr:`scaled_gains`, built on first use and kept on the object, is
+    what every node that :func:`passify_node` designs with this model
+    reads.
     """
 
     G1: np.ndarray
@@ -85,6 +88,16 @@ class InternalModel:
     def c(self):
         """Controller state dimension."""
         return self.G1.shape[0]
+
+    @functools.cached_property
+    def scaled_gains(self):
+        """``(P_g, K)``: the marginal-kernel certificate P_g of G1 and, for
+        each rho of :data:`CERTIFICATE_SCALES`, ``K[i] = -G2.T (rho
+        P_g)^{-1}``, the K_zeta that storage scale gives."""
+        p_g = marginal_kernel_certificate(self.G1)
+        scaled = CERTIFICATE_SCALES[:, None, None] * p_g
+        return p_g, -np.swapaxes(np.linalg.solve(np.swapaxes(scaled, 1, 2),
+                                                 self.G2), 1, 2)
 
 
 def minimal_polynomial_coeffs(s):
@@ -349,21 +362,18 @@ def _passifying_gains(node, im):
     # P_s^{-1} B = C.T and P_g^{-1} G1 + G1.T P_g^{-1} = 0, LaSalle's
     # principle and the controllability of (G1, G2) make the closed node
     # Hurwitz at every scale (tests pin this on a panel)
-    p_g_base = marginal_kernel_certificate(im.G1)
+    p_g, k_zetas = im.scaled_gains
     stack = np.repeat(hat_matrices(node, k_x, np.zeros((node.m, im.c)),
                                    im)[0][None], len(CERTIFICATE_SCALES), 0)
-    for a_rho, rho in zip(stack, CERTIFICATE_SCALES):
-        a_rho[:node.n, node.n:] = node.B @ -np.linalg.solve(
-            (rho * p_g_base).T, im.G2).T
+    stack[:, :node.n, node.n:] = node.B @ k_zetas
     absc = np.linalg.eigvals(stack).real.max(axis=1)
     best = int(np.argmin(absc))
     if absc[best] >= 0:
         raise SynthesisFailed(
             f"closed node not Hurwitz at any certificate scale (best "
             f"spectral abscissa {absc[best]:.3e})")
-    p_g = CERTIFICATE_SCALES[best] * p_g_base
-    k_zeta = -np.linalg.solve(p_g.T, im.G2).T
-    return k_x, k_zeta, _sym(np.linalg.inv(block_diag([p_s, p_g])))
+    p_g = CERTIFICATE_SCALES[best] * p_g
+    return k_x, k_zetas[best], _sym(np.linalg.inv(block_diag([p_s, p_g])))
 
 
 def verify_A5(node, k_x, k_zeta, im, phat=None):
@@ -790,8 +800,11 @@ def check_assumptions(network, exo):
     """Structural assumption report: ranks (A1), reference spectrum (A2),
     edge strict positive realness (A3), connectivity (A4).
 
-    Returns a list of CheckResult; the A3 entries carry the found
-    certificates' slacks as margins.
+    Returns ``(results, edge_certs)``: a list of CheckResult, whose A3
+    entries carry the found certificates' slacks as margins or the reason
+    an edge has none, and per edge its SPR certificate or None.  All edges
+    are certified in one :func:`spr_certificates` call, which stacks the
+    edges of each shape.
     """
     results = []
     for i, node in enumerate(network.nodes):
@@ -821,18 +834,16 @@ def check_assumptions(network, exo):
                                float(np.abs(lam.real).max(initial=0.0)),
                                detail))
 
-    edge_certs = []
-    for j, edge in enumerate(network.edges):
-        try:
-            cert = spr_certificate(edge)
-            edge_certs.append(cert)
+    edge_certs = spr_certificates(network.edges)
+    for j, cert in enumerate(edge_certs):
+        if isinstance(cert, Exception):
+            edge_certs[j] = None
+            results.append(CheckResult("A3", f"edge {j + 1}", False, 0.0,
+                                       str(cert)))
+        else:
             results.append(CheckResult(
                 "A3", f"edge {j + 1}", True, cert.slack,
                 "strictly positive real"))
-        except Exception as exc:
-            edge_certs.append(None)
-            results.append(CheckResult("A3", f"edge {j + 1}", False, 0.0,
-                                       str(exc)))
 
     connected = check_connected(network.topology.H)
     results.append(CheckResult(

@@ -62,3 +62,16 @@ def relative_degree_one_node(seed, n=4, p=3):
     c = cb @ np.linalg.pinv(b) + \
         rng.standard_normal((p, n - p)) @ null_space(b.T).T
     return a, b, c
+
+
+def ring30():
+    """The 30-node master-slave ring of the benchmark's ring30 workload."""
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "ring.py")
+    spec = importlib.util.spec_from_file_location("perfbench_ring", path)
+    ring = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ring)
+    return ring.ring_network(0)

@@ -20,7 +20,7 @@ from coopnet.scenarios import demo_power_network, random_network, realize
 from coopnet.synthesis import build_controllers, build_maps, reference_layer
 from coopnet.topology import Topology
 
-from helpers import flip_first_edge, relabel_cyclically
+from helpers import flip_first_edge, relabel_cyclically, ring30
 
 
 def two_node_toy(eps=0.2):
@@ -412,19 +412,6 @@ def _bisection_as_first_written(network, cset, maps, eps_hi,
                 crossed=True)
 
 
-def _ring():
-    """The 30-node master-slave ring of the benchmark's ring30 workload."""
-    import importlib.util
-    import os
-
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                        "ring.py")
-    spec = importlib.util.spec_from_file_location("perfbench_ring", path)
-    ring = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ring)
-    return ring.ring_network(0)
-
-
 _SEARCH_PANEL = pytest.mark.parametrize("make,eps_hi", [
     (demo_power_network, 1000.0),
     (lambda: random_network(0, n_nodes=5, m_edges=6, dims=3,
@@ -435,7 +422,7 @@ _SEARCH_PANEL = pytest.mark.parametrize("make,eps_hi", [
                             regime="cooperation"), 10.0),
     (lambda: random_network(300, n_nodes=5, m_edges=6, dims=3,
                             regime="master_slave"), 10.0),
-    (_ring, 10.0),
+    (ring30, 10.0),
 ], ids=["demo", "tracking-0", "sync-100", "cooperation-200",
         "master_slave-300", "ring30"])
 
@@ -525,7 +512,7 @@ def test_epsilon_star_falls_back_to_bisection(monkeypatch, tracker, seed,
      0.8082677897),
     (lambda: random_network(300, n_nodes=5, m_edges=6, dims=3,
                             regime="master_slave"), 1.789170442, 3.054149249),
-    (_ring, 0.1794894834, 2.159065452),
+    (ring30, 0.1794894834, 2.159065452),
     (lambda: random_network(1001, regime="sync"), 0.1537376812, 1.412448135),
 ], ids=["sync-100", "cooperation-200", "master_slave-300", "ring30",
         "sync-1001"])

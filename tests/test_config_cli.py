@@ -233,6 +233,24 @@ def test_cli_synth_prints_the_applied_passivity_bound(capsys):
     assert bound == pytest.approx(8.2e5, rel=0.01)
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--config", "power_network", "--eps", "nan"], "--eps"),
+    (["simulate", "--config", "power_network", "--dt", "nan"], "--dt"),
+    (["simulate", "--config", "power_network", "--t-end", "inf"], "--t-end"),
+    (["synth", "--config", "power_network", "--eps", "inf"], "--eps"),
+    (["demo", "--eps", "nan"], "--eps"),
+    (["demo", "--dt", "nan"], "--dt"),
+    (["demo", "--t-end", "inf"], "--t-end"),
+    (["eps", "--config", "power_network", "--eps", "nan"], "--eps"),
+    (["check", "--config", "power_network", "--eps", "nan"], "--eps"),
+], ids=["simulate-eps", "simulate-dt", "simulate-t_end", "synth-eps",
+        "demo-eps", "demo-dt", "demo-t_end", "eps-eps", "check-eps"])
+def test_cli_non_finite_flag_is_config_error(capsys, argv, flag):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"configuration error: {flag}: non-finite value" in err
+
+
 def test_cli_role_of_an_unknown_node_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "roles.cfg"
     cfg.write_text(_demo_text(**{"3:master": "3:master 9:slave"}))

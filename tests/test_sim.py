@@ -617,6 +617,24 @@ def test_metrics_rejects_bad_window():
         error_metrics(res, window=0.0)
 
 
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("window", [0.0123456, 0.5, 1.0 / 3.0, 2.0])
+def test_metrics_windows_equal_the_sample_masks(p, window):
+    """The index windows select exactly the samples the masks t >= t[-1] -
+    window and t <= t[0] + window select, and the RMS sums them in the
+    same order: the metrics equal the masked ones bit for bit, also for
+    windows that end between samples."""
+    rng = np.random.default_rng(p)
+    t = np.linspace(0.0, 2.0, 2001)
+    err = rng.standard_normal((p, t.size)) * np.exp(-t)
+    trail, lead = t >= t[-1] - window, t <= t[0] + window
+    m = error_metrics(_result_with_error(t, err), window=window)[1]
+    tmax = np.abs(err)[:, trail].max()
+    assert m.max_error == tmax
+    assert m.rms_error == float(np.sqrt(np.mean(err[:, trail] ** 2)))
+    assert m.decayed == bool(tmax < np.abs(err)[:, lead].max())
+
+
 def test_sync_prediction_agreement_improves_with_horizon():
     scn = random_network(seed=31, n_nodes=3, m_edges=3, regime="sync")
     rz = realize(scn)

@@ -23,9 +23,14 @@ from coopnet.analysis import (
     edge_system,
     spectral_abscissa,
     spr_certificate,
+    spr_certificates,
 )
 from coopnet.errors import Infeasible
+from coopnet.network import Network
 from coopnet.scenarios import random_network
+from coopnet.synthesis import check_assumptions
+
+from helpers import ring30
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +186,83 @@ def test_input_output_change_keeps_certificate(edge_seed, s_seed):
         scale = np.abs(cert.P).max()
         assert np.abs(cert_moved.P - cert.P).max() <= 1e-9 * scale
         assert abs(cert_moved.slack - cert.slack) <= 1e-9 * cert.slack
+
+
+# ---------------------------------------------------------------------------
+# stacked certification
+
+
+RING_EDGES = [(f"ring30-{j}", edge)
+              for j, edge in enumerate(ring30().network().edges)]
+
+
+def one_at_a_time(edge):
+    """spr_certificate's certificate for ``edge``, or what it raises."""
+    try:
+        return spr_certificate(edge)
+    except Exception as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    """The same certificate bit for bit, or the same exception."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got.P.tobytes() == want.P.tobytes()
+        assert got.P.shape == want.P.shape
+        assert got.slack == want.slack and got.kind == want.kind
+
+
+def test_stacked_certificates_equal_one_edge_at_a_time():
+    # one call certifies every panel edge; the shapes mix, and 10 of the
+    # generic edges have no certificate
+    panel = NETWORK_EDGES + GENERIC_EDGES + RING_EDGES
+    edges = [edge for _, edge in panel]
+    got = spr_certificates(edges)
+    assert len(got) == len(edges)
+    assert sum(isinstance(c, Infeasible) for c in got) == 10
+    for edge, cert in zip(edges, got):
+        assert_same_outcome(cert, one_at_a_time(edge))
+
+
+def test_failing_edges_leave_the_others_of_their_shape_unchanged():
+    """Among the ring's 30 edges of shape (2, 1), one edge fails the
+    Riccati test's Hamiltonian condition, one its (1,1) block, one
+    overflows the Hamiltonian and one is not Hurwitz; every other edge
+    keeps its verdict and certificate."""
+    scn = ring30()
+    network, exo = scn.network(), scn.exosystem()
+    _, before = check_assumptions(network, exo)
+    # Z(s) = s / (s^2 + 0.1 s + 1) is positive real but vanishes at s = 0
+    lossless_at_dc = edge_system(E=[[0.0, 1.0], [-1.0, -0.1]],
+                                 F=[[0.0], [1.0]], G=[[0.0, 1.0]])
+    generic11 = GENERIC_EDGES[11][1]
+    unstable = edge_system(E=[[0.5, 1.0], [0.0, -1.0]], F=[[1.0], [0.0]],
+                           G=[[1.0, 0.0]])
+    first = network.edges[0]
+    overflowing = edge_system(E=first.A, F=first.B / 1e160,
+                              G=first.C * 1e160)
+    assert lossless_at_dc.B.shape == generic11.B.shape == (2, 1)
+    swapped = {3: lossless_at_dc, 11: generic11, 20: unstable,
+               25: overflowing}
+    edges = tuple(swapped.get(j, e) for j, e in enumerate(network.edges))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        results, after = check_assumptions(
+            Network(nodes=network.nodes, edges=edges,
+                    topology=network.topology), exo)
+    a3 = {r.entity: r for r in results if r.name == "A3"}
+    margin = f"no SPR certificate with margin {STRICT_MARGIN:.1e}: "
+    assert a3["edge 4"].detail == margin + \
+        "the Riccati Hamiltonian has an imaginary eigenvalue"
+    assert a3["edge 12"].detail == margin + \
+        "the (1,1) block is not negative definite"
+    assert a3["edge 21"].detail == "edge state matrix has abscissa 5.000e-01"
+    assert a3["edge 26"].detail == margin + \
+        "the Riccati Hamiltonian has non-finite entries"
+    for j, (cert, cert_before) in enumerate(zip(after, before)):
+        if j in swapped:
+            assert cert is None and not a3[f"edge {j + 1}"].passed
+        else:
+            assert a3[f"edge {j + 1}"].passed
+            assert_same_outcome(cert, cert_before)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from coopnet import analysis
 from coopnet.analysis import (
     build_exosystem,
     controllable,
     edge_system,
+    marginal_kernel_certificate,
     node_system,
     spectral_abscissa,
+    spr_certificate,
 )
 from coopnet import synthesis
 from coopnet.errors import (
@@ -28,6 +31,7 @@ from coopnet.synthesis import (
     REGIMES,
     build_controllers,
     build_maps,
+    check_assumptions,
     hat_matrices,
     internal_model_from_matrices,
     p_copy_internal_model,
@@ -38,7 +42,7 @@ from coopnet.synthesis import (
 )
 from coopnet.topology import assemble_weighted_blocks
 
-from helpers import relative_degree_one_node
+from helpers import relative_degree_one_node, ring30
 
 W = 100.0 * np.pi
 ROT = np.array([[0.0, -W], [W, 0.0]])
@@ -497,7 +501,6 @@ def test_static_node_requires_master_role():
 
 
 def test_p_copy_satisfies_the_copy_condition_for_random_spectra():
-    from coopnet.analysis import marginal_kernel_certificate
     from coopnet.scenarios import _random_marginal_exosystem
     from coopnet.synthesis import validate_internal_model
 
@@ -535,8 +538,6 @@ def test_closed_node_hurwitz_at_every_certificate_scale(regime):
     """With P_s^{-1} B = C.T and G1's marginal-kernel storage, the closed
     node is Hurwitz at every scale passify_node tries, so the scale search
     cannot come back empty."""
-    from coopnet.analysis import marginal_kernel_certificate
-
     for seed, kw in PASSIFY_PANEL:
         scn = random_network(seed, regime=regime, **kw)
         im = p_copy_internal_model(scn.S, scn.Q_eta.shape[0])
@@ -556,8 +557,6 @@ def test_verify_recovers_the_two_copy_storage(seed):
     mixes the copies (M > 0 not diagonal) from the K_zeta it gives; and
     T P_g T.T for the model in coordinates zeta' = T zeta, where the
     repeated eigenvalues of G1 are no longer bit-equal."""
-    from coopnet.analysis import marginal_kernel_certificate
-
     scn = random_network(seed, n_nodes=4, m_edges=5, dims=3, p=2, q_exo=4)
     exo = scn.exosystem()
     im = p_copy_internal_model(scn.S, 2)
@@ -577,3 +576,56 @@ def test_verify_recovers_the_two_copy_storage(seed):
             cert = verify_A5(node, ctrl.K_x, k_zeta, model)
             got = np.linalg.inv(cert.P)[n:, n:]
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_ring30_certifies_its_edges_in_one_stacked_bisection(monkeypatch):
+    """The ring's 30 edges share one shape, so check_assumptions runs the
+    Riccati test once at the margin, once per bisection step and once at
+    the centre, each time on every edge still bisecting: as often as the
+    slowest edge alone needs, not once per edge and step (510 times)."""
+    stacks = []
+    test = analysis._spr_riccati_test
+
+    def spy(k, et, w, delta):
+        stacks.append(len(k))
+        return test(k, et, w, delta)
+
+    monkeypatch.setattr(analysis, "_spr_riccati_test", spy)
+    scn = ring30()
+    network = scn.network()
+    alone = []
+    for edge in network.edges:
+        stacks.clear()
+        spr_certificate(edge)
+        alone.append(len(stacks))
+    stacks.clear()
+    _, certs = check_assumptions(network, scn.exosystem())
+    assert all(cert is not None for cert in certs)
+    assert sum(alone) == 510
+    assert len(stacks) == max(alone)
+    assert stacks[0] == stacks[-1] == 30
+
+
+def test_ring30_builds_the_certificate_scale_table_once(monkeypatch):
+    """The 30 passified nodes share one internal model, whose P_g and
+    K_zeta per certificate scale are computed once, as the scale-by-scale
+    formula gives them."""
+    built = []
+
+    def spy(g1):
+        built.append(g1)
+        return marginal_kernel_certificate(g1)
+
+    monkeypatch.setattr(synthesis, "marginal_kernel_certificate", spy)
+    scn = ring30()
+    cset = build_controllers(scn.network(), scn.exosystem(), scn.regime,
+                             roles=scn.roles, eps=scn.eps, gains=scn.gains)
+    ctrls = [c for c in cset.controllers if c is not None]
+    assert len(ctrls) == 30 and len(built) == 1
+    im = ctrls[0].im
+    assert all(c.im is im for c in ctrls)
+    p_g, k_zetas = im.scaled_gains
+    for rho, k_zeta in zip(synthesis.CERTIFICATE_SCALES, k_zetas):
+        want = -np.linalg.solve((rho * p_g).T, im.G2).T
+        assert np.array_equal(k_zeta, want)
+    assert len(built) == 1
