@@ -18,10 +18,30 @@ correction) is formatted by the ``%`` template itself.
 
 The text is laid out by C's ``%g`` rules for precision 17: fixed notation
 for -4 <= X < 17, exponent notation with at least two exponent digits
-otherwise, trailing zeros of the fraction stripped.  The bytes are built
-slot-major, one uint8 row per character position of every value, with 0
-marking an absent character; one pass over the transposed bytes drops the
-absent ones.
+otherwise, trailing zeros of the fraction stripped.  The bytes of a block
+are built slot-major: a uint8 array with one row per character position
+("slot") and one column per value, 0 marking an absent character.  Its
+rows, top to bottom:
+
+- the sign, "-" when the sign bit is set (so also for -0);
+- the lead "0." and up to three zeros of fixed notation below 1, only in a
+  block holding such a value, and only as many rows as its smallest
+  exponent needs;
+- 18 mantissa slots: the 17 digits, with the point after the first X + 1
+  of them in fixed notation from 1 up and after the first in exponent
+  notation, and the digits behind it one slot on (below 1 the point is in
+  the lead); trailing zeros of the fraction, and a point no digit follows,
+  are absent;
+- "e", the exponent's sign and its two or three digits, only in a block
+  holding a value in exponent notation;
+- the separator, "," or a newline by column.
+
+The digits are integer arithmetic on the 17-digit n, with no lookup table:
+its two 8-digit halves below the first digit split into 4-digit chunks,
+2-digit pairs and digits, all in one pass per step over every value of the
+block.  The count of significant digits is the position of the last
+nonzero digit, one maximum over the digit rows.  One copy turns the slot
+array value-major, and one ``bytes.translate`` drops the absent characters.
 """
 
 import functools
@@ -41,10 +61,8 @@ _E16, _E17 = 10 ** 16, 10 ** 17
 # distance from one half under which a fractional part is a possible tie;
 # far above the ~2e-15 error of the scaled value
 _TIE_GAP = 1e-9
-# character slots per value: sign, "0.000" of fixed notation below 1, 17
-# digits and a point, "e", the exponent's sign and 3 digits, the separator
-_SIGN, _LEAD, _MANT, _EXP, _SEP = 0, 1, 6, 24, 29
-_N_SLOTS = 30
+# mantissa slots: 17 digits and a point
+_MANT = 18
 _COMMA, _NEWLINE, _MINUS, _PLUS, _POINT, _ZERO, _E = b",\n-+.0e"
 
 
@@ -55,11 +73,9 @@ def _tables():
 
     ``pow10``: rows hi, lo, head(hi), tail(hi) of 10^s for s in
     [_S_MIN, _S_MAX], with hi + lo equal to 10^s to about 2^-106 relative
-    and head + tail the exact Dekker split of hi.  ``digits4``: the 4 ASCII
-    digits of each chunk 0..9999.  ``sig4[k, c]``: with c as chunk k of
-    the 16 digits after the first, the digit count up to c's last nonzero
-    digit, the first digit included (0 for c = 0).  ``exp3``: the exponent
-    digits of 0..399, at least two, 0 for an absent hundreds digit.
+    and head + tail the exact Dekker split of hi.  ``slot``: the column of
+    mantissa slot indices 0..17, compared with each value's positions.
+    ``lead``: the column of lead characters "0.000".
     """
     hi, lo = [], []
     for s in range(_S_MIN, _S_MAX + 1):
@@ -72,21 +88,11 @@ def _tables():
     c = _SPLIT * hi
     head = c - (c - hi)
     pow10 = np.array([hi, np.array(lo), head, hi - head])
-
-    chunk = np.arange(10000)
-    digits4 = np.array([chunk // 1000, chunk // 100 % 10, chunk // 10 % 10,
-                        chunk % 10], dtype=np.uint8) + _ZERO
-    width = np.zeros(10000, dtype=np.uint8)
-    for w, unit in ((4, 1), (3, 10), (2, 100), (1, 1000)):
-        width[(chunk % unit == 0) & (chunk % (unit * 10) != 0)] = w
-    sig4 = np.array([np.where(width > 0, 4 * k + 1 + width, 0)
-                     for k in range(4)], dtype=np.uint8)
-    e = np.arange(400)
-    exp3 = np.array([np.where(e >= 100, e // 100 + _ZERO, 0),
-                     e // 10 % 10 + _ZERO, e % 10 + _ZERO], dtype=np.uint8)
-    for table in (pow10, digits4, sig4, exp3):
+    slot = np.arange(_MANT, dtype=np.uint8)[:, None]
+    lead = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+    for table in (pow10, slot):
         table.flags.writeable = False
-    return pow10, digits4, sig4, exp3
+    return pow10, slot, lead
 
 
 def _scaled(a, s, pow10):
@@ -126,58 +132,99 @@ def _digits(x, pow10):
     return np.where(ok, n, 0), np.where(ok, X, 0), ok | (x == 0)
 
 
-def _slots(x, n, X, sep, tables):
-    """The (slot, value) uint8 characters of every value; 0 is absent."""
-    _, digits4, sig4, exp3 = tables
+def _digit_rows(n):
+    """The 17 digits of every 0 <= n < 10^17 as uint8 values 0..9 in rows
+    1..17, most significant first, between two zero rows."""
+    v = n.size
+    n = n.view(np.uint64)
+    high = n // np.uint64(10 ** 8)
+    first = high // np.uint64(10 ** 8)
+    # the 8 digits after the first, then the last 8; each half is two
+    # 4-digit chunks, each chunk two 2-digit pairs, each pair two digits
+    halves = np.empty((2, v), dtype=np.uint32)
+    np.subtract(high, first * np.uint64(10 ** 8), out=halves[0],
+                casting="unsafe")
+    np.subtract(n, high * np.uint64(10 ** 8), out=halves[1], casting="unsafe")
+    chunks = np.empty((2, 2, v), dtype=np.uint16)
+    q = halves // np.uint32(10 ** 4)
+    np.copyto(chunks[:, 0], q, casting="unsafe")
+    np.subtract(halves, q * np.uint32(10 ** 4), out=chunks[:, 1],
+                casting="unsafe")
+    pairs = np.empty((2, 2, 2, v), dtype=np.uint8)
+    q = chunks // np.uint16(100)
+    np.copyto(pairs[..., 0, :], q, casting="unsafe")
+    np.subtract(chunks, q * np.uint16(100), out=pairs[..., 1, :],
+                casting="unsafe")
+    digits = np.empty((19, v), dtype=np.uint8)
+    digits[0] = digits[18] = 0
+    np.copyto(digits[1], first, casting="unsafe")
+    tail = digits[2:18].reshape(2, 2, 2, 2, v)
+    np.floor_divide(pairs, np.uint8(10), out=tail[..., 0, :])
+    np.subtract(pairs, tail[..., 0, :] * np.uint8(10), out=tail[..., 1, :])
+    return digits
+
+
+def _slots(x, n, X, n_cols, tables):
+    """The (slot, value) uint8 characters of every value, 0 where absent,
+    in the rows the block needs (see the module docstring)."""
+    _, slot, lead_chars = tables
     v = x.size
-    out = np.zeros((_N_SLOTS, v), dtype=np.uint8)
-    np.multiply(np.signbit(x), np.uint8(_MINUS), out=out[_SIGN])
+    X = X.astype(np.int16)
+    # X + 4 as unsigned: below 21 in fixed notation, below 4 with the lead
+    rel = (X + 4).view(np.uint16)
+    fixed = rel < 21
+    lead = rel < 4
+    # the smallest exponent in fixed notation, if below 0 (rel wraps
+    # below -4)
+    least = int(rel.min(initial=4)) - 4
+    n_lead = 1 - least if least < 0 else 0
+    n_exp = 0 if fixed.all() else 4 + (int(np.abs(X).max()) >= 100)
+    out = np.empty((2 + n_lead + _MANT + n_exp, v), dtype=np.uint8)
+    np.multiply(np.signbit(x), np.uint8(_MINUS), out=out[0])
+    if n_lead:
+        # "0." and -1 - X zeros: lead slot j is present while j < 1 - X
+        width = (lead * (1 - X)).astype(np.uint8)
+        np.multiply(slot[:n_lead] < width, lead_chars[:n_lead],
+                    out=out[1:1 + n_lead])
 
-    fixed = (X >= -4) & (X < 17)
-    lead = fixed & (X < 0)
-    np.multiply(lead, np.uint8(_ZERO), out=out[_LEAD])
-    np.multiply(lead, np.uint8(_POINT), out=out[_LEAD + 1])
-    zeros = (np.arange(3)[:, None] < -1 - X) & lead
-    np.multiply(zeros, np.uint8(_ZERO), out=out[_LEAD + 2:_MANT])
-
-    # n = d0·10^16 + c1·10^12 + c2·10^8 + c3·10^4 + c4; its two halves
-    # of at most 9 digits give the chunks in int32 arithmetic
-    high = n // 10 ** 8
-    low = (n - high * 10 ** 8).astype(np.int32)
-    high = high.astype(np.int32)
-    d0 = high // 10 ** 8
-    c3, c4 = np.divmod(low, 10000)
-    chunks = (high // 10000 % 10000, high % 10000, c3, c4)
-    # the digits, with a zero row on either side for the shift below
-    digits = np.zeros((19, v), dtype=np.uint8)
-    np.add(d0, _ZERO, out=digits[1], casting="unsafe")
-    n_sig = np.ones(v, dtype=np.uint8)
-    for k, chunk in enumerate(chunks):
-        np.take(digits4, chunk, axis=1, out=digits[2 + 4 * k:6 + 4 * k],
-                mode="clip")
-        np.maximum(n_sig, np.take(sig4[k], chunk, mode="clip"), out=n_sig)
-    # fixed notation keeps every digit of the integer part
-    n_kept = np.where(fixed, np.maximum(n_sig, X + 1), n_sig).astype(np.uint8)
-    slot = np.arange(18, dtype=np.uint8)[:, None]
+    digits = _digit_rows(n)
+    # 0 for n = 0, whose one digit is kept below
+    n_sig = np.maximum.reduce((digits[1:18] != 0).view(np.uint8) * slot[1:],
+                              axis=0)
+    # digits before the point: X + 1 in fixed notation (none after the
+    # lead), 1 in exponent notation; fixed notation keeps all of them
+    before = (X + 1).astype(np.uint8) * (fixed & ~lead) + ~fixed
+    n_kept = np.maximum(n_sig, before)
+    digits[1:18] += np.uint8(_ZERO)
     digits[1:18] *= (slot[:17] < n_kept).view(np.uint8)  # drop the rest
-    # the point goes after digit X in fixed notation, after the first in
-    # exponent notation, and nowhere when no digit follows it; the digits
-    # after it move one slot right
-    point = np.where(fixed, X, 0) + 1
-    point = np.where((point > 0) & (point < n_kept), point, 18)
-    point = point.astype(np.uint8)
-    mant = out[_MANT:_EXP]
+    # no point (slot 18, past the mantissa) after the lead or when no
+    # digit follows it
+    point = np.maximum(before, ((before == 0) | (before == n_kept))
+                       .view(np.uint8) * np.uint8(_MANT))
+    mant = out[1 + n_lead:1 + n_lead + _MANT]
     np.multiply(digits[1:], (slot < point).view(np.uint8), out=mant)
-    mant += digits[:18] * (slot > point).view(np.uint8)
+    mant += digits[:-1] * (slot > point).view(np.uint8)
     mant += (slot == point).view(np.uint8) * np.uint8(_POINT)
 
-    expo = (~fixed).view(np.uint8)
-    np.multiply(expo, np.uint8(_E), out=out[_EXP])
-    esign = (X < 0).view(np.uint8) * np.uint8(_MINUS - _PLUS) + np.uint8(_PLUS)
-    np.multiply(expo, esign, out=out[_EXP + 1])
-    np.multiply(np.take(exp3, np.abs(X), axis=1), expo,
-                out=out[_EXP + 2:_SEP])
-    out[_SEP] = sep
+    if n_exp:
+        expo = (~fixed).view(np.uint8)
+        e = out[-1 - n_exp:-1]
+        np.multiply(expo, np.uint8(_E), out=e[0])
+        np.multiply(expo, (X < 0).view(np.uint8) * np.uint8(_MINUS - _PLUS)
+                    + np.uint8(_PLUS), out=e[1])
+        mag = np.abs(X).view(np.uint16)
+        tens = mag // np.uint16(10)
+        chars = [tens % np.uint16(10) + np.uint16(_ZERO),
+                 mag - tens * np.uint16(10) + np.uint16(_ZERO)]
+        if n_exp == 5:  # a hundreds digit only where there is one
+            chars.insert(0, (mag >= 100) * (mag // np.uint16(100)
+                                            + np.uint16(_ZERO)))
+        for row, c in zip(e[2:], chars):
+            np.multiply(expo, c, out=row, casting="unsafe")
+
+    sep = out[-1].reshape(-1, n_cols)
+    sep[:] = _COMMA
+    sep[:, -1] = _NEWLINE
     return out
 
 
@@ -189,10 +236,9 @@ def format_rows(rows):
     x = rows.ravel()
     tables = _tables()
     n, X, ok = _digits(x, tables[0])
-    sep = np.full((n_rows, n_cols), _COMMA, dtype=np.uint8)
-    sep[:, -1] = _NEWLINE
-    out = _slots(x, n, X, sep.ravel(), tables)
-    bad = np.flatnonzero(~ok.reshape(n_rows, n_cols).all(axis=1))
+    out = _slots(x, n, X, n_cols, tables)
+    bad = [] if ok.all() else \
+        np.flatnonzero(~ok.reshape(n_rows, n_cols).all(axis=1))
     # the rows between uncertified ones come from the slots, those rows
     # from the template
     template = ",".join(["%.17g"] * n_cols) + "\n"

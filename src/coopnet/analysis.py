@@ -565,12 +565,22 @@ def spr_certificates(edges, margin=STRICT_MARGIN):
 
             # the (1,1) block fails from the generalized eigenvalue hi on
             b11 = -_sym(k @ et[:, :m, :m] + _mT(et[:, :m, :m]) @ k)
-            lo = np.full(len(idx), margin)
             hi = np.array([scipy.linalg.eigh(b, w_[:m, :m],
                                              eigvals_only=True)[0]
+                           if np.isfinite(b).all() else np.inf
                            for b, w_ in zip(b11, w)])
+            finite = np.isfinite(hi)
+            for j in idx[~finite]:
+                out[j] = Infeasible("the (1,1)-block bound of the SPR "
+                                    "margin overflows double precision")
+            idx, k, et, w, ui, hi = (a[finite] for a in (idx, k, et, w, ui,
+                                                         hi))
+            lo = np.full(len(idx), margin)
+            # geometric midpoints without forming lo * hi, which overflows
+            # for bounds above ~1e154; a finite hi ends the bisection in at
+            # most ~20 steps
             while (act := hi > (1.0 + SPR_BISECT_RTOL) * lo).any():
-                mid = np.sqrt(lo[act] * hi[act])
+                mid = np.sqrt(lo[act]) * np.sqrt(hi[act])
                 ok = _spr_riccati_test(k[act], et[act], w[act], mid)[0] == 0
                 lo[act] = np.where(ok, mid, lo[act])
                 hi[act] = np.where(ok, hi[act], mid)

@@ -34,9 +34,11 @@ BUILTIN_SCENARIOS = {
 DEMO_ERR_THRESHOLD = 1e-2
 #: metrics window of the demo report, seconds
 DEMO_WINDOW = 0.1
-#: rows formatted per write in :func:`write_csv`.  The demo's 13-column
-#: CSV took 0.40 s with 256 rows, 0.36 s with 1024 and 2048, and 0.50 s
-#: with 4096 (2-core x86 host); peak memory was the same with 256 and 1024
+#: rows formatted per write in :func:`write_csv`.  Formatting the demo's
+#: 200,001 x 13 table took 0.27-0.34 s with 1024 rows (fastest and median
+#: of 9 passes, 2-core x86 host, one BLAS thread), 0.28-0.37 s with 2048,
+#: 0.31-0.36 s with 4096, 0.30-0.38 s with 512 and 0.36-0.48 s with 256;
+#: a block's temporaries grow with its rows
 CSV_BLOCK_ROWS = 1024
 #: exit code when the reader of stdout goes away: 128 + SIGPIPE, what a
 #: shell reports for a writer the signal ends

@@ -72,9 +72,14 @@ def line_chart(path, t, series, title="", x_label="t [s]", y_label="",
                    f'text-anchor="middle" '
                    f'transform="rotate(-90 16 {mt + ph / 2:.1f})">'
                    f'{y_label}</text>')
+    xs = sx(tt)
     for k, (label, y) in enumerate(data):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in zip(tt, y))
+        # whole-array scaling, then one template over plain floats: the
+        # same numbers and digits as formatting point by point
+        m = min(xs.size, y.size)
+        xy = np.column_stack([xs[:m], sy(y[:m])]).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * m) % tuple(xy)
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.3"/>')
         ly = mt + 14 + 16 * k

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopnet
+from coopnet import svg
 from coopnet.cli import EXIT_BROKEN_PIPE, main, write_csv
 from coopnet.config import format_config, parse_config
 from coopnet.errors import ParseError, ValidationError
@@ -322,6 +323,107 @@ def test_cli_simulate_emits_svg(tmp_path):
     assert text.startswith("<svg") and "polyline" in text
 
 
+def _per_point_line_chart(path, t, series, title="", x_label="t [s]",
+                          y_label="", width=920, height=360,
+                          max_points=2000):
+    """The reference: ``svg.line_chart`` as it formatted its polylines
+    point by point, from numpy scalars."""
+    t = np.asarray(t, dtype=float)
+    items = list(series.items())
+    stride = max(1, int(np.ceil(t.size / max_points)))
+    tt = t[::stride]
+    data = [(label, np.asarray(y, dtype=float).ravel()[::stride])
+            for label, y in items]
+    y_lo = min((y.min() for _, y in data if y.size), default=0.0)
+    y_hi = max((y.max() for _, y in data if y.size), default=1.0)
+    pad = 0.05 * max(y_hi - y_lo, 1e-12)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = float(tt[0]), float(tt[-1]) if tt.size > 1 else \
+        (float(tt[0]) + 1.0)
+    ml, mr, mt, mb = 70, 160, 34, 44
+    pw, ph = width - ml - mr, height - mt - mb
+
+    def sx(x):
+        return ml + pw * (x - x_lo) / max(x_hi - x_lo, 1e-300)
+
+    def sy(y):
+        return mt + ph * (1.0 - (y - y_lo) / max(y_hi - y_lo, 1e-300))
+
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+           f'height="{height}" viewBox="0 0 {width} {height}">',
+           f'<rect width="{width}" height="{height}" fill="white"/>',
+           f'<text x="{ml}" y="20" font-family="monospace" font-size="13" '
+           f'fill="#333">{title}</text>']
+    # axes and grid
+    for xv in svg._ticks(x_lo, x_hi):
+        xs = sx(xv)
+        out.append(f'<line x1="{xs:.1f}" y1="{mt}" x2="{xs:.1f}" '
+                   f'y2="{mt + ph}" stroke="#ddd" stroke-width="1"/>')
+        out.append(f'<text x="{xs:.1f}" y="{mt + ph + 16}" '
+                   f'font-family="monospace" font-size="10" fill="#555" '
+                   f'text-anchor="middle">{svg._fmt(xv)}</text>')
+    for yv in svg._ticks(y_lo, y_hi):
+        ys = sy(yv)
+        out.append(f'<line x1="{ml}" y1="{ys:.1f}" x2="{ml + pw}" '
+                   f'y2="{ys:.1f}" stroke="#ddd" stroke-width="1"/>')
+        out.append(f'<text x="{ml - 6}" y="{ys + 3:.1f}" '
+                   f'font-family="monospace" font-size="10" fill="#555" '
+                   f'text-anchor="end">{svg._fmt(yv)}</text>')
+    out.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
+               f'fill="none" stroke="#333" stroke-width="1"/>')
+    out.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" '
+               f'font-family="monospace" font-size="11" fill="#333" '
+               f'text-anchor="middle">{x_label}</text>')
+    if y_label:
+        out.append(f'<text x="16" y="{mt + ph / 2:.1f}" '
+                   f'font-family="monospace" font-size="11" fill="#333" '
+                   f'text-anchor="middle" '
+                   f'transform="rotate(-90 16 {mt + ph / 2:.1f})">'
+                   f'{y_label}</text>')
+    for k, (label, y) in enumerate(data):
+        color = svg._PALETTE[k % len(svg._PALETTE)]
+        pts = " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in zip(tt, y))
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                   f'stroke-width="1.3"/>')
+        ly = mt + 14 + 16 * k
+        out.append(f'<line x1="{ml + pw + 10}" y1="{ly - 4}" '
+                   f'x2="{ml + pw + 30}" y2="{ly - 4}" stroke="{color}" '
+                   f'stroke-width="2"/>')
+        out.append(f'<text x="{ml + pw + 34}" y="{ly}" '
+                   f'font-family="monospace" font-size="10" fill="#333">'
+                   f'{label}</text>')
+    out.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(out) + "\n")
+    return path
+
+
+def test_demo_charts_match_the_per_point_polylines(tmp_path, monkeypatch):
+    """The three charts of the demo's ``simulate --emit csv+svg``, byte for
+    byte as the per-point code drew them."""
+    from coopnet import cli
+
+    results = []
+    real = cli.write_plots
+
+    def keep(out_dir, result, base="run"):
+        results.append((result, base))
+        return real(out_dir, result, base)
+
+    monkeypatch.setattr(cli, "write_plots", keep)
+    assert main(["simulate", "--config", "power_network", "--out",
+                 str(tmp_path / "new"), "--emit", "csv+svg"]) == 0
+    monkeypatch.setattr(svg, "line_chart", _per_point_line_chart)
+    (tmp_path / "ref").mkdir()
+    (result, base), = results
+    paths = real(str(tmp_path / "ref"), result, base)
+    assert len(paths) == 3
+    for path in paths:
+        name = os.path.basename(path)
+        assert (tmp_path / "new" / name).read_bytes() == \
+            (tmp_path / "ref" / name).read_bytes(), name
+
+
 def test_cli_demo_short_horizon_fails_threshold(capsys):
     code = main(["demo", "--t-end", "0.02"])
     out = capsys.readouterr().out
@@ -530,6 +632,54 @@ def test_format_rows_matches_g17_on_any_doubles(values, n_cols):
 
     rows = _as_rows(values, n_cols)
     assert format_rows(rows) == _g17_oracle(rows)
+
+
+def _layout_panel():
+    """Values for every case of the %g layout: each output length from 1
+    to 24 characters, the point after each of digits 1 to 16 and a 17-digit
+    integer without one, the lead "0." to "0.000", two- and three-digit
+    exponents of both signs, and +-0."""
+    vals = [0.0, -0.0]
+    for mant in (1.0, 1.5, 1.25, 1.2345678901234567, 1 / 3):
+        vals += [s * mant * 10.0 ** e for s in (1, -1) for e in range(-7, 18)]
+    vals += [s * m * 10.0 ** e for s in (1, -1) for m in (1.0, 1 / 3)
+             for e in (-280, -200, -101, -100, -99, -10, 20, 99, 100, 280)]
+    return vals
+
+
+def test_layout_panel_covers_every_case():
+    texts = ["%.17g" % v for v in _layout_panel()]
+    assert {len(t) for t in texts} == set(range(1, 25))
+    fixed = [t.lstrip("-") for t in texts if "e" not in t]
+    assert {t.index(".") for t in fixed if "." in t} == set(range(1, 17))
+    assert any(len(t) == 17 and "." not in t for t in fixed)
+    leads = {t[:len(t) - len(t[2:].lstrip("0"))]
+             for t in fixed if t.startswith("0.")}
+    assert leads == {"0.", "0.0", "0.00", "0.000"}
+    exps = {t[t.index("e"):][:2] + str(len(t) - t.index("e") - 2)
+            for t in texts if "e" in t}
+    assert exps == {"e+2", "e-2", "e+3", "e-3"}
+    assert {"0", "-0"} <= set(texts)
+
+
+def test_format_rows_layout_panel_in_every_column_and_block():
+    """Every layout case in every column of a 13-column block, with a
+    fallback row among them; split at every row, so the cases also meet
+    block edges and blocks that hold only some of them, and one block per
+    case holding only that case."""
+    from coopnet._g17 import format_rows
+
+    vals = np.array(_layout_panel())
+    rows = np.array([np.roll(vals, -c) for c in range(13)]).T  # (n, 13)
+    rows[len(vals) // 2, 5] = np.nan  # a row from the template
+    want = _g17_oracle(rows)
+    assert format_rows(rows) == want
+    for k in range(1, len(rows)):
+        assert format_rows(rows[:k]) + format_rows(rows[k:]) == want
+    for v in vals:
+        block = np.full((2, 13), v)
+        assert format_rows(block) == _g17_oracle(block)
+    assert format_rows(np.empty((0, 13))) == b""
 
 
 # ---------------------------------------------------------------------------

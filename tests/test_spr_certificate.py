@@ -266,3 +266,49 @@ def test_failing_edges_leave_the_others_of_their_shape_unchanged():
         else:
             assert a3[f"edge {j + 1}"].passed
             assert_same_outcome(cert, cert_before)
+
+
+# ---------------------------------------------------------------------------
+# huge edges: the margin bisection ends
+
+
+def test_huge_edge_margin_bisection_ends(monkeypatch):
+    """A ring edge with E scaled by 1e160 has a margin bound near 1e160,
+    so lo * hi overflows once lo has grown; the bisection must still end.
+    Geometric midpoints halve log(hi / lo), at most ln(1.8e308 / 1e-8) ~
+    729, down to ln(1 + SPR_BISECT_RTOL) ~ 1e-3: 20 steps, plus the tests
+    at the margin and at the centre.  Counted, not timed."""
+    import coopnet.analysis as analysis
+
+    real, calls = analysis._spr_riccati_test, []
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 22:
+            raise AssertionError("margin bisection still running after "
+                                 "22 Riccati tests")
+        return real(*args)
+
+    first = ring30().network().edges[0]
+    base = spr_certificate(first)
+    monkeypatch.setattr(analysis, "_spr_riccati_test", counted)
+    for scale in (1e160, 1e300):
+        calls.clear()
+        cert = spr_certificate(edge_system(E=first.A * scale, F=first.B,
+                                           G=first.C))
+        # Q keeps Q F = G^T, and Q E + E^T Q scales with E
+        assert cert.slack == pytest.approx(scale * base.slack, rel=1e-2)
+        assert 2 < len(calls) <= 22
+
+
+def test_edge_whose_margin_bound_overflows_is_infeasible():
+    """An edge that passes the Riccati test at the strict margin but whose
+    (1,1)-block bound on the margin is not finite has no certificate the
+    bisection can centre: it is reported infeasible, naming the
+    overflow."""
+    first = ring30().network().edges[0]
+    edge = edge_system(E=first.A * 100.0, F=first.B, G=first.C * 1e306)
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(Infeasible, match="bound of the SPR margin "
+                                            "overflows double precision"):
+        spr_certificate(edge)
