@@ -5,8 +5,8 @@ numerical contract: solvers check their residuals, certificate constructors
 re-verify the inequalities they claim before returning, and every strict
 inequality carries a certified slack.  Tolerances are module constants.
 scipy is imported only inside the routines that need it (the Lyapunov
-solver and the Riccati branch of the SPR certificate), so importing the
-package loads numpy alone.
+solver, and the balancing and Riccati branch of the SPR certificate), so
+importing the package loads numpy alone.
 """
 
 import warnings
@@ -39,14 +39,14 @@ from .topology import (
 SOLVE_RESID_RTOL = 1e-10
 #: |Re lambda| threshold for "on the imaginary axis"
 MARGINAL_RE_TOL = 1e-9
-#: margin required of strict LMIs
+#: decay rate (1/time) of strict storages: ``P A + A.T P < -STRICT_MARGIN P``
 STRICT_MARGIN = 1e-8
-#: fraction of the largest SPR margin an edge certificate is built at (nearer
-#: the largest margin, Q sits on the boundary with far smaller slacks)
+#: fraction of the largest SPR decay rate an SPR certificate is built at
+#: (nearer the largest rate, Q sits on the boundary with far smaller slacks)
 SPR_CENTRE = 0.75
-#: relative width of the bisection for the largest SPR margin
+#: relative width of the bisection for the largest SPR decay rate
 SPR_BISECT_RTOL = 1e-3
-#: tolerance for passivity inequalities (assumption A5, Lemma 1's P_w W1)
+#: relative tolerance of non-strict storage inequalities and of P B = C.T
 PASSIVITY_TOL = 1e-9
 #: the conditions the SPR Riccati test fails on, by the code it reports
 RICCATI_FAILS = (None, "the (1,1) block is not negative definite",
@@ -423,44 +423,42 @@ def marginal_kernel_certificate(g1):
 # strict positive realness
 
 
-def _spr_riccati_test(k, et, w, delta):
-    """Which edges of a stack have some Y giving ``Q E + E.T Q <= -delta
-    I``, in normal form.
+def _spr_riccati_test(k, et, delta):
+    """Which systems of a stack (one shape, each with its decay rate
+    ``delta``) have some Y giving ``Q E + E.T Q < -delta Q``.
 
-    The leading axis runs over edges of one shape, each with its own
-    margin ``delta``.  With ``et = U^{-1} E U``, ``w = U.T U`` and ``U.T Q
-    U = blkdiag(k, Y)`` the margin reads ``L(Y) = blkdiag(k, Y) et + et.T
-    blkdiag(k, Y) + delta w <= 0``.  Its (1,1) block -R must be negative
-    definite; the Schur complement is then ``A_bar.T Y + Y A_bar + Y S Y +
-    Q_c < 0``, solvable with Y > 0 exactly when A_bar is Hurwitz and the
-    Hamiltonian ``[[A_bar, S], [-Q_c, -A_bar.T]]`` has no imaginary-axis
-    eigenvalue (bounded real lemma).  Returns ``(fails, H)``: per edge the
-    index in :data:`RICCATI_FAILS` of the failing condition (0 when the
-    test passes), and the stack of H, read only where the test passes
-    (None when Y is empty).
+    With ``et = U^{-1} E U``, ``U.T Q U = blkdiag(k, Y)`` and ``et_d = et +
+    (delta / 2) I`` this reads ``blkdiag(k, Y) et_d + et_d.T blkdiag(k, Y)
+    < 0``: -R, its (1,1) block, must be negative definite, and then ``A_bar.T
+    Y + Y A_bar + Y S Y + Q_c < 0`` has a solution Y > 0 iff A_bar is
+    Hurwitz and ``H = [[A_bar, S], [-Q_c, -A_bar.T]]`` has no imaginary
+    eigenvalue (bounded real lemma).  Returns per system the index in
+    :data:`RICCATI_FAILS` of the failing condition (0: passed), and H.
     """
-    m = k.shape[-1]
+    m, n = k.shape[-1], et.shape[-1]
+    et = et + 0.5 * delta[:, None, None] * np.eye(n)
     a11 = et[:, :m, :m]
-    r = -_sym(k @ a11 + _mT(a11) @ k + delta[:, None, None] * w[:, :m, :m])
+    r = -_sym(k @ a11 + _mT(a11) @ k)
     fails = np.where(np.linalg.eigvalsh(r)[:, 0] <= 0, 1, 0)
     live = np.flatnonzero(fails == 0)
-    if et.shape[-1] == m or live.size == 0:
+    if n == m or live.size == 0:
         return fails, None
-    # the edges that pass, with blocks sliced as from a single edge's et
-    k, et, w, r = k[live], et[live], w[live], r[live]
-    d = delta[live, None, None]
+    # the systems that pass, with blocks sliced as from a single system's et
+    k, et, r = k[live], et[live], r[live]
     a12, a21, a22 = et[:, :m, m:], et[:, m:, :m], et[:, m:, m:]
-    c0 = _mT(a12) @ k + d * w[:, m:, :m]
+    c0 = _mT(a12) @ k
     abar = a22 + a21 @ np.linalg.solve(r, _mT(c0))
     s = _sym(a21 @ np.linalg.solve(r, _mT(a21)))
-    qc = _sym(c0 @ np.linalg.solve(r, _mT(c0)) + d * w[:, m:, m:])
-    h = np.block([[abar, s], [-qc, -_mT(abar)]])
+    qc = _sym(c0 @ np.linalg.solve(r, _mT(c0)))
+    h = np.concatenate([np.concatenate([abar, s], -1),
+                        np.concatenate([-qc, -_mT(abar)], -1)], -2)
     finite = np.isfinite(h).all(axis=(-2, -1))
-    h[~finite] = 0.0  # keeps one edge's overflow out of the stack's LAPACK
-    tol = MARGINAL_RE_TOL * np.maximum(1.0, np.linalg.norm(h, 2,
-                                                           axis=(-2, -1)))
-    n_y = a22.shape[-1]
-    stable = np.linalg.eigvals(h[:, :n_y, :n_y]).real.max(axis=-1) < -tol
+    h[~finite] = 0.0  # keeps one system's overflow out of the stack's LAPACK
+    # the scale of H's spectrum, kept by Y -> c Y (S -> c S, Q_c -> Q_c / c)
+    b = np.abs(h).reshape(len(h), 2, n - m, 2, n - m).max(axis=(2, 4))
+    tol = MARGINAL_RE_TOL * np.maximum(
+        1.0, b[:, 0, 0] + np.sqrt(b[:, 0, 1]) * np.sqrt(b[:, 1, 0]))
+    stable = np.linalg.eigvals(h[:, :n - m, :n - m]).real.max(axis=-1) < -tol
     split = np.abs(np.linalg.eigvals(h).real).min(axis=-1) > tol
     fails[live] = np.select([~finite, ~stable, ~split], [2, 3, 4])
     h_all = np.zeros((len(fails),) + h.shape[1:])
@@ -468,124 +466,128 @@ def _spr_riccati_test(k, et, w, delta):
     return fails, h_all
 
 
-def _spr_edge(edge):
-    """(E, F, G) of an edge, after the checks every SPR certificate needs."""
-    e, f, g = edge.A, edge.B, edge.C
-    if spectral_abscissa(e) >= -MARGINAL_RE_TOL:
-        raise NotHurwitz(f"edge state matrix has abscissa "
-                         f"{spectral_abscissa(e):.3e}")
-    if not full_column_rank(f) or not full_row_rank(g):
-        raise ValidationError("edge", "F must have full column rank and "
-                                      "G full row rank")
-    return e, f, g
+def _spr_normal_form(e, f, g):
+    """``(k, et, U^{-1})`` of :func:`_spr_riccati_test` for one system.
 
-
-def _spr_normal_form(edge):
-    """``(k, et, w, U^{-1})`` of :func:`_spr_riccati_test` for one edge,
-    with U = [F, null(G)]: exactly the Q with ``U.T Q U = blkdiag((G F).T,
-    Y)`` meet ``Q F = G.T``, so (G F).T must be symmetric positive
-    definite."""
-    e, f, g = _spr_edge(edge)
+    The Q with ``Q F = G.T`` are those with ``U.T Q U = blkdiag(k, Y)``, U
+    = [F, N], G N = 0, k = (G F).T, which must be positive definite (so F
+    and G have full rank).  For n > m, U = D [F_D S, null(G D)]: D balances
+    [[E, F], [G, 0]] exactly, by powers of two (Parlett & Reinsch, Numer.
+    Math. 1969), and S gives F_D = D^{-1} F unit columns (k = S G F S).
+    """
     gf = g @ f
-    if np.abs(gf - gf.T).max() > 1e-10 * max(1.0, np.abs(gf).max()):
+    if gf.shape[0] != gf.shape[1] or \
+            np.abs(gf - gf.T).max() > 1e-10 * max(1.0, np.abs(gf).max()):
         raise Infeasible("G F is not symmetric, so no symmetric Q has "
                          "Q F = G^T")
     k = _sym(gf)
     if np.linalg.eigvalsh(k)[0] <= 0:
         raise Infeasible("G F is not positive definite, so no Q > 0 has "
                          "Q F = G^T")
-    u = np.hstack([f, null_space(g)])
+    n, m = f.shape
+    if n == m:
+        ui = np.linalg.inv(f)
+        return k, ui @ e @ f, ui
+    import scipy.linalg
+
+    aug = np.vstack([np.hstack([e, f]), np.hstack([g, np.zeros((m, m))])])
+    with np.errstate(invalid="ignore"):  # scipy casts the scales to int
+        d = scipy.linalg.matrix_balance(aug, permute=False,
+                                        separate=True)[1][0][:n]
+    f_d = f / d[:, None]
+    s = 1.0 / np.linalg.norm(f_d, axis=0)
+    u = np.hstack([f_d * s, null_space(g * d)])
     ui = np.linalg.inv(u)
-    return k, ui @ e @ u, u.T @ u, ui
+    return k * np.outer(s, s), ui @ (e * d / d[:, None]) @ u, ui / d
+
+
+def _stacked_forms(systems, form):
+    """``out[j]``, what ``form(systems[j])`` raised (else None), and per
+    shape of B the indices and stacked forms of the other systems."""
+    out, groups = [None] * len(systems), {}
+    for j, system in enumerate(systems):
+        try:
+            groups.setdefault(system.B.shape, []).append((j, form(system)))
+        except Exception as exc:
+            out[j] = exc
+    return out, {shape: [np.array([j for j, _ in g]), *map(np.stack, zip(
+        *(f for _, f in g)))] for shape, g in groups.items() if g}
+
+
+def _spr_system(system):
+    """(E, F, G), after the Hurwitz check that names the abscissa."""
+    if (absc := spectral_abscissa(system.A)) >= -MARGINAL_RE_TOL:
+        raise NotHurwitz(f"edge state matrix has abscissa {absc:.3e}")
+    return system.A, system.B, system.C
 
 
 def spr_certificate(edge, Q=None, margin=STRICT_MARGIN):
     """Strict-positive-real certificate for an edge system (E, F, G).
 
-    Constructs (or verifies) symmetric ``Q > 0`` with ``Q F = G.T`` and
-    ``lambda_max(Q E + E.T Q) < -margin``; the achieved slack is recorded
-    on the returned certificate.  The construction is
-    :func:`spr_certificates` on a stack of one edge.
+    Constructs (:func:`spr_certificates` of one edge) or verifies symmetric
+    ``Q > 0`` with ``Q F = G.T`` and ``Q E + E.T Q < -margin Q``, a decay
+    rate, like the certificate's slack.
 
     Raises
     ------
     NotHurwitz
         If E is not Hurwitz (no SPR certificate can exist).
     Infeasible
-        If no certificate with slack above ``margin`` exists, or a supplied
-        Q is not one; the message names the condition that fails.
+        If no certificate with decay rate above ``margin`` exists, or a
+        supplied Q is not one; the message names the condition that fails.
     CertificateFailed
         If the constructed Q fails its re-verification.
     """
     if Q is not None:
-        return _checked_spr(_sym(_as_square(Q, "Q")), *_spr_edge(edge),
-                            margin, "supplied Q", Infeasible)
-    cert = spr_certificates([edge], margin)[0]
-    if isinstance(cert, Exception):
-        raise cert
-    return cert
+        e, f, g = _spr_system(edge)
+        _spr_normal_form(e, f, g)  # G F must be symmetric positive definite
+        return checked_storage(Q, e, f, g, margin, "supplied Q", Infeasible)
+    return _raised(spr_certificates([edge], margin)[0])
 
 
-def spr_certificates(edges, margin=STRICT_MARGIN):
-    """The certificate of :func:`spr_certificate` for every edge, or the
-    exception it raises for that edge, in edge order.
+def spr_certificates(systems, margin=STRICT_MARGIN):
+    """:func:`spr_certificate`'s certificate or exception for every system
+    (E, F, G), edges and node state loops (A + B K_x, B, C) alike.
 
-    Edges of one shape (n, m) are certified together, their Riccati tests
-    stacked.  With U = [F, null(G)] (:func:`_spr_normal_form`) a
-    certificate exists iff (G F).T is symmetric positive definite and
-    :func:`_spr_riccati_test` passes.  Each edge's largest margin is
-    bisected on that test, all edges of a shape in one loop; Y is the
-    stabilizing Riccati solution at ``SPR_CENTRE`` times it (kept above
-    ``margin``), which is then the slack.  One edge's failure leaves the
-    others' certificates unchanged.
+    One exists iff :func:`_spr_normal_form` and :func:`_spr_riccati_test`
+    pass.  Each system's largest decay rate is bisected on that test, all
+    systems of one shape stacked; Y is :func:`_riccati_interior` at
+    ``SPR_CENTRE`` times it (above ``margin``), and :func:`checked_storage`
+    re-verifies every Q.  One system's failure leaves the others unchanged.
     """
-    out = [None] * len(edges)
-    groups = {}
-    for j, edge in enumerate(edges):
-        try:
-            form = _spr_normal_form(edge)
-        except Exception as exc:
-            out[j] = exc
-            continue
-        groups.setdefault(edge.B.shape, []).append((j, form))
-    for (n, m), group in groups.items():
-        idx = np.array([j for j, _ in group])
-        k, et, w, ui = (np.stack(x) for x in zip(*(nf for _, nf in group)))
-        fails, _ = _spr_riccati_test(k, et, w, np.full(len(idx), margin))
-        for j, fail in zip(idx, fails):
-            if fail:
-                out[j] = Infeasible(f"no SPR certificate with margin "
-                                    f"{margin:.1e}: {RICCATI_FAILS[fail]}")
-        keep = fails == 0
-        if not keep.any():
-            continue
-        idx, k, et, w, ui = idx[keep], k[keep], et[keep], w[keep], ui[keep]
+    out, groups = _stacked_forms(
+        systems, lambda system: _spr_normal_form(*_spr_system(system)))
+    for (n, m), (idx, k, et, ui) in groups.items():
+        fails, _ = _spr_riccati_test(k, et, np.full(len(idx), margin))
+        for j, fail in zip(idx[fails > 0], fails[fails > 0]):
+            out[j] = Infeasible(f"no SPR certificate with margin "
+                                f"{margin:.1e}: {RICCATI_FAILS[fail]}")
+        idx, k, et, ui = (a[fails == 0] for a in (idx, k, et, ui))
         if n > m:
             import scipy.linalg
 
-            # the (1,1) block fails from the generalized eigenvalue hi on
+            # the (1,1) block fails above (-(k E11 + E11.T k), k)'s least eig
             b11 = -_sym(k @ et[:, :m, :m] + _mT(et[:, :m, :m]) @ k)
-            hi = np.array([scipy.linalg.eigh(b, w_[:m, :m],
-                                             eigvals_only=True)[0]
-                           if np.isfinite(b).all() else np.inf
-                           for b, w_ in zip(b11, w)])
-            finite = np.isfinite(hi)
+            finite = np.isfinite(b11).all(axis=(-2, -1))
+            li = np.linalg.inv(np.linalg.cholesky(k))
+            hi = np.linalg.eigvalsh(_sym(li @ np.where(
+                finite[:, None, None], b11, 0.0) @ _mT(li)))[:, 0]
+            finite &= np.isfinite(hi)
             for j in idx[~finite]:
                 out[j] = Infeasible("the (1,1)-block bound of the SPR "
                                     "margin overflows double precision")
-            idx, k, et, w, ui, hi = (a[finite] for a in (idx, k, et, w, ui,
-                                                         hi))
+            idx, k, et, ui, hi = (a[finite] for a in (idx, k, et, ui, hi))
             lo = np.full(len(idx), margin)
             # geometric midpoints without forming lo * hi, which overflows
             # for bounds above ~1e154; a finite hi ends the bisection in at
             # most ~20 steps
             while (act := hi > (1.0 + SPR_BISECT_RTOL) * lo).any():
                 mid = np.sqrt(lo[act]) * np.sqrt(hi[act])
-                ok = _spr_riccati_test(k[act], et[act], w[act], mid)[0] == 0
+                ok = _spr_riccati_test(k[act], et[act], mid)[0] == 0
                 lo[act] = np.where(ok, mid, lo[act])
                 hi[act] = np.where(ok, hi[act], mid)
             centre = np.maximum(SPR_CENTRE * lo, 0.5 * (margin + lo))
-            fails, h = _spr_riccati_test(k, et, w, centre)
+            fails, h = _spr_riccati_test(k, et, centre)
         for i, j in enumerate(idx):
             try:
                 q_t = k[i]  # Y is empty when G is square
@@ -599,27 +601,72 @@ def spr_certificates(edges, margin=STRICT_MARGIN):
                                            sort="lhp")[1]
                     y = np.linalg.solve(z[:n - m, :n - m].T,
                                         z[n - m:, :n - m].T).T
-                    q_t = block_diag([k[i], _sym(y)])
-                edge = edges[j]
-                out[j] = _checked_spr(_sym(ui[i].T @ q_t @ ui[i]), edge.A,
-                                      edge.B, edge.C, margin,
-                                      "constructed Q", CertificateFailed)
+                    q_t = block_diag([k[i], _riccati_interior(y, h[i], k[i])])
+                e, f, g = systems[j].A, systems[j].B, systems[j].C
+                out[j] = checked_storage(ui[i].T @ q_t @ ui[i], e, f, g,
+                                         margin, "constructed Q")
             except Exception as exc:
                 out[j] = exc
     return out
 
 
-def _checked_spr(q, e, f, g, margin, what, error):
-    """Re-verify ``Q F = G.T``, ``Q > 0`` and the margin, else ``error``."""
-    eq_resid = np.abs(q @ f - g.T).max()
-    if eq_resid > 1e-10 * max(1.0, np.abs(g).max()):
-        raise error(f"{what} violates Q F = G^T (residual {eq_resid:.2e})")
-    if np.linalg.eigvalsh(q)[0] <= 0:
-        raise error(f"{what} is not positive definite")
-    lmax = float(np.linalg.eigvalsh(_sym(q @ e + e.T @ q))[-1])
-    if lmax >= -margin:
-        raise error(f"{what} gives lambda_max {lmax:.2e} >= {-margin:.2e}")
-    return Certificate(P=q, slack=-lmax, kind="spr")
+def _riccati_interior(y, h, k):
+    """The Riccati solution Y, or Y + tau Y_L where it is not safely
+    positive definite (Q_c does not observe A_bar).  With ``A_cl.T Y_L +
+    Y_L A_cl = -I``, A_cl = A_bar + S Y, the Riccati form moves by ``-tau I
+    + tau^2 Y_L S Y_L``; tau is at most half its root (for one state, the
+    midpoint of the Riccati solutions) and ``lambda_min(k) / ||Y_L||``."""
+    y = _sym(y)
+    lam = np.linalg.eigvalsh(y)
+    if lam[0] > 1e-12 * lam[-1]:
+        return y
+    import scipy.linalg
+
+    r, s = len(y), h[:len(y), len(y):]
+    y_l = _sym(scipy.linalg.solve_continuous_lyapunov((h[:r, :r] + s @ y).T,
+                                                      -np.eye(r)))
+    return y + y_l / (2.0 * np.linalg.eigvalsh(_sym(y_l @ s @ y_l))[-1] +
+                      np.linalg.eigvalsh(y_l)[-1] / np.linalg.eigvalsh(k)[0])
+
+
+def checked_storage(p, a, b, c, margin=None, what="storage",
+                    error=CertificateFailed):
+    """Certificate of a storage P of ``x' = A x + B u``, ``y = C x``,
+    checked where P is the identity: with P = L L.T and N = L.T A L^{-T},
+    ``P A + A.T P`` is congruent to M = N + N.T.  A strict storage (edges,
+    state loops) needs ``lambda_max(M) < -margin``, i.e. ``P A + A.T P <
+    -margin P``; otherwise ``lambda_max(M) <= PASSIVITY_TOL ||N||_2``.  ``P
+    B = C.T`` is checked as ``L.T B = L^{-1} C.T``, entrywise relative.
+    Similarity moves N by an orthogonal congruence only, so the verdict and
+    the slack ``-lambda_max(M)`` (a decay rate) ignore the coordinates.
+    """
+    p = _sym(_as_square(p, what))
+    if not np.isfinite(p).all():
+        raise Infeasible(f"{what} overflows double precision")
+    try:
+        l = np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        raise error(f"{what} is not positive definite") from None
+    li = np.linalg.inv(l)
+    n, lb = l.T @ a @ li.T, l.T @ b
+    lmax = float(np.linalg.eigvalsh(n + n.T)[-1])
+    bound = PASSIVITY_TOL * _norm2(n) if margin is None else -margin
+    if not (lmax <= bound if margin is None else lmax < bound):
+        raise error(f"{what} inequality fails: lambda_max {lmax:.3e}, bound "
+                    f"{bound:.3e}")
+    if not (eq := np.abs(lb - li @ c.T).max() / np.abs(lb).max()) <= \
+            PASSIVITY_TOL:
+        raise error(f"{what} violates P B = C^T (relative residual "
+                    f"{eq:.2e})")
+    return Certificate(P=p, slack=-lmax, bound=bound,
+                       kind="passivity" if margin is None else "spr")
+
+
+def _raised(result):
+    """``result``, raised when it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -731,22 +778,14 @@ def lemma1_certificate(w1, w2, w3, w4, w5, p_w, q_w):
     if w2.shape != (n1, n2) or w3.shape != (n2, n1) or w5.shape != (n1, n2):
         raise DimensionMismatch("off-diagonal blocks inconsistent with W1/W4")
 
-    if np.linalg.eigvalsh(p_w)[0] <= 0:
-        raise HypothesisViolated("P_w is not positive definite")
     if np.linalg.eigvalsh(q_w)[0] <= 0:
         raise HypothesisViolated("Q_w is not positive definite")
-    scale1 = max(1.0, _norm2(p_w) * _norm2(w1))
-    if float(np.linalg.eigvalsh(_sym(p_w @ w1 + w1.T @ p_w))[-1]) > \
-            PASSIVITY_TOL * scale1:
-        raise HypothesisViolated("P_w W1 + W1.T P_w is not <= 0")
+    # P_w > 0, P_w W1 + W1.T P_w <= 0 and P_w W2 = -W3.T Q_w
+    checked_storage(p_w, w1, w2, -q_w @ w3, what="P_w (W1, W2, -Q_w W3)",
+                    error=HypothesisViolated)
     eps1 = -float(np.linalg.eigvalsh(_sym(q_w @ w4 + w4.T @ q_w))[-1])
     if eps1 <= 0:
         raise HypothesisViolated("Q_w W4 + W4.T Q_w is not < 0")
-    cross = np.abs(p_w @ w2 + w3.T @ q_w).max()
-    cross_scale = max(1.0, np.abs(p_w @ w2).max(), np.abs(w3.T @ q_w).max())
-    if cross > 1e-8 * cross_scale:
-        raise HypothesisViolated(
-            f"P_w W2 = -W3.T Q_w fails (residual {cross:.2e})")
     if spectral_abscissa(w1) >= -MARGINAL_RE_TOL:
         raise HypothesisViolated("W1 is not Hurwitz")
 

@@ -123,7 +123,7 @@ class Infeasible(NumericalFailure):
 
 
 class SynthesisFailed(NumericalFailure):
-    """No gain on the lattice admits a storage, or no closed node is stable."""
+    """No lattice gain gives an SPR state loop, or no closed node is stable."""
 
 
 class InternalModelViolated(NumericalFailure):
@@ -135,7 +135,7 @@ class IdentityViolated(NumericalFailure):
 
 
 class CertificateFailed(NumericalFailure):
-    """A certificate misses its margin or is proven absent from its family."""
+    """A certificate fails its check, or an exact test proves none exists."""
 
 
 class MissingMaps(NumericalFailure):

@@ -16,12 +16,16 @@ import numpy as np
 from .analysis import (
     Certificate,
     Exosystem,
-    PASSIVITY_TOL,
     STRICT_MARGIN,
+    _raised,
     _rank_c,
+    _spr_normal_form,
+    _spr_riccati_test,
+    _stacked_forms,
     _sym,
+    checked_storage,
     controllable,
-    lyapunov_solve,
+    edge_system,
     marginal_eig,
     marginal_kernel_certificate,
     node_normal_form,
@@ -52,8 +56,9 @@ REGIMES = ("tracking", "sync", "cooperation", "master_slave")
 
 #: residual tolerance for the regulator output identities
 MAP_IDENTITY_TOL = 1e-8
-#: largest output-feedback gain kappa that passify_node tries
+#: the output-feedback gains kappa that passify_node tries: 0, 1, 2, 4, ...
 KAPPA_MAX = 2 ** 24
+KAPPAS = np.concatenate([[0.0], 2.0 ** np.arange(KAPPA_MAX.bit_length())])
 #: scales of G1's marginal-kernel certificate that passify_node damps with
 CERTIFICATE_SCALES = np.geomspace(1e-6, 1e6, 25)
 #: norm below which the cooperation commands count as summing to zero
@@ -221,15 +226,11 @@ class NodeController:
         return self.Ahat.shape[0]
 
 
-def make_node_controller(node, regime, k_x, k_zeta, im, ref_q, phat=None):
-    """Assemble and verify a NodeController record.
-
-    ``ref_q`` is the output of the role's reference generator.  Verifies
-    the closed node is Hurwitz and that the storage matrix ``phat``
-    witnesses the passivity identities at tolerance ``PASSIVITY_TOL``.
-    Without ``phat``, the storage is first synthesized from the gains (see
-    :func:`verify_A5`).
-    """
+def make_node_controller(node, regime, k_x, k_zeta, im, ref_q, phat=None,
+                         loop_cert=None):
+    """Assemble and verify a NodeController record: the closed node must be
+    Hurwitz and the storage ``phat`` (by default :func:`_gain_storage`) pass
+    ``checked_storage``.  ``ref_q``: the role's reference output."""
     ahat, dhat, dhat_ref, chat = hat_matrices(node, k_x, k_zeta, im, ref_q)
     absc = spectral_abscissa(ahat)
     if absc >= 0:
@@ -237,103 +238,78 @@ def make_node_controller(node, regime, k_x, k_zeta, im, ref_q, phat=None):
     k_x = np.atleast_2d(np.asarray(k_x, dtype=float))
     k_zeta = np.atleast_2d(np.asarray(k_zeta, dtype=float))
     if phat is None:
-        phat = _gain_storage(node, k_x, k_zeta, im)
+        phat = _gain_storage(node, k_x, k_zeta, im, loop_cert)
     return NodeController(
         regime=regime, K_x=k_x, K_zeta=k_zeta, im=im,
-        Phat=_passivity_certificate(phat, ahat, dhat, chat),
+        Phat=checked_storage(phat, ahat, dhat, chat),
         Ahat=ahat, Dhat=dhat, Dhat_ref=dhat_ref, Chat=chat)
-
-
-def _passivity_certificate(p, ahat, dhat, chat):
-    """Certificate of ``p``, after checking the passivity identities."""
-    p = _sym(np.asarray(p, dtype=float))
-    if np.linalg.eigvalsh(p)[0] <= 0:
-        raise CertificateFailed("storage matrix is not positive definite")
-    bound = PASSIVITY_TOL * max(1.0, float(np.linalg.norm(p, 2)) *
-                                float(np.linalg.norm(ahat, 2)))
-    lmax = float(np.linalg.eigvalsh(_sym(p @ ahat + ahat.T @ p))[-1])
-    if lmax > bound:
-        raise CertificateFailed(
-            f"storage inequality fails: lambda_max {lmax:.3e} > "
-            f"{bound:.3e}")
-    eq = np.abs(p @ dhat - chat.T).max()
-    eq_scale = max(1.0, np.abs(chat).max())
-    if eq > PASSIVITY_TOL * eq_scale:
-        raise CertificateFailed(
-            f"storage equality P Dhat = Chat.T fails (residual {eq:.3e})")
-    return Certificate(P=p, slack=-lmax, kind="passivity", bound=bound)
 
 
 # ---------------------------------------------------------------------------
 # passification
 
 
-def _storage_test(a, b, c):
-    """Exact storage test for the state loops ``a - kappa B (C B)^{-1} C``.
+def _state_loop(node, k_x):
+    """The state loop (A + B K_x, B, C), as a system to certify SPR."""
+    return edge_system(node.A + node.B @ np.atleast_2d(k_x), node.B, node.C)
 
-    With T = [C; W] of :func:`node_normal_form`, the family is ``T P_s T.T =
-    blkdiag(sym(C B), rho P2)``, rho > 0, ``A22 P2 + P2 A22.T = -I`` (no rho
-    when n = p).  The gain shifts only the (1,1) block of ``T a T^{-1}``, by
-    -kappa I, so ``A' P' + P' A'.T = M0(kappa) + rho M1``, M1 free of
-    kappa.  Its inertia is constant between the positive eigenvalues of the
-    pencil (M0, -M1), so one rho per gap decides: the gap's geometric mean,
-    half the first, twice the last, or 1 if none (real parts of complex ones
-    only add points).  Returns ``storage(kappa)``: the first P_s with
-    ``lambda_max < -STRICT_MARGIN max(1, ||A_k|| ||P_s||)``, or None, which
-    proves the family holds none.
+
+def _loop_storage(cert):
+    """Q of a state loop's SPR certificate, or why the loop has none."""
+    if isinstance(cert, Exception):
+        raise CertificateFailed(f"state loop (A + B K_x, B, C) is not "
+                                f"strictly positive real: {cert}")
+    return cert.P
+
+
+def _lattice_gains(nodes):
+    """Per node, ``K_x = -kappa (C B)^{-1} C`` at the first kappa of
+    :data:`KAPPAS` whose state loop is SPR at decay rate ``STRICT_MARGIN``,
+    or the exception naming why there is none.  In the SPR test's
+    coordinates U = [B, N] the gain only shifts the leading block of U^{-1}
+    A U, by -kappa I: all nodes of a shape at all kappas make one test.
     """
-    _, ti, ap = node_normal_form(a, b, c)
-    p_dim, n = c.shape
-    bk = b @ np.linalg.solve(c @ b, c)
-    e1 = block_diag([_sym(c @ b), np.zeros((n - p_dim, n - p_dim))])
-    m0 = _sym(ap @ e1 + e1 @ ap.T)
-    e2 = m1 = np.zeros((n, n))
-    if n > p_dim:
-        # A22 P2 + P2 A22.T = -I   (dual orientation)
-        e2 = block_diag([np.zeros((p_dim, p_dim)),
-                         lyapunov_solve(ap[p_dim:, p_dim:].T,
-                                        np.eye(n - p_dim))])
-        m1 = _sym(ap @ e2 + e2 @ ap.T)
+    def form(node):
+        if not np.array_equal(node.D_in, node.B):
+            raise ValidationError(
+                "node.D_in", "constructive passification needs D_in == B")
+        node_normal_form(node.A, node.B, node.C)
+        return _spr_normal_form(node.A, node.B, node.C)
 
-    def storage(kappa):
-        a_norm = float(np.linalg.norm(a - kappa * bk, 2))
-        m = m0 - 2.0 * kappa * e1
-        rhos = [0.0]
-        if n > p_dim:
-            import scipy.linalg
-
-            lam = scipy.linalg.eigvals(m, -m1)
-            r = np.unique(lam.real[np.isfinite(lam) & (lam.real > 0)])
-            rhos = [0.5 * r[0], *np.sqrt(r[:-1] * r[1:]), 2.0 * r[-1]] \
-                if r.size else [1.0]
-        for rho in rhos:
-            p_s = _sym(ti @ (e1 + rho * e2) @ ti.T)
-            lmax = float(np.linalg.eigvalsh(m + rho * m1)[-1])
-            if lmax < -STRICT_MARGIN * max(
-                    1.0, a_norm * float(np.linalg.norm(p_s, 2))):
-                return p_s
-        return None
-
-    return storage
+    out, groups = _stacked_forms(nodes, form)
+    for (n, m), (idx, k, et, *_) in groups.items():
+        shift = np.diag(np.arange(n) < m).astype(float)
+        loops = (et[:, None] - KAPPAS[:, None, None] * shift).reshape(-1, n, n)
+        fails = _spr_riccati_test(np.repeat(k, len(KAPPAS), axis=0), loops,
+                                  np.full(len(loops), STRICT_MARGIN))[0]
+        for j, passed in zip(idx, fails.reshape(len(idx), -1) == 0):
+            c, b = nodes[j].C, nodes[j].B
+            out[j] = -KAPPAS[passed.argmax()] * np.linalg.solve(c @ b, c) \
+                if passed.any() else SynthesisFailed(
+                f"proven: no kappa in 0, 1, 2, ..., {KAPPA_MAX:g} makes the "
+                f"state loop strictly positive real with decay rate "
+                f"{STRICT_MARGIN:g}")
+    return out
 
 
 def passify_node(node, im, exo):
     """Design passifying gains for a direct-coupling node (``D_in == B``).
 
-    Output feedback ``K_x = -kappa (C B)^{-1} C`` with the first kappa of
-    0, 1, 2, 4, ..., ``KAPPA_MAX`` that :func:`_storage_test` passes
-    (feedback passivity: Byrnes, Isidori & Willems, IEEE TAC 1991);
-    ``K_zeta = -G2.T P_g^{-1}`` with P_g the best-damped scale of the
-    marginal-kernel certificate of G1.  The tracking controller returned
-    carries the certificate ``Phat = diag(P_s, P_g)^{-1}``.
+    ``K_x = -kappa (C B)^{-1} C`` at the first kappa of 0, 1, 2, 4, ...,
+    ``KAPPA_MAX`` whose state loop (A + B K_x, B, C) is strictly positive
+    real (feedback passivity: Byrnes, Isidori & Willems, IEEE TAC 1991), Q
+    its SPR certificate, and ``K_zeta = -G2.T (rho P_g)^{-1}`` at the
+    best-damped scale rho of G1's marginal-kernel certificate P_g; ``Phat =
+    blkdiag(Q, (rho P_g)^{-1})``.  :func:`assumption_report` runs the same
+    steps on a network, its loops in the edges' SPR call.
 
     Raises
     ------
     NotHyperMinPhase
         If the node is not hyper-minimum-phase (:func:`node_normal_form`).
     SynthesisFailed
-        If no kappa of the lattice admits a storage in the family (proven
-        for each), or no certificate scale gives a Hurwitz closed node.
+        If no kappa of the lattice gives an SPR state loop (the test is
+        exact), or no certificate scale gives a Hurwitz closed node.
     """
     k_x, k_zeta, phat = _passifying_gains(node, im)
     return make_node_controller(node, "tracking", k_x, k_zeta, im,
@@ -342,25 +318,17 @@ def passify_node(node, im, exo):
 
 def _passifying_gains(node, im):
     """Gains and unverified storage of passify_node."""
-    a, b, c = node.A, node.B, node.C
-    if not np.array_equal(node.D_in, b):
-        raise ValidationError(
-            "node.D_in", "constructive passification needs D_in == B")
+    k_x = _raised(_lattice_gains([node])[0])
+    cert = spr_certificates([_state_loop(node, k_x)])[0]
+    return (k_x, *_damped_storage(node, k_x, im, cert))
 
-    storage = _storage_test(a, b, c)
-    kappa = 0.0
-    while (p_s := storage(kappa)) is None:
-        kappa = 1.0 if kappa == 0.0 else 2.0 * kappa
-        if kappa > KAPPA_MAX:
-            raise SynthesisFailed(
-                f"proven: no kappa in 0, 1, 2, ..., {KAPPA_MAX:g} admits a "
-                f"storage blkdiag(sym(C B), rho P2) with margin "
-                f"{STRICT_MARGIN:g}")
-    k_x = -kappa * np.linalg.solve(c @ b, c)
-    # the certificate scale is free: pick the best-damped closed node, the
-    # first minimum of the spectral abscissa over these scales.  With
-    # P_s^{-1} B = C.T and P_g^{-1} G1 + G1.T P_g^{-1} = 0, LaSalle's
-    # principle and the controllability of (G1, G2) make the closed node
+
+def _damped_storage(node, k_x, im, loop_cert):
+    """``(K_zeta, blkdiag(Q, (rho P_g)^{-1}))`` at the best-damped scale
+    rho, Q from the state loop's SPR certificate ``loop_cert``."""
+    q = _loop_storage(loop_cert)
+    # the free scale picks the best-damped closed node; with Q B = C.T, a
+    # lossless P_g and (G1, G2) controllable, LaSalle's principle makes it
     # Hurwitz at every scale (tests pin this on a panel)
     p_g, k_zetas = im.scaled_gains
     stack = np.repeat(hat_matrices(node, k_x, np.zeros((node.m, im.c)),
@@ -372,38 +340,31 @@ def _passifying_gains(node, im):
         raise SynthesisFailed(
             f"closed node not Hurwitz at any certificate scale (best "
             f"spectral abscissa {absc[best]:.3e})")
-    p_g = CERTIFICATE_SCALES[best] * p_g
-    return k_x, k_zetas[best], _sym(np.linalg.inv(block_diag([p_s, p_g])))
+    return k_zetas[best], block_diag(
+        [q, _sym(np.linalg.inv(CERTIFICATE_SCALES[best] * p_g))])
 
 
 def verify_A5(node, k_x, k_zeta, im, phat=None):
-    """Verify (or synthesize the certificate for) externally supplied gains.
-
-    When ``phat`` is given it is checked directly.  Otherwise a certificate
-    is synthesized in the block-diagonal storage family of the constructive
-    design: P_g is recovered from ``K_zeta P_g = -G2.T`` on the
-    eigenvectors of G1 (see :func:`_gain_storage`), and P_s by the exact
-    test of :func:`_storage_test` with the supplied K_x.
-
-    Returns the passivity Certificate (storage form).
+    """The passivity Certificate of externally supplied gains: ``phat``
+    checked directly, or else the storage of :func:`_gain_storage`.
 
     Raises
     ------
     CertificateFailed
-        If no certificate in the block-diagonal family matches the gains;
-        for the state loop this is proven by :func:`_storage_test`.
+        If the state loop (A + B K_x, B, C) is not strictly positive real
+        (proven: the test is exact), no marginal storage of G1 matches
+        K_zeta, or the storage fails its check.
     NotHurwitz
         If the closed node is not Hurwitz.
-    NotHyperMinPhase
-        If the node is not hyper-minimum-phase (:func:`node_normal_form`).
     """
     p = phat.P if isinstance(phat, Certificate) else phat
     return make_node_controller(node, "tracking", k_x, k_zeta, im, None,
                                 p).Phat
 
 
-def _gain_storage(node, k_x, k_zeta, im):
-    """Unverified block-diagonal storage matching supplied gains."""
+def _gain_storage(node, k_x, k_zeta, im, loop_cert=None):
+    """Unverified ``blkdiag(Q, P_g^{-1})`` for supplied gains: Q of the
+    state loop's ``loop_cert`` (or certified here), P_g pinned by K_zeta."""
     if not np.array_equal(node.D_in, node.B):
         raise CertificateFailed(
             "indirect coupling (D_in != B): supply the certificate "
@@ -428,20 +389,15 @@ def _gain_storage(node, k_x, k_zeta, im):
             k_zeta @ v[:, j], -im.G2.T @ vih[:, j], rcond=None)[0]
     p_g = _sym((v @ d @ v.conj().T).real)
     resid = np.abs(k_zeta @ p_g + im.G2.T).max()
-    if resid > 1e-8 * max(1.0, np.abs(im.G2).max()):
-        raise CertificateFailed(
-            f"no marginal-kernel storage matches K_zeta "
-            f"(residual {resid:.3e})")
-    if np.linalg.eigvalsh(p_g)[0] <= 0:
-        raise CertificateFailed(
-            "storage pinned by K_zeta is not positive definite")
-
-    p_s = _storage_test(node.A + node.B @ k_x, node.B, node.C)(0.0)
-    if p_s is None:
-        raise CertificateFailed(
-            "state loop proven infeasible in the block-diagonal storage "
-            f"family: no rho > 0 reaches the margin {STRICT_MARGIN:g}")
-    return _sym(np.linalg.inv(block_diag([p_s, p_g])))
+    if resid > 1e-8 * max(1.0, np.abs(im.G2).max()) or \
+            np.linalg.eigvalsh(p_g)[0] <= 0:
+        raise CertificateFailed(f"no positive definite marginal-kernel "
+                                f"storage matches K_zeta (residual "
+                                f"{resid:.3e})")
+    if loop_cert is None:
+        loop_cert = spr_certificates([_state_loop(node, k_x)])[0]
+    return block_diag([_loop_storage(loop_cert),
+                       _sym(np.linalg.inv(p_g))])
 
 
 # ---------------------------------------------------------------------------
@@ -779,16 +735,8 @@ def cooperation_reference_matrices(exo):
     g_s = np.kron(np.eye(p), exo.S)
     g_b = block_diag([exo.B_eta[:, [i]] for i in range(p)])
     g_q = block_diag([exo.Q_eta[[i], :] for i in range(p)])
-    p_big = np.kron(np.eye(p), exo.P_eta)
-    lyap = p_big @ g_s + g_s.T @ p_big
-    if float(np.linalg.eigvalsh(_sym(lyap))[-1]) > 1e-9 * max(
-            1.0, float(np.linalg.norm(p_big, 2)) *
-            float(np.linalg.norm(g_s, 2))):
-        raise CertificateFailed("reference generator is not marginal")
-    resid = np.abs(p_big @ g_b - g_q.T).max()
-    if resid > 1e-10 * max(1.0, np.abs(g_q).max()):
-        raise CertificateFailed(
-            f"reference passivity equality fails (residual {resid:.3e})")
+    checked_storage(np.kron(np.eye(p), exo.P_eta), g_s, g_b, g_q,
+                    what="reference generator storage")
     if not observable(g_s, g_q):
         warnings.warn(
             "(G_S, G_Q) is not observable; cooperation limits may not be "
@@ -796,15 +744,14 @@ def cooperation_reference_matrices(exo):
     return g_s, g_b, g_q
 
 
-def check_assumptions(network, exo):
+def check_assumptions(network, exo, loops=()):
     """Structural assumption report: ranks (A1), reference spectrum (A2),
     edge strict positive realness (A3), connectivity (A4).
 
-    Returns ``(results, edge_certs)``: a list of CheckResult, whose A3
-    entries carry the found certificates' slacks as margins or the reason
-    an edge has none, and per edge its SPR certificate or None.  All edges
-    are certified in one :func:`spr_certificates` call, which stacks the
-    edges of each shape.
+    Returns ``(results, edge_certs, loop_certs)``: CheckResults (A3 with
+    the certificates' slacks or the reason an edge has none), per edge its
+    SPR certificate or None, and per state loop of ``loops`` its
+    certificate or exception, all from one :func:`spr_certificates` call.
     """
     results = []
     for i, node in enumerate(network.nodes):
@@ -834,16 +781,14 @@ def check_assumptions(network, exo):
                                float(np.abs(lam.real).max(initial=0.0)),
                                detail))
 
-    edge_certs = spr_certificates(network.edges)
+    certs, n_e = spr_certificates([*network.edges, *loops]), len(network.edges)
+    edge_certs, loop_certs = certs[:n_e], certs[n_e:]
     for j, cert in enumerate(edge_certs):
-        if isinstance(cert, Exception):
-            edge_certs[j] = None
-            results.append(CheckResult("A3", f"edge {j + 1}", False, 0.0,
-                                       str(cert)))
-        else:
-            results.append(CheckResult(
-                "A3", f"edge {j + 1}", True, cert.slack,
-                "strictly positive real"))
+        ok = not isinstance(cert, Exception)
+        results.append(CheckResult(
+            "A3", f"edge {j + 1}", ok, cert.slack if ok else 0.0,
+            "strictly positive real" if ok else str(cert)))
+        edge_certs[j] = cert if ok else None
 
     connected = check_connected(network.topology.H)
     results.append(CheckResult(
@@ -851,7 +796,7 @@ def check_assumptions(network, exo):
         float(network.topology.N - 1),
         "incidence matrix has row rank N-1" if connected
         else "network is disconnected"))
-    return results, edge_certs
+    return results, edge_certs, loop_certs
 
 
 def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
@@ -865,7 +810,21 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
     """
     node_roles = assign_roles(network, regime, roles)
     gains = gains or {}
-    results, edge_certs = check_assumptions(network, exo)
+    # state gains, supplied or from one lattice test; the loops they close
+    # are certified in the edges' SPR call
+    dynamic = [i for i, nd in enumerate(network.nodes) if not is_static(nd)]
+    k_xs = {i: gains[i + 1].K_x for i in dynamic if i + 1 in gains}
+    synth = [i for i in dynamic if i not in k_xs]
+    k_xs.update(zip(synth, _lattice_gains([network.nodes[i] for i in synth])))
+    loops = {}
+    for i, k_x in k_xs.items():
+        try:
+            loops[i] = _state_loop(network.nodes[i], _raised(k_x))
+        except Exception as exc:
+            k_xs[i] = exc
+    results, edge_certs, loop_certs = check_assumptions(
+        network, exo, tuple(loops.values()))
+    loop_certs = dict(zip(loops, loop_certs))
     if regime == "master_slave":
         n_masters = node_roles.count("master")
         results.append(CheckResult("roles", "network", True,
@@ -891,10 +850,11 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
             im = shared_im() if supplied is None or supplied.G1 is None \
                 else internal_model_from_matrices(supplied.G1, supplied.G2,
                                                   exo.S)
-            k_x, k_zeta, phat = _passifying_gains(node, im) \
-                if supplied is None else (supplied.K_x, supplied.K_zeta, None)
+            k_x = _raised(k_xs[i])
+            k_zeta, phat = (supplied.K_zeta, None) if supplied else \
+                _damped_storage(node, k_x, im, loop_certs[i])
             ctrl = make_node_controller(node, role, k_x, k_zeta, im, ref_q,
-                                        phat)
+                                        phat, loop_certs[i])
             controllers.append(ctrl)
             results.append(CheckResult(
                 "A5", f"node {i + 1}", True, ctrl.Phat.slack,

@@ -75,3 +75,24 @@ def ring30():
     ring = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ring)
     return ring.ring_network(0)
+
+
+def frequency_spr(edge):
+    """Whether (E, F, G) passes the frequency-domain SPR test: w = 0 and
+    4,001 log-spaced frequencies from 1e-4 times the smallest eigenvalue
+    modulus of E to 1e4 times the largest, plus the condition at infinity."""
+    e, f, g = edge.A, edge.B, edge.C
+    if np.linalg.eigvals(e).real.max() >= 0:
+        return False
+    gf, gef = g @ f, g @ e @ f
+    if np.abs(gf - gf.T).max() > 1e-10 * max(1.0, np.abs(gf).max()):
+        return False  # w (Z + Z^H) tends to a nonzero Hermitian, indefinite
+    if np.linalg.eigvalsh(-(gef + gef.T))[0] <= 0:
+        return False
+    moduli = np.abs(np.linalg.eigvals(e))
+    w = np.concatenate([[0.0], np.geomspace(1e-4 * moduli.min(),
+                                            1e4 * moduli.max(), 4001)])
+    x = np.linalg.solve(1j * w[:, None, None] * np.eye(e.shape[0]) - e, f)
+    z = g @ x
+    return bool((np.linalg.eigvalsh(z + z.conj().transpose(0, 2, 1))[:, 0]
+                 > 0).all())

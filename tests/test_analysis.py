@@ -244,8 +244,8 @@ def test_spr_rl_edge_certificate_is_inductance(r, l):
     edge = edge_system(E=[[-r / l]], F=[[1.0 / l]], G=[[1.0]])
     cert = spr_certificate(edge)
     assert np.allclose(cert.P, [[l]], rtol=1e-10)
-    # Q E + E^T Q = -2 R
-    assert np.isclose(cert.slack, 2.0 * r, rtol=1e-10)
+    # Q E + E^T Q = -2 R = -(2 R / L) Q: the slack is the decay rate 2 R / L
+    assert np.isclose(cert.slack, 2.0 * r / l, rtol=1e-10)
 
 
 def test_spr_rejects_unstable_edge():
@@ -290,7 +290,15 @@ def test_spr_infeasible_names_its_cause(E, F, G, cause):
 def test_spr_accepts_supplied_certificate():
     edge = edge_system(E=[[-2.0]], F=[[4.0]], G=[[1.0]])
     cert = spr_certificate(edge, Q=[[0.25]])
-    assert np.isclose(cert.slack, 1.0)
+    # Q E + E^T Q = -1 = -4 Q
+    assert np.isclose(cert.slack, 4.0)
+
+
+def test_spr_supplied_certificate_needs_g_f_positive_definite():
+    # the supplied-Q path names the structural cause, as construction does
+    edge = edge_system(E=[[-2.0]], F=[[4.0]], G=[[-1.0]])
+    with pytest.raises(Infeasible, match="G F is not positive definite"):
+        spr_certificate(edge, Q=[[0.25]])
 
 
 def test_spr_rejects_bad_supplied_certificate():

@@ -412,17 +412,19 @@ def _bisection_as_first_written(network, cset, maps, eps_hi,
                 crossed=True)
 
 
-_SEARCH_PANEL = pytest.mark.parametrize("make,eps_hi", [
-    (demo_power_network, 1000.0),
+#: (network, ceiling, branches tracked): each branch costs one
+#: decomposition, at the lo of its bracket
+_SEARCH_PANEL = pytest.mark.parametrize("make,eps_hi,branches", [
+    (demo_power_network, 1000.0, 0),
     (lambda: random_network(0, n_nodes=5, m_edges=6, dims=3,
-                            regime="tracking"), 10.0),
+                            regime="tracking"), 10.0, 0),
     (lambda: random_network(100, n_nodes=5, m_edges=6, dims=3,
-                            regime="sync"), 10.0),
+                            regime="sync"), 10.0, 2),
     (lambda: random_network(200, n_nodes=5, m_edges=6, dims=3,
-                            regime="cooperation"), 10.0),
+                            regime="cooperation"), 10.0, 1),
     (lambda: random_network(300, n_nodes=5, m_edges=6, dims=3,
-                            regime="master_slave"), 10.0),
-    (ring30, 10.0),
+                            regime="master_slave"), 10.0, 1),
+    (ring30, 10.0, 1),
 ], ids=["demo", "tracking-0", "sync-100", "cooperation-200",
         "master_slave-300", "ring30"])
 
@@ -442,12 +444,15 @@ def _assert_same_probes(est, expected):
 
 
 @_SEARCH_PANEL
-def test_epsilon_star_evaluates_each_probe_once(monkeypatch, make, eps_hi):
+def test_epsilon_star_evaluates_each_probe_once(monkeypatch, make, eps_hi,
+                                                branches):
     """The top-down scan and the tracked crossing give a verified bracket
     within the bracket width of the bisection's result.  Each probe
-    scanned is eigen-decomposed once, and at most one more full
-    decomposition follows (ring30: 9 in all, against 42 for
-    probe-and-bisect to the same width)."""
+    scanned is eigen-decomposed once, and one more full decomposition
+    follows per branch tracked (ring30: 9 in all, against 42 for
+    probe-and-bisect to the same width).  On sync-100 the rightmost
+    eigenvalue at the top of the bracket is not the one that crosses
+    first, so a second branch is tracked."""
     rz = realize(make())
     expected = _bisection_as_first_written(
         rz.network, rz.cset, rz.maps, eps_hi)
@@ -464,7 +469,7 @@ def test_epsilon_star_evaluates_each_probe_once(monkeypatch, make, eps_hi):
                             counted(getattr(closedloop, name)))
     est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=eps_hi)
     k = _assert_same_probes(est, expected)
-    assert len(calls) <= (16 - k) + 1
+    assert len(calls) == (16 - k) + branches
     assert np.isnan(est.eps_crossing) != est.crossed
     assert abs(est.eps_bisect - expected["eps_bisect"]) <= \
         closedloop.BRACKET_REL_WIDTH * expected["eps_bisect"]
@@ -506,10 +511,10 @@ def test_epsilon_star_falls_back_to_bisection(monkeypatch, tracker, seed,
 
 @pytest.mark.parametrize("make,eps_crossing,omega_crossing", [
     (lambda: random_network(100, n_nodes=5, m_edges=6, dims=3,
-                            regime="sync"), 0.1281455964, 1.636719714),
+                            regime="sync"), 0.1454595010, 1.771310749),
     (lambda: random_network(200, n_nodes=5, m_edges=6, dims=3,
-                            regime="cooperation"), 0.09434386909,
-     0.8082677897),
+                            regime="cooperation"), 0.09483307985,
+     0.8093231549),
     (lambda: random_network(300, n_nodes=5, m_edges=6, dims=3,
                             regime="master_slave"), 1.789170442, 3.054149249),
     (ring30, 0.1794894834, 2.159065452),

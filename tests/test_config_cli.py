@@ -224,14 +224,16 @@ def test_cli_supplied_controller_shape_is_config_error(tmp_path, capsys,
 
 
 def test_cli_synth_prints_the_applied_passivity_bound(capsys):
-    """The bound is PASSIVITY_TOL max(1, ||P|| ||Ahat||): 8.2e5 for node 2,
-    whose slack -7.451e-09 is rounding."""
+    """The bound is PASSIVITY_TOL ||L.T Ahat L^{-T}||_2 with P = L L.T, a
+    rate in P's own coordinates: 6.7e-5 for node 2, whose slack (-1.6e-30
+    here) is rounding, far inside it."""
     assert main(["synth", "--config", "power_network"]) == 0
     lines = capsys.readouterr().out.splitlines()
     line = lines[lines.index("node 2 (slave):") + 4]
-    assert "passivity slack = -7.451e-09" in line
+    slack = float(line.split("passivity slack = ")[1].split(" ")[0])
     bound = -float(line.split("accepted above ")[1].split(")")[0])
-    assert bound == pytest.approx(8.2e5, rel=0.01)
+    assert bound == pytest.approx(6.69e-5, rel=0.01)
+    assert abs(slack) <= 1e-12 * bound
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -779,6 +781,29 @@ def test_benchmark_calls_into_coopnet_resolve(monkeypatch):
     ok, detail = pipelines.check_network(
         case, pipelines.network_pipeline(spans.OFF, case))
     assert ok, detail
+
+
+def test_traced_benchmark_pass_counts_the_certified_edges(monkeypatch):
+    """A traced pass of perfbench's pipeline, with its layer wrapping on,
+    still runs; the ``synthesis.check_assumptions`` span counts the
+    network's edges from the second item of what check_assumptions
+    returns."""
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import pipelines
+    import spans
+
+    case = pipelines.random_n5_cases(0)[1]
+    rec = spans.Recorder()
+    with pipelines.traced_calls(rec):
+        out = pipelines.network_pipeline(rec, case)
+    ok, detail = pipelines.check_network(case, out)
+    assert ok, detail
+    totals = spans.layer_totals(rec.spans)
+    checks = totals["synthesis.check_assumptions"]
+    assert checks["calls"] == 1 and checks["failed"] == 0
+    assert checks["counts"] == {"edges": len(out["network"].edges)} == \
+        {"edges": 6}
 
 
 def test_demo_prediction_loads_no_scipy():

@@ -13,8 +13,11 @@ realization that passes has a certificate, so every exact infeasibility on
 a minimal realization must fail.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,32 +33,11 @@ from coopnet.network import Network
 from coopnet.scenarios import random_network
 from coopnet.synthesis import check_assumptions
 
-from helpers import ring30
+from helpers import frequency_spr, ring30
 
 
 # ---------------------------------------------------------------------------
-# the frequency-domain oracle
-
-
-def frequency_spr(edge):
-    """Whether (E, F, G) passes the frequency-domain SPR test: w = 0 and
-    4,001 log-spaced frequencies from 1e-4 times the smallest eigenvalue
-    modulus of E to 1e4 times the largest, plus the condition at infinity."""
-    e, f, g = edge.A, edge.B, edge.C
-    if np.linalg.eigvals(e).real.max() >= 0:
-        return False
-    gf, gef = g @ f, g @ e @ f
-    if np.abs(gf - gf.T).max() > 1e-10 * max(1.0, np.abs(gf).max()):
-        return False  # w (Z + Z^H) tends to a nonzero Hermitian, indefinite
-    if np.linalg.eigvalsh(-(gef + gef.T))[0] <= 0:
-        return False
-    moduli = np.abs(np.linalg.eigvals(e))
-    w = np.concatenate([[0.0], np.geomspace(1e-4 * moduli.min(),
-                                            1e4 * moduli.max(), 4001)])
-    x = np.linalg.solve(1j * w[:, None, None] * np.eye(e.shape[0]) - e, f)
-    z = g @ x
-    return bool((np.linalg.eigvalsh(z + z.conj().transpose(0, 2, 1))[:, 0]
-                 > 0).all())
+# the frequency-domain oracle (frequency_spr, in helpers)
 
 
 def minimal(edge):
@@ -103,13 +85,18 @@ def exact_or_none(edge):
 
 
 def post_checks(cert, edge):
+    """Q F = G^T, Q > 0, and Q E + E^T Q < -slack Q with the slack, a
+    decay rate, above STRICT_MARGIN: the largest generalized eigenvalue of
+    (Q E + E^T Q, Q) is -slack."""
     q = cert.P
     assert np.abs(q @ edge.B - edge.C.T).max() <= 1e-10 * max(
         1.0, np.abs(edge.C).max())
     assert np.linalg.eigvalsh(q)[0] > 0
-    lmax = np.linalg.eigvalsh(q @ edge.A + edge.A.T @ q)[-1]
-    assert lmax < -STRICT_MARGIN
-    assert np.isclose(cert.slack, -lmax, rtol=1e-12)
+    assert np.linalg.eigvalsh(q @ edge.A + edge.A.T @ q)[-1] < 0
+    rate = -scipy.linalg.eigh(q @ edge.A + edge.A.T @ q, q,
+                              eigvals_only=True)[-1]
+    assert rate > STRICT_MARGIN
+    assert np.isclose(cert.slack, rate, rtol=1e-9)
 
 
 def assert_centred(cert, edge):
@@ -228,12 +215,13 @@ def test_stacked_certificates_equal_one_edge_at_a_time():
 
 def test_failing_edges_leave_the_others_of_their_shape_unchanged():
     """Among the ring's 30 edges of shape (2, 1), one edge fails the
-    Riccati test's Hamiltonian condition, one its (1,1) block, one
-    overflows the Hamiltonian and one is not Hurwitz; every other edge
-    keeps its verdict and certificate."""
+    Riccati test's Hamiltonian condition, one its (1,1) block, one is not
+    Hurwitz, and one is strictly positive real with a certificate too large
+    for double precision (F / 1e160 and G 1e160 make Q 1e320 times the
+    first edge's); every other edge keeps its verdict and certificate."""
     scn = ring30()
     network, exo = scn.network(), scn.exosystem()
-    _, before = check_assumptions(network, exo)
+    _, before, _ = check_assumptions(network, exo)
     # Z(s) = s / (s^2 + 0.1 s + 1) is positive real but vanishes at s = 0
     lossless_at_dc = edge_system(E=[[0.0, 1.0], [-1.0, -0.1]],
                                  F=[[0.0], [1.0]], G=[[0.0, 1.0]])
@@ -248,7 +236,7 @@ def test_failing_edges_leave_the_others_of_their_shape_unchanged():
                25: overflowing}
     edges = tuple(swapped.get(j, e) for j, e in enumerate(network.edges))
     with pytest.warns(RuntimeWarning, match="overflow"):
-        results, after = check_assumptions(
+        results, after, _ = check_assumptions(
             Network(nodes=network.nodes, edges=edges,
                     topology=network.topology), exo)
     a3 = {r.entity: r for r in results if r.name == "A3"}
@@ -258,8 +246,8 @@ def test_failing_edges_leave_the_others_of_their_shape_unchanged():
     assert a3["edge 12"].detail == margin + \
         "the (1,1) block is not negative definite"
     assert a3["edge 21"].detail == "edge state matrix has abscissa 5.000e-01"
-    assert a3["edge 26"].detail == margin + \
-        "the Riccati Hamiltonian has non-finite entries"
+    assert a3["edge 26"].detail == \
+        "constructed Q overflows double precision"
     for j, (cert, cert_before) in enumerate(zip(after, before)):
         if j in swapped:
             assert cert is None and not a3[f"edge {j + 1}"].passed
@@ -307,8 +295,24 @@ def test_edge_whose_margin_bound_overflows_is_infeasible():
     bisection can centre: it is reported infeasible, naming the
     overflow."""
     first = ring30().network().edges[0]
-    edge = edge_system(E=first.A * 100.0, F=first.B, G=first.C * 1e306)
+    edge = edge_system(E=first.A * 3e307, F=first.B, G=first.C)
     with pytest.warns(RuntimeWarning, match="overflow"), \
             pytest.raises(Infeasible, match="bound of the SPR margin "
                                             "overflows double precision"):
         spr_certificate(edge)
+
+
+def test_edge_with_a_huge_output_map_certifies_at_its_rate():
+    """G 1e306 scales every certificate Q by 1e306, which double precision
+    holds, and keeps its decay rate: balanced, unit-column coordinates keep
+    the (1,1)-block bound finite, so the edge certifies as the unscaled one
+    does (with E 100 times the first ring edge's)."""
+    first = ring30().network().edges[0]
+    base = spr_certificate(edge_system(E=first.A * 100.0, F=first.B,
+                                       G=first.C))
+    edge = edge_system(E=first.A * 100.0, F=first.B, G=first.C * 1e306)
+    cert = spr_certificate(edge)
+    # the checks in products that stay finite: Q / 1e306 certifies G
+    post_checks(replace(cert, P=cert.P / 1e306), edge_system(
+        E=edge.A, F=edge.B, G=first.C))
+    assert cert.slack == pytest.approx(base.slack, rel=1e-9)

@@ -42,7 +42,7 @@ from coopnet.synthesis import (
 )
 from coopnet.topology import assemble_weighted_blocks
 
-from helpers import relative_degree_one_node, ring30
+from helpers import frequency_spr, relative_degree_one_node, ring30
 
 W = 100.0 * np.pi
 ROT = np.array([[0.0, -W], [W, 0.0]])
@@ -215,62 +215,60 @@ def test_passify_satisfies_storage_clauses():
         assert_storage_clauses(node, passify_node(node, im, exo))
 
 
-def family_has_storage(node, kappa):
-    """Dense scan of the storage family at ``K_x = -kappa (CB)^{-1} C``.
-
-    In the basis T = [C; W] (W an orthonormal basis of the left null space
-    of B) the family is ``P_s = T^{-1} blkdiag(sym(CB), rho P2) T^{-T}`` with
-    ``A22 P2 + P2 A22.T = -I``.  Whether some of 2,001 log-spaced rho in
-    [1e-9, 1e9] gives ``A_k P_s + P_s A_k.T < 0``, in the node's own
-    coordinates.
-    """
+def loop_is_spr(node, kappa):
+    """The frequency-domain oracle on the state loop at ``K_x = -kappa
+    (C B)^{-1} C``: C B + (C B).T > 0, and :func:`helpers.frequency_spr`
+    (A_k Hurwitz, G(jw) + G(jw)^H > 0 on a dense log grid and at w = 0,
+    and its limit w^2 (G + G^H) > 0 at infinity).  By the KYP lemma this
+    is strict positive realness; it forms no storage."""
     a, b, c = node.A, node.B, node.C
-    n, p = node.n, node.p
-    a_k = a - kappa * b @ np.linalg.solve(c @ b, c)
-    t = np.vstack([c, scipy.linalg.null_space(b.T).T])
-    ti = np.linalg.inv(t)
-    a22 = (t @ a_k @ ti)[p:, p:]
-    p2 = scipy.linalg.solve_continuous_lyapunov(a22, -np.eye(n - p))
-    rho = np.geomspace(1e-9, 1e9, 2001)[:, None, None]
-    base = ti @ scipy.linalg.block_diag(0.5 * (c @ b + (c @ b).T),
-                                        np.zeros((n - p, n - p))) @ ti.T
-    extra = ti @ scipy.linalg.block_diag(np.zeros((p, p)), p2) @ ti.T
-    p_s = base + rho * extra
-    m = a_k @ p_s + p_s @ a_k.T
-    return bool((np.linalg.eigvalsh(m)[:, -1] < 0).any())
+    cb = c @ b
+    k_x = -kappa * np.linalg.solve(cb, c)
+    return bool(np.linalg.eigvalsh(cb + cb.T)[0] > 0) and \
+        frequency_spr(edge_system(a + b @ k_x, b, c))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_exact_kappa_is_the_first_feasible_lattice_point(seed):
-    # at the chosen kappa the certificate holds; at the lattice point
-    # before it a dense scan of the storage family finds nothing
+    # at the chosen kappa the state loop is strictly positive real by the
+    # frequency-domain oracle; at the lattice point before it, it is not
     exo = rot_exo()
     im = p_copy_internal_model(ROT, p=1)
     node = random_panel_node(seed)
     ctrl = passify_node(node, im, exo)
     assert_storage_clauses(node, ctrl)
     kappa = float(-(ctrl.K_x @ node.B)[0, 0])
-    assert family_has_storage(node, kappa)
+    assert loop_is_spr(node, kappa)
     if kappa < 0.5:
         assert kappa == 0.0
         return
     previous = 0.0 if kappa < 1.5 else 0.5 * kappa
-    assert not family_has_storage(node, previous)
+    assert not loop_is_spr(node, previous)
 
 
 def test_verify_proves_a_state_loop_infeasible():
-    # seed 8 needs kappa = 2; at kappa = 1 its closed node is still
-    # Hurwitz, but the state loop has no storage in the family
-    exo = rot_exo()
-    im = p_copy_internal_model(ROT, p=1)
-    node = random_panel_node(8)
-    assert node.n > node.p
-    ctrl = passify_node(node, im, exo)
-    assert np.allclose(ctrl.K_x @ node.B, [[-2.0]])
+    """G(s) = (s + 1) / (s^2 + 0.1 s + 1) is Hurwitz with C B = 1 and its
+    zero at -1, but Re G(jw) < 0 for w^2 > 1 / 0.9: with K_x = 0 the state
+    loop is not strictly positive real.  The exosystem's frequency 0.5 lies
+    where Re G > 0, so at the certificate scale rho = 100 the closed node is
+    Hurwitz, and verify_A5 reaches the state loop, whose exact test fails.
+    The gains passify_node designs for the same node verify."""
+    s = [[0.0, -0.5], [0.5, 0.0]]
+    im = p_copy_internal_model(s, p=1)
+    node = node_system(A=[[0.0, 1.0], [-1.0, -0.1]], B=[[0.0], [1.0]],
+                       C=[[1.0, 1.0]])
+    k_x = np.zeros((1, 2))
+    assert not loop_is_spr(node, 0.0)
+    k_zeta = im.scaled_gains[1][
+        list(synthesis.CERTIFICATE_SCALES).index(100.0)]
+    assert spectral_abscissa(hat_matrices(node, k_x, k_zeta, im)[0]) < 0
+    with pytest.raises(CertificateFailed,
+                       match=r"state loop \(A \+ B K_x, B, C\) is not "
+                             r"strictly positive real: no SPR certificate"):
+        verify_A5(node, k_x, k_zeta, im)
+    ctrl = passify_node(node, im, build_exosystem(s, Q_eta=[[1.0, 0.0]]))
+    assert loop_is_spr(node, float(-(ctrl.K_x @ node.B)[0, 0]))
     verify_A5(node, ctrl.K_x, ctrl.K_zeta, ctrl.im)
-    k_x = -np.linalg.solve(node.C @ node.B, node.C)
-    with pytest.raises(CertificateFailed, match="proven"):
-        verify_A5(node, k_x, ctrl.K_zeta, ctrl.im)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +296,27 @@ def test_verify_accepts_explicit_certificate():
     cert = verify_A5(node, [[-1.0]], [[-500.0, -500.0]], im,
                      phat=np.diag([5e-5, 500.0, 500.0]))
     assert cert.kind == "passivity"
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e5])
+def test_verify_rejects_the_perturbed_demo_storage(scale):
+    """The demo's node 2 with P + s v v.T, v in null(Dhat.T): P Dhat =
+    Chat.T still holds, but P Ahat + Ahat.T P is no longer <= 0
+    (lambda_max 6.4e-3 at s = 1e3).  In P's own coordinates the bound is
+    PASSIVITY_TOL ||L.T Ahat L^{-T}|| = 6.7e-5 (P = L L.T), far below the
+    norm product PASSIVITY_TOL ||P|| ||Ahat|| = 8.2e5."""
+    node = node_system(A=[[0.0]], B=[[1.0 / 30e-6]], C=[[1.0]])
+    im = p_copy_internal_model(ROT, p=1)
+    gains = [[-2.0]], [[0.0, -500.0]]
+    cert = verify_A5(node, *gains, im)
+    assert cert.bound == pytest.approx(6.69e-5, rel=1e-2)
+    dhat = hat_matrices(node, *gains, im)[1]
+    for v in scipy.linalg.null_space(dhat.T).T:
+        perturbed = cert.P + scale * np.outer(v, v)
+        assert np.abs(perturbed @ dhat - cert.P @ dhat).max() == 0.0
+        with pytest.raises(CertificateFailed, match="inequality fails"):
+            verify_A5(node, *gains, im, phat=perturbed)
+    assert verify_A5(node, *gains, im, phat=cert.P).slack == cert.slack
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +499,20 @@ def test_all_slaves_rejected():
                           roles={1: "slave", 2: "slave", 3: "slave"})
 
 
+def test_rank_deficient_edge_fails_a1_and_a3_naming_g_f():
+    """F = 0 fails A1's rank condition, and A3 names the cause the SPR test
+    sees: G F is not positive definite (which implies both ranks)."""
+    scn = random_network(seed=2, regime="tracking")
+    net = Network(nodes=scn.nodes,
+                  edges=(edge_system(E=[[-1.0]], F=[[0.0]], G=[[1.0]]),) +
+                  scn.edges[1:], topology=scn.topology())
+    results, edge_certs, _ = check_assumptions(net, scn.exosystem())
+    edge1 = {r.name: r for r in results if r.entity == "edge 1"}
+    assert not edge1["A1"].passed and not edge1["A3"].passed
+    assert edge1["A3"].detail.startswith("G F is not positive definite")
+    assert edge_certs[0] is None and all(edge_certs[1:])
+
+
 def test_assumption_failure_names_unstable_edge():
     scn = random_network(seed=2, regime="tracking")
     bad_edges = (edge_system(E=[[1.0]], F=[[1.0]], G=[[1.0]]),) + \
@@ -586,9 +619,9 @@ def test_ring30_certifies_its_edges_in_one_stacked_bisection(monkeypatch):
     stacks = []
     test = analysis._spr_riccati_test
 
-    def spy(k, et, w, delta):
+    def spy(k, et, delta):
         stacks.append(len(k))
-        return test(k, et, w, delta)
+        return test(k, et, delta)
 
     monkeypatch.setattr(analysis, "_spr_riccati_test", spy)
     scn = ring30()
@@ -599,7 +632,7 @@ def test_ring30_certifies_its_edges_in_one_stacked_bisection(monkeypatch):
         spr_certificate(edge)
         alone.append(len(stacks))
     stacks.clear()
-    _, certs = check_assumptions(network, scn.exosystem())
+    _, certs, _ = check_assumptions(network, scn.exosystem())
     assert all(cert is not None for cert in certs)
     assert sum(alone) == 510
     assert len(stacks) == max(alone)
@@ -629,3 +662,106 @@ def test_ring30_builds_the_certificate_scale_table_once(monkeypatch):
         want = -np.linalg.solve((rho * p_g).T, im.G2).T
         assert np.array_equal(k_zeta, want)
     assert len(built) == 1
+
+
+def test_ring30_certifies_loops_and_edges_in_one_call(monkeypatch):
+    """build_controllers on ring30 certifies its 30 edges and the state
+    loops of its 30 synthesized nodes in one spr_certificates call, and
+    decides every node's kappa in one Riccati test of the 30 nodes at the
+    26 lattice points."""
+    certified, lattice = [], []
+    certify, test = synthesis.spr_certificates, synthesis._spr_riccati_test
+
+    def certify_spy(systems, *args):
+        certified.append(len(systems))
+        return certify(systems, *args)
+
+    def test_spy(k, et, delta):
+        lattice.append(len(k))
+        return test(k, et, delta)
+
+    monkeypatch.setattr(synthesis, "spr_certificates", certify_spy)
+    monkeypatch.setattr(synthesis, "_spr_riccati_test", test_spy)
+    scn = ring30()
+    cset = build_controllers(scn.network(), scn.exosystem(), scn.regime,
+                             roles=scn.roles, eps=scn.eps, gains=scn.gains)
+    assert sum(c is not None for c in cset.controllers) == 30
+    assert len(synthesis.KAPPAS) == 26
+    assert certified == [60]
+    assert lattice == [30 * 26]
+
+
+# ---------------------------------------------------------------------------
+# coordinate changes of the nodes
+
+
+def _moved_node(node, t):
+    """The node in the state coordinates x' = T x: the same transfer
+    function."""
+    ti = np.linalg.inv(t)
+    return node_system(t @ node.A @ ti, t @ node.B, node.C @ ti,
+                       t @ node.D_in)
+
+
+def _similarity(kind, rng, n):
+    """A change of units diag(2^k), |k| <= 20, an orthogonal T, or a
+    general T with condition number 1e2."""
+    if kind == "units":
+        return np.diag(2.0 ** rng.integers(-20, 21, n))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    if kind == "orthogonal":
+        return q
+    return q @ np.diag(np.geomspace(1.0, 1e2, n)[rng.permutation(n)]) @ \
+        np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def _outcome(scn, with_eps=True):
+    """A1-A5 verdicts, the controller set and eps_bisect (or None)."""
+    from coopnet.closedloop import epsilon_star
+
+    net, exo = scn.network(), scn.exosystem()
+    results, cset = synthesis.assumption_report(net, exo, scn.regime,
+                                                roles=scn.roles, eps=scn.eps)
+    eps = epsilon_star(net, cset, build_maps(net, cset), eps_hi=10.0) \
+        .eps_bisect if with_eps and cset is not None else None
+    return [(r.name, r.entity, r.passed) for r in results], cset, eps
+
+
+# the eps search's Rayleigh-quotient steps can land on an exactly singular
+# shift (seed 19, orthogonal T): scipy's LU warns, the iterate turns NaN and
+# the search falls back to bisection, with the same verdict
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("seed", range(40))
+def test_node_coordinates_change_no_verdict_or_gain(seed):
+    """Every node of a panel network moved to new state coordinates gives
+    the same A1-A5 verdicts.  A change of units by powers of two is exact
+    in floating point, and the balanced SPR tests see the same system:
+    K_zeta is bit for bit the same and K_x moves to K_x T^{-1} exactly.
+    An orthogonal T keeps every kappa to rounding.  eps_bisect agrees
+    within the eps search's bracket width."""
+    from coopnet.closedloop import BRACKET_REL_WIDTH
+
+    scn = random_network(seed + 100 * (seed % 4), n_nodes=4, m_edges=5,
+                         dims=3, regime=REGIMES[seed % 4])
+    verdicts, cset, eps = _outcome(scn)
+    assert cset is not None
+    kappas = [-(c.K_x @ n.B)[0, 0] for c, n in zip(cset.controllers,
+                                                   scn.nodes)]
+    for kind in ("units", "orthogonal", "general"):
+        rng = np.random.default_rng(seed)
+        ts = [_similarity(kind, rng, node.n) for node in scn.nodes]
+        moved = replace(scn, nodes=tuple(
+            _moved_node(node, t) for node, t in zip(scn.nodes, ts)))
+        got_verdicts, got, got_eps = _outcome(moved, kind != "general")
+        assert got_verdicts == verdicts, kind
+        if kind == "general":
+            continue
+        assert abs(got_eps - eps) <= BRACKET_REL_WIDTH * eps, kind
+        if kind == "units":
+            for c, c_moved, t in zip(cset.controllers, got.controllers, ts):
+                assert np.array_equal(c_moved.K_zeta, c.K_zeta)
+                assert np.array_equal(c_moved.K_x @ t, c.K_x)
+        assert np.allclose([-(c.K_x @ n.B)[0, 0] for c, n in zip(
+            got.controllers, moved.nodes)], kappas, rtol=1e-12, atol=0.0)
