@@ -359,13 +359,18 @@ def _eigenpair(a, sigma, x, y):
     Rayleigh quotient is the next shift.  Returns the pair once both
     residuals are below ``_PAIR_TOL ||a||_F``, or None.
     """
-    from scipy.linalg import lu_factor, lu_solve
+    from scipy.linalg import get_lapack_funcs, lu_solve
 
+    getrf, = get_lapack_funcs(("getrf",), dtype=complex)
     tol = _PAIR_TOL * np.linalg.norm(a)
     for _ in range(_RQI_STEPS):
         shifted = a.astype(complex)
         shifted.flat[::a.shape[0] + 1] -= sigma
-        lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
+        *lu, info = getrf(shifted, overwrite_a=True)
+        if info:
+            # an exactly zero pivot: sigma is an eigenvalue to working
+            # precision and the solves would divide by zero
+            return None
         x = lu_solve(lu, x, check_finite=False)
         y = lu_solve(lu, y, trans=2, check_finite=False)
         x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)

@@ -2,22 +2,21 @@
 predictions of the regulation theory, and error metrics.
 
 The closed loop is linear and time-invariant, so its samples on a uniform
-grid obey x_{j+1} = e^{A h} x_j exactly, and so do the predicted limits,
-propagated as output matrices under the adjoint.  Both exponentials come
-from ``_expm`` and both recurrences run in one kernel (``_propagate``).
-After a sequential head of ``_BLOCK`` samples, each block of samples is
-one matrix-matrix product of step^w with the w samples before it, and w
-doubles from ``_BLOCK`` after every block, so a run of n samples costs
-about log2(n) Python iterations, not n / 64.  The doubling stops once a
-block would hold more than ``_BLOCK_VALUES`` = 2^18 numbers: larger
-products gain no speed but make BLAS pack larger operands, and on the
-288-state ring uncapped doubling raised the peak resident memory by about
-17 MB.  The result is bit-deterministic.  The stored signals of a run are
-one product of the stacked output maps with the states; each error is a
-regulated signal minus its reference.
+grid obey x_{j+1} = Phi x_j exactly, with Phi = e^{A h} from ``_expm``.
+What a run reports are signals M x_j (node outputs, neighboring inputs,
+references), and so are the predicted limits.  One kernel,
+``_observe``, forms them without the state samples: it tabulates
+M Phi^i for i < w, steps only the block-start states x_{bw} =
+Phi^{w b} x_0, and forms the signal samples as matrix products of the
+starts with the table, laid out sample by sample.  With w about
+sqrt(samples / rows of M) the table and the starts each hold about
+sqrt(samples) vectors, so the signals are the only large array.  The
+state samples of a run are formed from Phi only when ``SimResult.states``
+is first read.  Each error is a regulated signal minus its reference.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +31,14 @@ from .errors import (
 )
 from .synthesis import NODE_ROLES, ZERO_SUM_TOL
 
-#: samples ``_propagate`` steps one at a time, and its first block width
-_BLOCK = 64
+#: samples per block of the recurrence that forms ``SimResult.states``
+_STATE_BLOCK = 64
 
-#: most numbers (samples x columns x states) one block of ``_propagate``
-#: may hold; block widths double up to this budget
-_BLOCK_VALUES = 2 ** 18
+#: most block starts one product of ``_observe`` takes: a longer product
+#: gains no speed but makes BLAS pack a larger operand, and on the
+#: 288-state ring taking all 1,334 starts at once raised the peak resident
+#: memory by 2 MB
+_STARTS_PER_PRODUCT = 256
 
 #: most samples ``integrate`` stores when ``store_every`` is not given
 MAX_STORED = 200_000
@@ -47,15 +48,20 @@ MAX_STORED = 200_000
 class SimResult:
     """Stored trajectories of one closed-loop run.
 
-    ``states`` is n_total x T on the uniform stored grid ``t``; ``y``,
-    ``v``, ``refs`` and ``errors`` are per-node p x T arrays keyed by
-    1-based node id.  ``errors`` are in each node's native regulated
-    coordinates (output error for tracking/sync/master nodes, neighboring
-    input error for cooperation/slave nodes).
+    ``y``, ``v``, ``refs`` and ``errors`` are per-node p x T arrays on the
+    uniform stored grid ``t``, keyed by 1-based node id; ``y``, ``v`` and
+    ``refs`` are views of one sample-major signal array.  ``errors`` are
+    in each node's native regulated coordinates (output error for
+    tracking/sync/master nodes, neighboring input error for
+    cooperation/slave nodes).
+
+    ``states`` (n_total x T) is not formed by :func:`integrate`: the
+    first read steps the run's one-step map e^{A dt store_every} from its
+    initial state (:func:`_state_samples`), and later reads return the same
+    array.  A result built without a run (no ``_loop``) has no states.
     """
 
     t: np.ndarray
-    states: np.ndarray
     y: dict
     v: dict
     refs: dict
@@ -63,10 +69,19 @@ class SimResult:
     regime: str
     dt: float
     store_every: int
+    #: (one-step map, initial state) of the run, which ``states`` steps
+    _loop: tuple = field(default=None, repr=False)
 
     @property
     def t_end(self):
         return float(self.t[-1])
+
+    @cached_property
+    def states(self):
+        if self._loop is None:
+            raise AttributeError("this result carries no closed loop")
+        step, x0 = self._loop
+        return _state_samples(step, x0, self.t.size - 1)
 
 
 #: numerator coefficients of the [13/13] Padé approximant of e^x
@@ -87,15 +102,33 @@ def _expm(a):
     norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm else 0
     a = a / 2.0 ** s
-    b, ident = _PADE13, np.eye(a.shape[0])
+    b, diag = _PADE13, np.s_[::a.shape[0] + 1]
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
+    # the odd (u) and even (v) parts, accumulated in place: the sums are
+    # those of the plain expressions, with no more than two temporaries
+    u = b[13] * a6
+    u += b[11] * a4
+    u += b[9] * a2
+    u = a6 @ u
+    u += b[7] * a6
+    u += b[5] * a4
+    u += b[3] * a2
+    u.flat[diag] += b[1]
+    u = a @ u
+    v = b[12] * a6
+    v += b[10] * a4
+    v += b[8] * a2
+    v = a6 @ v
+    v += b[6] * a6
+    v += b[4] * a4
+    v += b[2] * a2
+    v.flat[diag] += b[0]
+    del a, a2, a4, a6
+    q = v - u
+    v += u
+    r = np.linalg.solve(q, v)
     for _ in range(s):
         r = r @ r
     return r
@@ -123,58 +156,97 @@ def _pick_store_every(n_steps, store_every):
     return 1
 
 
-def _check_finite(rows, lo, hi):
-    # one sum screens the block: any NaN or inf makes it non-finite, and
-    # only then (or on an overflow of finite values) is each sample scanned
-    if np.isfinite(rows[lo:hi].sum()):
-        return
-    finite = np.isfinite(rows[lo:hi]).all(axis=(1, 2))
-    if not finite.all():
-        raise NonFiniteState(lo + int(np.argmin(finite)))
+def _block_width(n, r):
+    """Block width of :func:`_observe` for samples 0..n of r signals: it
+    balances the table (w r vectors) against the block starts (n / w)."""
+    return max(1, round(np.sqrt((n + 1) / r)))
 
 
-def _propagate(step, x0, n):
-    """All ``n + 1`` samples of the recurrence x_{j+1} = step x_j.
+def _observe(step, out, x0, n, width=None):
+    """Signals ``out step^j x0`` for j = 0..n, without the state samples.
 
-    ``x0`` is an n_x x k block of columns, each propagated independently.
-    Returns an ``(n + 1, k, n_x)`` row buffer: ``rows[j]`` is sample j,
-    transposed.  The first ``_BLOCK`` samples are stepped one at a time.
-    After them, each block of up to w samples is one matrix-matrix product
-    of the w samples before it with step^w.  The width w starts at
-    ``_BLOCK`` and doubles after each block (step^2w = step^w step^w)
-    while the doubled block holds at most ``_BLOCK_VALUES`` numbers
-    (2w k n_x); from then on it stays fixed.  The budget bounds the
-    operands BLAS packs, and so the peak memory, at no cost in speed.
-    Finiteness is checked once per block.
+    ``x0`` is an n_x x k block of start columns and ``out`` an r x n_x
+    output map.  Returns a ``(k, n + 1, r)`` array: ``[c, j]`` is sample j
+    of column c's signals.  With the block width w (``width``, by default
+    :func:`_block_width`), it tabulates out step^i for i < w, steps the
+    block starts x_{(b + 1) w} = step^w x_{b w} one matrix-vector product
+    each, and forms the samples of up to ``_STARTS_PER_PRODUCT`` blocks of
+    a column as one matrix product of their starts with the table: row b
+    of the product holds samples bw..bw+w-1.
 
     Raises
     ------
     NonFiniteState
-        Naming the first non-finite sample j >= 1 (x0 itself is not
-        checked).
+        Naming the first sample j >= 1 whose state or signal is not
+        finite (x0 itself is not checked).  Each product's starts and
+        signals are screened whole; only a block that fails is stepped
+        sample by sample.
     """
     x0 = np.asarray(x0, dtype=float)
     n_x, k = x0.shape
-    rows = np.empty((n + 1, k, n_x))
-    rows[0] = x0.T
-    head = min(n, _BLOCK)
-    for j in range(head):
-        rows[j + 1] = rows[j] @ step.T
-    _check_finite(rows, 1, head + 1)
-    if n > _BLOCK:
-        flat = rows.reshape((n + 1) * k, n_x)
-        width, lo = _BLOCK, _BLOCK + 1
-        jump = np.linalg.matrix_power(step, width).T
-        while lo <= n:
-            hi = min(lo + width, n + 1)
-            np.matmul(flat[(lo - width) * k:(hi - width) * k], jump,
-                      out=flat[lo * k:hi * k])
-            _check_finite(rows, lo, hi)
-            lo = hi
-            if lo + width <= n and 2 * width * k * n_x <= _BLOCK_VALUES:
-                jump = jump @ jump
-                width *= 2
-    return rows
+    r = out.shape[0]
+    w = _block_width(n, r) if width is None else width
+    blocks = -(-(n + 1) // w)
+    # an overflow is reported as NonFiniteState, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        signals = np.empty((k, blocks, w * r))
+        samples = signals.reshape(k, blocks * w, r)
+        table = np.empty((w, r, n_x))
+        table[0] = out
+        for i in range(1, w):
+            np.matmul(table[i - 1], step, out=table[i])
+        table = table.reshape(w * r, n_x).T
+        jump = np.linalg.matrix_power(step, w).T
+        # starts[b] is x_{(lo + b) w}, transposed; the last closes block hi
+        starts = np.empty((min(blocks, _STARTS_PER_PRODUCT) + 1, k, n_x))
+        starts[0] = x0.T
+        for lo in range(0, blocks, _STARTS_PER_PRODUCT):
+            hi = min(lo + _STARTS_PER_PRODUCT, blocks)
+            for b in range(hi - lo):
+                np.matmul(starts[b], jump, out=starts[b + 1])
+            for c in range(k):
+                np.matmul(starts[:hi - lo, c], table, out=signals[c, lo:hi])
+            # one sum screens each array: a NaN or inf makes it non-finite
+            # (so may an overflow of finite values, which costs a closer look)
+            if not (np.isfinite(starts[:hi - lo + 1].sum())
+                    and np.isfinite(signals[:, lo:hi].sum())):
+                _raise_first_non_finite(step, starts, samples, w, lo, hi, n)
+            starts[0] = starts[hi - lo]
+    return samples[:, :n + 1]
+
+
+def _raise_first_non_finite(step, starts, samples, w, lo, hi, n):
+    """Step each of the blocks lo..hi-1 whose end state or signals are not
+    finite one sample at a time, and raise NonFiniteState at its first
+    sample j <= n whose state or signal is not finite."""
+    for b in range(lo, hi):
+        first = b * w
+        if np.isfinite(starts[b - lo + 1]).all() and \
+                np.isfinite(samples[:, first:first + w]).all():
+            continue
+        x = starts[b - lo]
+        for j in range(first + 1, min(first + w, n) + 1):
+            x = x @ step.T
+            if not (np.isfinite(x).all() and np.isfinite(samples[:, j]).all()):
+                raise NonFiniteState(j)
+
+
+def _state_samples(step, x0, n):
+    """x_j = step^j x0 for j = 0..n, as an n_x x (n + 1) view of a
+    sample-major buffer.  The first w = ``_STATE_BLOCK`` samples are
+    stepped one at a time; after them each block of w samples is one
+    product of the block before it with step^w, in place."""
+    w = _STATE_BLOCK
+    rows = np.empty((n + 1, x0.size))
+    rows[0] = x0
+    for j in range(min(n, w)):
+        np.matmul(step, rows[j], out=rows[j + 1])
+    if n > w:
+        jump = np.linalg.matrix_power(step, w).T
+        for lo in range(w + 1, n + 1, w):
+            hi = min(lo + w, n + 1)
+            np.matmul(rows[lo - w:hi - w], jump, out=rows[lo:hi])
+    return rows.T
 
 
 def integrate(cl, x0, t_end, dt, store_every=None):
@@ -183,6 +255,8 @@ def integrate(cl, x0, t_end, dt, store_every=None):
     Samples are stored every ``store_every`` steps (chosen automatically to
     cap storage when omitted; must divide the step count).  They are exact
     to rounding on any grid: each is e^{A dt store_every} times the last.
+    Only the signals are formed (see :func:`_observe`); the states are
+    formed when the result's ``states`` is first read.
 
     Raises
     ------
@@ -194,7 +268,7 @@ def integrate(cl, x0, t_end, dt, store_every=None):
     """
     if dt <= 0 or t_end <= 0:
         raise ValidationError("dt/t_end", "must be positive")
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = np.array(x0, dtype=float).ravel()
     if x0.size != cl.n_states:
         raise DimensionMismatch(
             f"x0 has {x0.size} entries, closed loop has {cl.n_states}")
@@ -209,20 +283,21 @@ def integrate(cl, x0, t_end, dt, store_every=None):
             f"the stable coupling gains with `coopnet eps`")
     s = _pick_store_every(n_steps, store_every)
     n_stored = n_steps // s
+    maps = np.vstack([cl.y_map, cl.v_map, cl.ref_map])
+    step = _expm(cl.A_full * (dt * s))
     try:
-        rows = _propagate(_expm(cl.A_full * (dt * s)), x0[:, None], n_stored)
+        signals = _observe(step, maps, x0[:, None], n_stored)[0]
     except NonFiniteState as exc:
         raise NonFiniteState(exc.step * s) from None
-    states = rows[:, 0, :].T
     t = np.arange(n_stored + 1) * (dt * s)
-    signals = np.vstack([cl.y_map, cl.v_map, cl.ref_map]) @ states
     y, v, refs = (
         dict(zip(cl.node_ids, block))
-        for block in signals.reshape(3, len(cl.node_ids), cl.p, -1))
+        for block in signals.T.reshape(3, len(cl.node_ids), cl.p, -1))
     errors = {i: (y if cl.err_kind[i] == "output" else v)[i] - refs[i]
               for i in cl.node_ids}
-    return SimResult(t=t, states=states, y=y, v=v, refs=refs, errors=errors,
-                     regime=cl.regime, dt=float(dt), store_every=s)
+    return SimResult(t=t, y=y, v=v, refs=refs, errors=errors,
+                     regime=cl.regime, dt=float(dt), store_every=s,
+                     _loop=(step, x0))
 
 
 def initial_state(cl, nu0=None, eta0=None, etabar0=None, node0=None,
@@ -317,20 +392,13 @@ def steady_state_prediction(cset, t, nu0=None, eta0=None, etabar0=None):
             raise ValidationError("t", "prediction grid must be uniform")
         h = steps[0]
 
-    def on_grid(a, out):
-        """out e^{A t_k} for every grid point, as a (T p) x n matrix.
-
-        The kernel propagates out^T under e^{A^T h}, so it stores T x p x n
-        numbers rather than one n-vector per signal and sample.
-        """
-        cols = out.T
+    def on_grid(a, out, vecs):
+        """Signals out e^{A t_k} x for each start x in vecs, as p x T
+        views."""
+        x0 = np.column_stack(vecs)
         if t[0] != 0.0:
-            cols = _expm(a.T * t[0]) @ cols
-        rows = _propagate(_expm(a.T * h), cols, t.size - 1)
-        return rows.reshape(-1, a.shape[0])
-
-    def signal(gains, vec):
-        return (gains @ vec).reshape(t.size, -1).T
+            x0 = _expm(a * t[0]) @ x0
+        return [c.T for c in _observe(_expm(a * h), out, x0, t.size - 1)]
 
     nu0, eta0, etabar0 = ({i: np.asarray(v, dtype=float).ravel()
                            for i, v in (d or {}).items()}
@@ -339,24 +407,34 @@ def steady_state_prediction(cset, t, nu0=None, eta0=None, etabar0=None):
     zero = np.zeros(exo.q)
     # per regulated signal: its limit's output map and initial values
     limits = {"output": (exo.Q_eta, eta0), "input": (exo.Q_v, nu0)}
-    grids, per_node = {}, {}
+    # each signal is observed once per distinct start vector: starts[kind]
+    # maps a vector's bytes to (its column, the vector)
+    starts, picks = {"output": {}, "input": {}}, {}
+
+    def pick(key, kind, vec):
+        column = starts[kind].setdefault(vec.tobytes(),
+                                         (len(starts[kind]), vec))[0]
+        picks[key] = kind, column
+
     for i, name in zip(ids, cset.node_roles):
         role = NODE_ROLES[name]
-        out, start = limits[role.regulates]
-        if role.regulates not in grids:
-            grids[role.regulates] = on_grid(exo.S, out)
-        vec = sum(start.get(k, zero) for k in ids) / len(ids) \
-            if role.consensus else start.get(i, zero)
-        per_node[i] = signal(grids[role.regulates], vec)
-    bias, output_sum = None, None
+        start = limits[role.regulates][1]
+        pick(i, role.regulates,
+             sum(start.get(k, zero) for k in ids) / len(ids)
+             if role.consensus else start.get(i, zero))
     if cset.regime == "cooperation":
         total = sum(nu0.get(i, zero) for i in ids)
-        bias = signal(grids["input"], -total / len(ids))
-        if np.linalg.norm(total) <= ZERO_SUM_TOL:
-            total_ref = sum(etabar0.get(i, np.zeros(cset.G_S.shape[0]))
-                            for i in ids)
-            output_sum = signal(on_grid(cset.G_S, cset.G_Q), total_ref)
-    return SteadyStatePrediction(t=t, per_node=per_node, bias=bias,
+        pick("bias", "input", -total / len(ids))
+    grids = {kind: on_grid(exo.S, limits[kind][0],
+                           [vec for _, vec in cols.values()])
+             for kind, cols in starts.items() if cols}
+    signals = {key: grids[kind][c] for key, (kind, c) in picks.items()}
+    bias, output_sum = signals.pop("bias", None), None
+    if bias is not None and np.linalg.norm(total) <= ZERO_SUM_TOL:
+        total_ref = sum(etabar0.get(i, np.zeros(cset.G_S.shape[0]))
+                        for i in ids)
+        output_sum = on_grid(cset.G_S, cset.G_Q, [total_ref])[0]
+    return SteadyStatePrediction(t=t, per_node=signals, bias=bias,
                                  output_sum=output_sum)
 
 

@@ -578,3 +578,12 @@ def test_bracket_holds_the_kronecker_sum_crossing(seed, regime, sizes):
     assert est.eps_bisect <= first <= \
         est.eps_bisect * (1 + closedloop.BRACKET_REL_WIDTH)
     _assert_bracket(rz, est)
+
+
+def test_rayleigh_iteration_stops_quietly_at_an_exactly_singular_shift():
+    """A shift that is exactly an eigenvalue gives an exactly zero LU pivot:
+    the iteration returns None, so the search falls back, and neither the
+    factorization nor the solves warn."""
+    a = np.diag([-1.0, -2.0, -3.0])
+    start = np.ones(3)
+    assert closedloop._eigenpair(a, -2.0, start, start) is None

@@ -17,10 +17,11 @@ from coopnet.scenarios import (
     realize,
 )
 from coopnet.sim import (
-    _BLOCK,
-    _BLOCK_VALUES,
+    _STARTS_PER_PRODUCT,
+    _STATE_BLOCK,
+    _block_width,
     _expm,
-    _propagate,
+    _observe,
     error_metrics,
     initial_state,
     integrate,
@@ -28,7 +29,7 @@ from coopnet.sim import (
     suggest_dt,
 )
 
-from helpers import flip_first_edge, relabel_cyclically, with_zero_sum
+from helpers import flip_first_edge, relabel_cyclically, ring30, with_zero_sum
 
 W = 100.0 * np.pi
 
@@ -170,14 +171,15 @@ def _random_loop():
     return rz.cl, initial_state(rz.cl, eta0=scn.eta0), 1e-2
 
 
-@pytest.mark.parametrize("n_stored",
-                         [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("n_stored", [1, _STATE_BLOCK - 1, _STATE_BLOCK,
+                                      _STATE_BLOCK + 1, 3 * _STATE_BLOCK + 5])
 @pytest.mark.parametrize("loop", [_demo_loop, _random_loop],
                          ids=["demo", "random"])
 def test_blocked_propagation_matches_sequential_loop(loop, n_stored):
     cl, x0, dt = loop()
     s = 3
     res = integrate(cl, x0, t_end=n_stored * s * dt, dt=dt, store_every=s)
+    assert "states" not in res.__dict__
     r_s = scipy.linalg.expm(cl.A_full * (dt * s))
     expect = _sequential(r_s, x0, n_stored)
     assert res.states.shape == expect.shape
@@ -186,44 +188,71 @@ def test_blocked_propagation_matches_sequential_loop(loop, n_stored):
     assert np.array_equal(res.t, np.arange(n_stored + 1) * (dt * s))
 
 
-@pytest.mark.parametrize("store_every", [1, 3])
-def test_non_finite_step_is_exact_inside_a_block(store_every):
-    # stable but non-normal: the first component passes through ~1e6*t*x2
-    # and overflows after a few blocks, not at a block boundary
-    cl = _Plain([[-1.0, 1e6], [0.0, -1.0]])
-    x0 = np.array([0.0, 1e303])
-    dt = 1e-4
-    r_s = scipy.linalg.expm(cl.A_full * (dt * store_every))
-    x, bad = x0, None
-    with np.errstate(over="ignore"):
-        for j in range(1, 10_000):
+def _overflowing_start(r_s, target):
+    """x0 = (0, c) for the non-normal loop of :func:`_non_finite_step`,
+    with c chosen so that x <- r_s x first leaves double precision at
+    sample ``target``: the first component still grows there, and c
+    scales it to just past the largest double."""
+    x = np.array([0.0, 1.0])
+    for _ in range(target):
+        x = r_s @ x
+    return np.array([0.0, np.finfo(float).max / abs(x[0]) * (1.0 + 1e-6)])
+
+
+def _first_non_finite(r_s, x0, n):
+    """First j <= n at which x <- r_s x is not finite, or None."""
+    x = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n + 1):
             x = r_s @ x
             if not np.all(np.isfinite(x)):
-                bad = j
-                break
-        assert bad is not None and bad > _BLOCK and (bad - 1) % _BLOCK
-        with pytest.raises(NonFiniteState) as exc:
-            integrate(cl, x0, t_end=0.3, dt=dt, store_every=store_every)
-    assert exc.value.step == bad * store_every
+                return j
+    return None
 
 
-def _blocks(n, size):
-    """(first sample, width) of each block product ``_propagate`` makes for
-    n samples of ``size`` numbers each, derived from its two constants."""
-    lo, width, blocks = _BLOCK + 1, _BLOCK, []
-    while lo <= n:
-        blocks.append((lo, width))
-        lo += width
-        if lo + width <= n and 2 * width * size <= _BLOCK_VALUES:
-            width *= 2
-    return blocks
+def _non_finite_step(store_every, bad, dt=1e-4, t_end=0.3):
+    """The step integrate names for a stable but non-normal loop whose
+    first component passes through ~1e6 t x2, with x0 scaled to overflow
+    first at stored sample ``bad``."""
+    cl = _Plain([[-1.0, 1e6], [0.0, -1.0]])
+    r_s = scipy.linalg.expm(cl.A_full * (dt * store_every))
+    x0 = _overflowing_start(r_s, bad)
+    assert _first_non_finite(r_s, x0, bad + 1) == bad
+    with pytest.raises(NonFiniteState) as exc:
+        integrate(cl, x0, t_end=t_end, dt=dt, store_every=store_every)
+    return exc.value.step
 
 
-def _capped_width(size):
-    width = _BLOCK
-    while 2 * width * size <= _BLOCK_VALUES:
-        width *= 2
-    return width
+def _signal_width(n_steps, store_every):
+    # the block width of integrate's kernel for _Plain's three signals
+    return _block_width(n_steps // store_every, 3)
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_non_finite_step_is_exact_inside_a_block(store_every):
+    # one sample after the start of the fourth block, and inside it
+    width = _signal_width(3000, store_every)
+    assert width > 2
+    for bad in (3 * width + 1, 3 * width + width // 2):
+        assert _non_finite_step(store_every, bad) == bad * store_every
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_non_finite_step_is_exact_at_a_block_start(store_every):
+    bad = 3 * _signal_width(3000, store_every)
+    assert _non_finite_step(store_every, bad) == bad * store_every
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_non_finite_step_is_exact_in_a_later_product(store_every):
+    # 30,000 stored samples make more block starts than one product takes;
+    # the overflow lands inside a block of the second product
+    dt = 1e-5 / store_every
+    width = _signal_width(30_000 * store_every, store_every)
+    blocks = -(-30_001 // width)
+    assert blocks > _STARTS_PER_PRODUCT + 20
+    bad = width * (_STARTS_PER_PRODUCT + 20) + width // 2
+    assert _non_finite_step(store_every, bad, dt=dt) == bad * store_every
 
 
 @pytest.fixture(scope="module")
@@ -232,72 +261,118 @@ def demo_step():
     return scipy.linalg.expm(cl.A_full * (dt * 5)), x0
 
 
-@pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK,
-                               3 * _BLOCK + 1, None])
-def test_propagate_matches_sequential_recurrence(demo_step, k, n):
+def _observed_case(demo_step, k, general):
     step, x0 = demo_step
     n_x = step.shape[0]
-    if n is None:
-        # past the budget: blocks at the capped width, the last one partial
-        width = _capped_width(k * n_x)
-        n = 3 * width + _BLOCK // 2
-        assert [w for _, w in _blocks(n, k * n_x)][-3:] == [width] * 3
-        assert 2 * width * k * n_x > _BLOCK_VALUES
     rng = np.random.default_rng(k)
     cols = np.column_stack([x0] + [x0 * rng.uniform(-1.0, 1.0, n_x)
                                    for _ in range(k - 1)])
-    rows = _propagate(step, cols, n)
-    assert rows.shape == (n + 1, k, n_x)
-    for c in range(k):
-        expect = _sequential(step, cols[:, c], n)
-        peak = np.abs(expect).max(axis=1, keepdims=True)
-        assert np.all(np.abs(rows[:, c, :].T - expect) <= 1e-11 * peak)
+    out = rng.standard_normal((4, n_x)) if general else np.eye(n_x)
+    return step, out, cols
+
+
+#: block width of the kernel runs below
+_WIDTH = 64
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_block_products_follow_the_doubling_schedule(demo_step, monkeypatch,
-                                                     k):
-    step, x0 = demo_step
-    size = k * step.shape[0]
-    n = 3 * _capped_width(size) + 1
-    products, matmul = [], np.matmul
+@pytest.mark.parametrize("n", [1, _WIDTH - 1, _WIDTH, _WIDTH + 1, 3 * _WIDTH,
+                               3 * _WIDTH + 1, None])
+def test_propagate_matches_sequential_recurrence(demo_step, k, n):
+    """The kernel's signals are out x_j of the sequential recurrence, for
+    the identity and a general output map: for runs ending inside the first
+    block, one sample before, at and after its end, at the end of the
+    third block and one sample after it (width 64), and for a long run at
+    the default width."""
+    width = None if n is None else _WIDTH
+    n = 2000 if n is None else n
+    for general in (False, True):
+        step, out, cols = _observed_case(demo_step, k, general)
+        signals = _observe(step, out, cols, n, width)
+        assert signals.shape == (k, n + 1, out.shape[0])
+        for c in range(k):
+            expect = out @ _sequential(step, cols[:, c], n)
+            peak = np.abs(expect).max(axis=1, keepdims=True)
+            assert np.all(np.abs(signals[c].T - expect) <= 1e-11 * peak)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_observe_products_follow_the_blocks(demo_step, monkeypatch, k):
+    """w - 1 products build the table, one matrix-vector product (of the k
+    columns) steps each block start, and one product per column forms the
+    samples of up to ``_STARTS_PER_PRODUCT`` blocks."""
+    step, out, cols = _observed_case(demo_step, k, True)
+    n = 40_000
+    width = _block_width(n, out.shape[0])
+    blocks = -(-(n + 1) // width)
+    assert _STARTS_PER_PRODUCT < blocks < 2 * _STARTS_PER_PRODUCT
+    shapes, matmul = [], np.matmul
 
     def spy(a, b, out):
-        products.append(out.shape[0] // k)
+        shapes.append(out.shape)
         return matmul(a, b, out=out)
 
     monkeypatch.setattr(np, "matmul", spy)
-    _propagate(step, np.column_stack([x0] * k), n)
+    _observe(step, out, cols, n)
     monkeypatch.undo()
-    blocks = _blocks(n, size)
-    assert products == [min(w, n + 1 - lo) for lo, w in blocks]
-    assert max(products) * size <= _BLOCK_VALUES
+    n_x, r = step.shape[0], out.shape[0]
+    expect = [(r, n_x)] * (width - 1)
+    for size in (_STARTS_PER_PRODUCT, blocks - _STARTS_PER_PRODUCT):
+        expect += [(k, n_x)] * size + [(size, width * r)] * k
+    assert shapes == expect
 
 
-@pytest.mark.parametrize("store_every", [1, 3])
-def test_non_finite_step_is_exact_inside_a_doubled_block(store_every):
-    # the loop of test_non_finite_step_is_exact_inside_a_block with a
-    # coarser step: the overflow lands past 2 * _BLOCK inside a block of
-    # doubled width
-    cl = _Plain([[-1.0, 1e6], [0.0, -1.0]])
-    x0 = np.array([0.0, 1e303])
-    dt = 2e-4
-    r_s = scipy.linalg.expm(cl.A_full * (dt * store_every))
-    x, bad = x0, None
-    with np.errstate(over="ignore"):
-        for j in range(1, 10_000):
-            x = r_s @ x
-            if not np.all(np.isfinite(x)):
-                bad = j
-                break
-        assert bad is not None and bad > 2 * _BLOCK
-        n_stored = round(0.3 / dt) // store_every
-        lo, width = [b for b in _blocks(n_stored, 2) if b[0] <= bad][-1]
-        assert width >= 2 * _BLOCK and bad != lo
-        with pytest.raises(NonFiniteState) as exc:
-            integrate(cl, x0, t_end=0.3, dt=dt, store_every=store_every)
-    assert exc.value.step == bad * store_every
+def _full_demo_run():
+    scn = demo_power_network()
+    cl, x0, dt = _demo_loop()
+    return cl, x0, dt, scn.t_end
+
+
+def _ring30_run():
+    # eps = 0.1 is about half the ring's boundary gain 0.179
+    scn = ring30()
+    cl = realize(scn, eps=0.1).cl
+    return cl, initial_state(cl, nu0=scn.nu0, eta0=scn.eta0), scn.dt, \
+        scn.t_end
+
+
+@pytest.mark.parametrize("run", [_full_demo_run, _ring30_run],
+                         ids=["demo", "ring30"])
+def test_states_are_formed_on_first_read(run):
+    """integrate forms only the signals; the first read of ``states``
+    forms the samples of the sequential recurrence, and the signals are
+    the output maps times them."""
+    cl, x0, dt, t_end = run()
+    res = integrate(cl, x0, t_end=t_end, dt=dt)
+    assert "states" not in res.__dict__
+    states = res.states
+    assert res.__dict__["states"] is states and res.states is states
+    r_s = scipy.linalg.expm(cl.A_full * (dt * res.store_every))
+    expect = _sequential(r_s, x0, res.t.size - 1)
+    assert np.abs(states - expect).max() <= 1e-10 * np.abs(expect).max()
+    want = np.vstack([cl.y_map, cl.v_map, cl.ref_map]) @ states
+    got = np.vstack([d[i] for d in (res.y, res.v, res.refs)
+                     for i in cl.node_ids])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_integrate_allocates_its_result_and_no_states():
+    """On the demo, integrate's traced peak is what its result keeps (the
+    signals, errors and grid, 13 of every sample's 19 state values) plus
+    under 1 %: no state buffer is formed, not even transiently."""
+    import tracemalloc
+
+    cl, x0, dt, t_end = _full_demo_run()
+    tracemalloc.start()
+    try:
+        res = integrate(cl, x0, t_end=t_end, dt=dt)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    state_bytes = cl.n_states * res.t.size * 8
+    assert peak <= 1.01 * kept
+    assert peak < 0.7 * state_bytes
+    assert "states" not in res.__dict__
 
 
 def test_integrate_requires_matching_grid():
@@ -479,15 +554,14 @@ def test_prediction_matches_direct_expm(seed, regime):
     eta0 = {i: rng.standard_normal(exo.q) for i in ids}
     ref_dim = cset.G_S.shape[0] if regime == "cooperation" else 0
     etabar0 = {i: rng.standard_normal(ref_dim) for i in ids}
-    t = 0.37 + 1e-2 * np.arange(3 * _BLOCK + 5)
+    t = 0.37 + 1e-2 * np.arange(197)
     pred = steady_state_prediction(cset, t, nu0=nu0, eta0=eta0,
                                    etabar0=etabar0)
     assert pred.t[0] == 0.37
-    picks = [0, 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, t.size - 1]
 
     def direct(a, out, vec):
-        return np.column_stack([out @ scipy.linalg.expm(a * t[k]) @ vec
-                                for k in picks])
+        return np.column_stack([out @ scipy.linalg.expm(a * tk) @ vec
+                                for tk in t])
 
     expect = {}
     for i in ids:
@@ -498,22 +572,22 @@ def test_prediction_matches_direct_expm(seed, regime):
             expect[i] = direct(exo.S, exo.Q_v, nu0[i])
         else:
             expect[i] = direct(exo.S, exo.Q_eta, eta0[i])
-    got = {i: pred.per_node[i][:, picks] for i in ids}
+    got = dict(pred.per_node)
     if regime == "cooperation":
         expect["bias"] = direct(exo.S, exo.Q_v, -sum(nu0.values()) / len(ids))
-        got["bias"] = pred.bias[:, picks]
+        got["bias"] = pred.bias
         # the output sum has a limit only for commands that sum to zero
         assert pred.output_sum is None
         nu0[len(ids)] -= sum(nu0.values())
         zero_sum = steady_state_prediction(cset, t, nu0=nu0, eta0=eta0,
                                            etabar0=etabar0)
         expect["sum"] = direct(cset.G_S, cset.G_Q, sum(etabar0.values()))
-        got["sum"] = zero_sum.output_sum[:, picks]
+        got["sum"] = zero_sum.output_sum
     else:
         assert pred.bias is None and pred.output_sum is None
     assert set(pred.per_node) == set(ids)
     for key, want in expect.items():
-        assert np.abs(got[key] - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.abs(got[key] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_cooperation_output_sum_has_no_limit_for_nonzero_command_sum():
@@ -587,9 +661,8 @@ def _result_with_error(t, err):
 
     err = np.atleast_2d(err)
     zero = {1: err}
-    return SimResult(t=t, states=np.zeros((1, t.size)), y=zero, v=zero,
-                     refs=zero, errors={1: err}, regime="tracking",
-                     dt=float(t[1] - t[0]), store_every=1)
+    return SimResult(t=t, y=zero, v=zero, refs=zero, errors={1: err},
+                     regime="tracking", dt=float(t[1] - t[0]), store_every=1)
 
 
 def test_metrics_zero_error():

@@ -727,12 +727,6 @@ def _outcome(scn, with_eps=True):
     return [(r.name, r.entity, r.passed) for r in results], cset, eps
 
 
-# the eps search's Rayleigh-quotient steps can land on an exactly singular
-# shift (seed 19, orthogonal T): scipy's LU warns, the iterate turns NaN and
-# the search falls back to bisection, with the same verdict
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-@pytest.mark.filterwarnings(
-    "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("seed", range(40))
 def test_node_coordinates_change_no_verdict_or_gain(seed):
     """Every node of a panel network moved to new state coordinates gives
