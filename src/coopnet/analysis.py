@@ -4,9 +4,10 @@ Everything here is a small dense-linear-algebra routine with an explicit
 numerical contract: solvers check their residuals, certificate constructors
 re-verify the inequalities they claim before returning, and every strict
 inequality carries a certified slack.  Tolerances are module constants.
-scipy is imported only inside the routines that need it (the Lyapunov
-solver, and the balancing and Riccati branch of the SPR certificate), so
-importing the package loads numpy alone.
+Every routine on a pipeline path is numpy alone: the SPR certificates
+balance by a port of LAPACK's dgebal scaling and solve their Riccati and
+Lyapunov equations by the matrix sign function.  scipy is imported only
+inside :func:`lyapunov_solve`, for :func:`lemma1_certificate`.
 """
 
 import warnings
@@ -48,6 +49,10 @@ SPR_CENTRE = 0.75
 SPR_BISECT_RTOL = 1e-3
 #: relative tolerance of non-strict storage inequalities and of P B = C.T
 PASSIVITY_TOL = 1e-9
+#: relative change (1-norm) of a matrix-sign Newton step that ends it
+SIGN_RTOL = 1e-10
+#: Newton steps allowed for a matrix sign
+_SIGN_STEPS = 100
 #: the conditions the SPR Riccati test fails on, by the code it reports
 RICCATI_FAILS = (None, "the (1,1) block is not negative definite",
                  "the Riccati Hamiltonian has non-finite entries",
@@ -466,59 +471,125 @@ def _spr_riccati_test(k, et, delta):
     return fails, h_all
 
 
+def _spr_checked(e, f, g):
+    """``(E, F, G)``, after checking that some symmetric Q > 0 has ``Q F =
+    G.T``: G F must be symmetric positive definite."""
+    if not np.isfinite(e).all():
+        raise EigenFailure("matrix has non-finite entries")
+    gf = g @ f
+    # a non-finite G F fails as not symmetric
+    if gf.shape[0] != gf.shape[1] or not np.abs(gf - gf.T).max() <= \
+            1e-10 * max(1.0, np.abs(gf).max()):
+        raise Infeasible("G F is not symmetric, so no symmetric Q has "
+                         "Q F = G^T")
+    if np.linalg.eigvalsh(_sym(gf))[0] <= 0:
+        raise Infeasible("G F is not positive definite, so no Q > 0 has "
+                         "Q F = G^T")
+    return e, f, g
+
+
+def _scaled_norm(v, vmax):
+    """2-norm of each row of ``|v|``, with row maxima ``vmax``, formed on
+    the rows scaled by their maxima so that no square overflows."""
+    return vmax * np.sqrt(np.square(v / np.where(vmax > 0, vmax, 1.0)[:, None])
+                          .sum(axis=-1))
+
+
+def _balance(a):
+    """Diagonal D, per matrix of the stack ``a``, with ``D^{-1} a D``
+    balanced: the scaling loop of LAPACK's dgebal (job 'S'; Parlett &
+    Reinsch, Numer. Math. 1969), run on the whole stack at once.  For each
+    i in turn, f is the power of two that brings the norms of column i
+    times f and row i over f within a factor 2 of each other; it is applied
+    when it cuts their sum below 0.95 times, within dgebal's underflow and
+    overflow guards.  Sweeps repeat until no f is applied.  Every product
+    is by a power of two, so the scales equal ``scipy.linalg.
+    matrix_balance(a, permute=False, separate=True)[1][0]`` bit for bit.
+    """
+    a = np.array(a, dtype=float)
+    sfmin1 = np.finfo(float).tiny / np.finfo(float).eps
+    sfmax1, sfmin2, sfmax2 = 1.0 / sfmin1, 2.0 * sfmin1, 0.5 / sfmin1
+    d, moved = np.ones(a.shape[:-1]), True
+    while moved:
+        moved = False
+        for i in range(a.shape[-1]):
+            col, row = np.abs(a[:, :, i]), np.abs(a[:, i, :])
+            ca, ra = col.max(axis=-1), row.max(axis=-1)
+            c, r = _scaled_norm(col, ca), _scaled_norm(row, ra)
+            f, g, s = np.ones(len(a)), 0.5 * r, c + r
+            live = (c != 0) & (r != 0) & np.isfinite(s + ca + ra)
+            while (up := live & (c < g) & (np.max((f, c, ca), 0) < sfmax2) &
+                   (np.min((r, g, ra), 0) > sfmin2)).any():
+                f, c, ca = (np.where(up, 2.0 * v, v) for v in (f, c, ca))
+                r, g, ra = (np.where(up, 0.5 * v, v) for v in (r, g, ra))
+            g = 0.5 * c
+            while (down := live & (g >= r) & (np.maximum(r, ra) < sfmax2) &
+                   (np.min((f, c, g, ca), 0) > sfmin2)).any():
+                f, c, g, ca = (np.where(down, 0.5 * v, v)
+                               for v in (f, c, g, ca))
+                r, ra = (np.where(down, 2.0 * v, v) for v in (r, ra))
+            di = d[:, i]
+            keep = ~live | (c + r >= 0.95 * s) | \
+                ((f < 1) & (di < 1) & (f * di <= sfmin1)) | \
+                ((f > 1) & (di > 1) & (di >= sfmax1 / np.maximum(f, 1.0)))
+            if keep.all():
+                continue
+            f[keep], moved = 1.0, True
+            d[:, i] *= f
+            a[:, i, :] *= (1.0 / f)[:, None]
+            a[:, :, i] *= f[:, None]
+    return d
+
+
 def _spr_normal_form(e, f, g):
-    """``(k, et, U^{-1})`` of :func:`_spr_riccati_test` for one system.
+    """``(k, et, U^{-1})`` of :func:`_spr_riccati_test` for a stack of
+    systems of one shape, each checked by :func:`_spr_checked`.
 
     The Q with ``Q F = G.T`` are those with ``U.T Q U = blkdiag(k, Y)``, U
     = [F, N], G N = 0, k = (G F).T, which must be positive definite (so F
     and G have full rank).  For n > m, U = D [F_D S, null(G D)]: D balances
-    [[E, F], [G, 0]] exactly, by powers of two (Parlett & Reinsch, Numer.
-    Math. 1969), and S gives F_D = D^{-1} F unit columns (k = S G F S).
+    [[E, F], [G, 0]] exactly, by powers of two (:func:`_balance`), and S
+    gives F_D = D^{-1} F unit columns (k = S G F S).
     """
-    gf = g @ f
-    if gf.shape[0] != gf.shape[1] or \
-            np.abs(gf - gf.T).max() > 1e-10 * max(1.0, np.abs(gf).max()):
-        raise Infeasible("G F is not symmetric, so no symmetric Q has "
-                         "Q F = G^T")
-    k = _sym(gf)
-    if np.linalg.eigvalsh(k)[0] <= 0:
-        raise Infeasible("G F is not positive definite, so no Q > 0 has "
-                         "Q F = G^T")
-    n, m = f.shape
+    k = _sym(g @ f)
+    n, m = f.shape[-2:]
     if n == m:
         ui = np.linalg.inv(f)
         return k, ui @ e @ f, ui
-    import scipy.linalg
-
-    aug = np.vstack([np.hstack([e, f]), np.hstack([g, np.zeros((m, m))])])
-    with np.errstate(invalid="ignore"):  # scipy casts the scales to int
-        d = scipy.linalg.matrix_balance(aug, permute=False,
-                                        separate=True)[1][0][:n]
-    f_d = f / d[:, None]
-    s = 1.0 / np.linalg.norm(f_d, axis=0)
-    u = np.hstack([f_d * s, null_space(g * d)])
+    aug = np.concatenate([np.concatenate([e, f], -1), np.concatenate(
+        [g, np.zeros((len(g), m, m))], -1)], -2)
+    d = _balance(aug)[:, :n]
+    f_d = f / d[:, :, None]
+    s = 1.0 / np.linalg.norm(f_d, axis=-2)
+    # G D has full row rank m, as G F is positive definite
+    u = np.concatenate([f_d * s[:, None], _mT(
+        np.linalg.svd(g * d[:, None])[2][:, m:])], -1)
     ui = np.linalg.inv(u)
-    return k * np.outer(s, s), ui @ (e * d / d[:, None]) @ u, ui / d
+    return (k * (s[:, :, None] * s[:, None]),
+            ui @ (e * d[:, None] / d[:, :, None]) @ u, ui / d[:, None])
 
 
-def _stacked_forms(systems, form):
-    """``out[j]``, what ``form(systems[j])`` raised (else None), and per
-    shape of B the indices and stacked forms of the other systems."""
+def _stacked_forms(systems, check):
+    """``out[j]``, what ``check(systems[j])`` raised (else None), and per
+    shape of B the indices and stacked :func:`_spr_normal_form` of the
+    systems (E, F, G) that ``check`` returned."""
     out, groups = [None] * len(systems), {}
     for j, system in enumerate(systems):
         try:
-            groups.setdefault(system.B.shape, []).append((j, form(system)))
+            groups.setdefault(system.B.shape, []).append((j, check(system)))
         except Exception as exc:
             out[j] = exc
-    return out, {shape: [np.array([j for j, _ in g]), *map(np.stack, zip(
-        *(f for _, f in g)))] for shape, g in groups.items() if g}
+    return out, {shape: [np.array([j for j, _ in g]), *_spr_normal_form(
+        *map(np.stack, zip(*(efg for _, efg in g))))]
+        for shape, g in groups.items() if g}
 
 
 def _spr_system(system):
-    """(E, F, G), after the Hurwitz check that names the abscissa."""
+    """(E, F, G), after the Hurwitz check that names the abscissa and
+    :func:`_spr_checked`."""
     if (absc := spectral_abscissa(system.A)) >= -MARGINAL_RE_TOL:
         raise NotHurwitz(f"edge state matrix has abscissa {absc:.3e}")
-    return system.A, system.B, system.C
+    return _spr_checked(system.A, system.B, system.C)
 
 
 def spr_certificate(edge, Q=None, margin=STRICT_MARGIN):
@@ -540,7 +611,6 @@ def spr_certificate(edge, Q=None, margin=STRICT_MARGIN):
     """
     if Q is not None:
         e, f, g = _spr_system(edge)
-        _spr_normal_form(e, f, g)  # G F must be symmetric positive definite
         return checked_storage(Q, e, f, g, margin, "supplied Q", Infeasible)
     return _raised(spr_certificates([edge], margin)[0])
 
@@ -549,14 +619,16 @@ def spr_certificates(systems, margin=STRICT_MARGIN):
     """:func:`spr_certificate`'s certificate or exception for every system
     (E, F, G), edges and node state loops (A + B K_x, B, C) alike.
 
-    One exists iff :func:`_spr_normal_form` and :func:`_spr_riccati_test`
+    One exists iff :func:`_spr_checked` and :func:`_spr_riccati_test`
     pass.  Each system's largest decay rate is bisected on that test, all
-    systems of one shape stacked; Y is :func:`_riccati_interior` at
-    ``SPR_CENTRE`` times it (above ``margin``), and :func:`checked_storage`
-    re-verifies every Q.  One system's failure leaves the others unchanged.
+    systems of one shape stacked; at ``SPR_CENTRE`` times it (above
+    ``margin``), Y is :func:`_riccati_solution`, one matrix-sign iteration
+    and one Newton step over the stack, made definite by
+    :func:`_riccati_interior`, and
+    :func:`checked_storage` re-verifies every Q.  One system's failure
+    leaves the others unchanged.
     """
-    out, groups = _stacked_forms(
-        systems, lambda system: _spr_normal_form(*_spr_system(system)))
+    out, groups = _stacked_forms(systems, _spr_system)
     for (n, m), (idx, k, et, ui) in groups.items():
         fails, _ = _spr_riccati_test(k, et, np.full(len(idx), margin))
         for j, fail in zip(idx[fails > 0], fails[fails > 0]):
@@ -564,8 +636,6 @@ def spr_certificates(systems, margin=STRICT_MARGIN):
                                 f"{margin:.1e}: {RICCATI_FAILS[fail]}")
         idx, k, et, ui = (a[fails == 0] for a in (idx, k, et, ui))
         if n > m:
-            import scipy.linalg
-
             # the (1,1) block fails above (-(k E11 + E11.T k), k)'s least eig
             b11 = -_sym(k @ et[:, :m, :m] + _mT(et[:, :m, :m]) @ k)
             finite = np.isfinite(b11).all(axis=(-2, -1))
@@ -588,6 +658,9 @@ def spr_certificates(systems, margin=STRICT_MARGIN):
                 hi[act] = np.where(ok, hi[act], mid)
             centre = np.maximum(SPR_CENTRE * lo, 0.5 * (margin + lo))
             fails, h = _spr_riccati_test(k, et, centre)
+            ys = np.zeros((len(idx), n - m, n - m))
+            if (live := fails == 0).any():
+                ys[live] = _riccati_solution(h[live])
         for i, j in enumerate(idx):
             try:
                 q_t = k[i]  # Y is empty when G is square
@@ -595,19 +668,79 @@ def spr_certificates(systems, margin=STRICT_MARGIN):
                     if fails[i]:
                         raise CertificateFailed(f"at margin {centre[i]:.3e}: "
                                                 f"{RICCATI_FAILS[fails[i]]}")
-                    # the stable invariant subspace [Z1; Z2] of H gives
-                    # Y = Z2 Z1^{-1}
-                    z = scipy.linalg.schur(h[i], output="real",
-                                           sort="lhp")[1]
-                    y = np.linalg.solve(z[:n - m, :n - m].T,
-                                        z[n - m:, :n - m].T).T
-                    q_t = block_diag([k[i], _riccati_interior(y, h[i], k[i])])
+                    q_t = block_diag([k[i], _riccati_interior(ys[i], h[i],
+                                                              k[i])])
                 e, f, g = systems[j].A, systems[j].B, systems[j].C
                 out[j] = checked_storage(ui[i].T @ q_t @ ui[i], e, f, g,
                                          margin, "constructed Q")
             except Exception as exc:
                 out[j] = exc
     return out
+
+
+def _matrix_sign(a):
+    """sign(A) of each matrix of a stack with no imaginary eigenvalue, by
+    Newton's iteration ``X <- (X + X^{-1}) / 2`` (Roberts, Int. J. Control
+    1980).  Each matrix is first scaled by a power of two to entries below
+    1 (sign(c A) = sign(A), and the scaling is exact), and each stops on its
+    own, after the step that moves it by at most ``SIGN_RTOL`` of its
+    1-norm, so its result does not depend on the rest of the stack.
+    """
+    x = np.ldexp(a, -np.frexp(np.abs(a).max(axis=(-2, -1)))[1][:, None, None])
+    live = np.arange(len(x))
+    for _ in range(_SIGN_STEPS):
+        if not live.size:
+            break
+        old = x[live]
+        x[live] = new = 0.5 * (old + np.linalg.inv(old))
+        moved = np.abs(new - old).sum(axis=-2).max(axis=-1)
+        live = live[moved > SIGN_RTOL * np.abs(new).sum(axis=-2).max(axis=-1)]
+    return x
+
+
+def _riccati_solution(h):
+    """The stabilizing solution Y of each Riccati Hamiltonian of a stack
+    (Byers, Linear Algebra Appl. 1987): with W = sign(H), the stable
+    invariant subspace [I; Y] of H is the null space of W + I, so
+    ``[W12; W22 + I] Y = -[W11 + I; W21]``, solved by least squares.
+
+    That Y is accurate to about ``SIGN_RTOL``; one Newton step on the
+    Riccati equation (Kleinman, IEEE Trans. Autom. Control 1968), kept
+    where it lowers the residual, brings it to working precision, which
+    the slack of a nearly singular Y needs."""
+    r = h.shape[-1] // 2
+    w = _matrix_sign(h) + np.eye(2 * r)
+    q, t = np.linalg.qr(w[..., r:])
+    y = _sym(np.linalg.solve(t, -_mT(q) @ w[..., :r]))
+    abar, s, qc = h[..., :r, :r], h[..., :r, r:], -h[..., r:, :r]
+
+    def residual(y):
+        return _mT(abar) @ y + y @ abar + y @ s @ y + qc
+
+    # A_cl.T dY + dY A_cl = -res with A_cl = A_bar + S Y, on row-major
+    # vec(dY): kron(A_cl.T, I) + kron(I, A_cl.T)
+    act, eye = _mT(abar + s @ y), np.eye(r)
+    lyap = (act[:, :, None, :, None] * eye[:, None, :] +
+            eye[:, None, :, None] * act[:, None, :, None, :])
+    try:
+        dy = np.linalg.solve(lyap.reshape(-1, r * r, r * r),
+                             -residual(y).reshape(-1, r * r, 1))
+    except np.linalg.LinAlgError:  # some A_cl has eigenvalues summing to 0
+        return y if len(h) == 1 else np.concatenate(
+            [_riccati_solution(h[i:i + 1]) for i in range(len(h))])
+    new = _sym(y + dy.reshape(y.shape))
+    better = np.abs(residual(new)).max(axis=(-2, -1)) < \
+        np.abs(residual(y)).max(axis=(-2, -1))
+    return np.where(better[:, None, None], new, y)
+
+
+def _stable_lyapunov(a):
+    """The Y with ``A.T Y + Y A = -I`` for a Hurwitz A, from ``sign([[A.T,
+    I], [0, -A]]) = [[-I, 2 Y], [0, I]]``."""
+    r = len(a)
+    w = _matrix_sign(np.block([[a.T, np.eye(r)], [np.zeros((r, r)), -a]])[
+        None])[0]
+    return _sym(0.5 * w[:r, r:])
 
 
 def _riccati_interior(y, h, k):
@@ -620,11 +753,8 @@ def _riccati_interior(y, h, k):
     lam = np.linalg.eigvalsh(y)
     if lam[0] > 1e-12 * lam[-1]:
         return y
-    import scipy.linalg
-
     r, s = len(y), h[:len(y), len(y):]
-    y_l = _sym(scipy.linalg.solve_continuous_lyapunov((h[:r, :r] + s @ y).T,
-                                                      -np.eye(r)))
+    y_l = _stable_lyapunov(h[:r, :r] + s @ y)
     return y + y_l / (2.0 * np.linalg.eigvalsh(_sym(y_l @ s @ y_l))[-1] +
                       np.linalg.eigvalsh(y_l)[-1] / np.linalg.eigvalsh(k)[0])
 

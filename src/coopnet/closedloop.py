@@ -20,9 +20,9 @@ entrywise.
 
 The boundary search, :func:`epsilon_star`, eigen-decomposes the probes
 from the ceiling down to the first stable one, finds where the critical
-eigenvalue crosses the stability line by Newton with one LU per step, and
-returns a bracket of relative width ``BRACKET_REL_WIDTH`` around that
-crossing, verified at both ends.
+eigenvalue crosses the stability line by Newton on eigenpairs tracked by
+Rayleigh-quotient iteration, and returns a bracket of relative width
+``BRACKET_REL_WIDTH`` around that crossing, verified at both ends.
 """
 
 from dataclasses import dataclass
@@ -294,8 +294,10 @@ def _error_pencil(network, cset, maps):
 #: residual of a tracked eigenpair, relative to ||A(eps)||_F, at which it
 #: counts as converged
 _PAIR_TOL = 1e-12
-#: two-sided Rayleigh-quotient steps allowed for one eigenpair
-_RQI_STEPS = 8
+#: the loosest relative residual of the eigenpair at a Newton iterate
+_NEWTON_PAIR_TOL = 1e-6
+#: Rayleigh-quotient steps (linear solves) allowed for one eigenpair
+_RQI_STEPS = 16
 #: Newton steps allowed for the crossing
 _NEWTON_STEPS = 16
 #: relative Newton step at which the crossing counts as found
@@ -349,39 +351,38 @@ def _matvec(a, z):
     return a @ z.real + 1j * (a @ z.imag)
 
 
-def _eigenpair(a, sigma, x, y):
+def _eigenpair(a, sigma, x, y, rtol=_PAIR_TOL):
     """Two-sided Rayleigh-quotient iteration on ``a`` from the shift
     ``sigma`` and the right/left vectors ``x``/``y`` (Parlett, Math. Comp.
-    1974).
+    1974), one vector per step.
 
-    Each step is one complex LU of ``a - sigma I``, one inverse-iteration
-    solve with it and one with its conjugate transpose; the two-sided
-    Rayleigh quotient is the next shift.  Returns the pair once both
-    residuals are below ``_PAIR_TOL ||a||_F``, or None.
+    Each step solves ``(a - sigma I) x' = x`` for the right vector, or
+    ``(a - sigma I)^H y' = y`` for the left one when its residual is the
+    larger, and takes the two-sided Rayleigh quotient as the next shift.
+    Returns the pair once both residuals are below ``rtol ||a||_F``, or
+    None, also when a shift is exactly an eigenvalue (a singular solve).
     """
-    from scipy.linalg import get_lapack_funcs, lu_solve
-
-    getrf, = get_lapack_funcs(("getrf",), dtype=complex)
-    tol = _PAIR_TOL * np.linalg.norm(a)
+    tol, res_x, res_y = rtol * np.linalg.norm(a), np.inf, np.inf
+    shifted, diagonal = a.astype(complex), a.diagonal()
     for _ in range(_RQI_STEPS):
-        shifted = a.astype(complex)
-        shifted.flat[::a.shape[0] + 1] -= sigma
-        *lu, info = getrf(shifted, overwrite_a=True)
-        if info:
-            # an exactly zero pivot: sigma is an eigenvalue to working
-            # precision and the solves would divide by zero
+        shifted.flat[::a.shape[0] + 1] = diagonal - sigma
+        try:
+            if res_x >= res_y:
+                x = np.linalg.solve(shifted, x)
+            else:
+                y = np.linalg.solve(shifted.T, y.conj()).conj()
+        except np.linalg.LinAlgError:
             return None
-        x = lu_solve(lu, x, check_finite=False)
-        y = lu_solve(lu, y, trans=2, check_finite=False)
         x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
         ax, ya, yx = _matvec(a, x), _matvec(a.T, y.conj()), y.conj() @ x
         sigma = (ya @ x) / yx
-        res = max(np.linalg.norm(ax - sigma * x),
-                  np.linalg.norm(ya - sigma * y.conj()))
-        if not np.isfinite(res):
+        res_x = np.linalg.norm(ax - sigma * x)
+        res_y = np.linalg.norm(ya - sigma * y.conj())
+        if not np.isfinite(res_x + res_y):
             return None
-        if res <= tol:
-            return _Pair(lam=complex(sigma), x=x, y=y, err=res / abs(yx))
+        if max(res_x, res_y) <= tol:
+            return _Pair(lam=complex(sigma), x=x, y=y,
+                         err=max(res_x, res_y) / abs(yx))
     return None
 
 
@@ -414,9 +415,11 @@ def _crossing(pencil, lo, hi, lam_hi):
 
     The derivative is Kato's first-order ``d lambda / d eps = y^H A1 x /
     y^H x``.  Each iterate's eigenpair comes from :func:`_eigenpair`,
-    started at the first-order prediction of the eigenvalue.  The bracket
-    shrinks with the sign of each iterate, and a step that leaves it is
-    replaced by its midpoint.  Returns the crossing, or None when an
+    started at the first-order prediction of the eigenvalue and converged
+    to relative residuals below the square of the relative step to it,
+    clipped to [``_PAIR_TOL``, ``_NEWTON_PAIR_TOL``].  The bracket shrinks
+    with the sign of each iterate, and a step that leaves it is replaced by
+    its midpoint.  Returns the crossing, or None when an
     eigenpair fails to converge or the steps run out.
     """
     start = np.random.default_rng(0).standard_normal(pencil.A0.shape[0])
@@ -439,8 +442,13 @@ def _crossing(pencil, lo, hi, lam_hi):
                              slope=complex(slope), x=pair.x, y=pair.y)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
+        # inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+        # 1982): near the crossing the step shrinks quadratically, so the
+        # pair at nxt need not be more accurate than the square of the step
         pair = _eigenpair(pencil.A0 + nxt * pencil.A1,
-                          pair.lam + (nxt - eps) * slope, pair.x, pair.y)
+                          pair.lam + (nxt - eps) * slope, pair.x, pair.y,
+                          min(_NEWTON_PAIR_TOL,
+                              max(_PAIR_TOL, ((nxt - eps) / eps) ** 2)))
         eps = nxt
     return None
 
@@ -459,8 +467,9 @@ def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
        is the result, with ``crossed`` False.
     2. *Track the crossing.*  Inside (probe k, probe k+1], the rightmost
        eigenvalue of probe k+1 is followed by :func:`_crossing`: Newton on
-       its real part, each step one complex LU, not a decomposition.  It
-       returns the crossing c.
+       its real part, each step an eigenpair of :func:`_eigenpair` (a few
+       complex linear solves), not a decomposition.  It returns the
+       crossing c.
     3. *Verify the bracket* lo = c (1 - W/2), hi = c (1 + W/2), with
        W = ``BRACKET_REL_WIDTH``.  hi must carry a residual-certified
        eigenpair right of ``-STABILITY_TOL``, and lo is eigen-decomposed

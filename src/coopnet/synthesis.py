@@ -19,7 +19,7 @@ from .analysis import (
     STRICT_MARGIN,
     _raised,
     _rank_c,
-    _spr_normal_form,
+    _spr_checked,
     _spr_riccati_test,
     _stacked_forms,
     _sym,
@@ -274,7 +274,7 @@ def _lattice_gains(nodes):
             raise ValidationError(
                 "node.D_in", "constructive passification needs D_in == B")
         node_normal_form(node.A, node.B, node.C)
-        return _spr_normal_form(node.A, node.B, node.C)
+        return _spr_checked(node.A, node.B, node.C)
 
     out, groups = _stacked_forms(nodes, form)
     for (n, m), (idx, k, et, *_) in groups.items():

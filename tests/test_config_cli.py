@@ -717,6 +717,13 @@ _MAIN_THEN_LIST_SCIPY = (
     "sys.exit(code)\n")
 
 
+# a sync network whose edges mostly have more states than inputs (shapes
+# (3, 1), (1, 1), (3, 1), (1, 1), (2, 1), (3, 1)) and whose eps search
+# crosses near 0.145, far below the CLI's ceiling of 1000
+RANDOM_CFG = "random-sync-100.cfg"
+_SIM_RANDOM = ["--eps", "0.07", "--t-end", "1", "--emit", "csv", "--out"]
+
+
 @pytest.mark.parametrize("argv,exit_code", [
     (["demo"], 2),
     (["check", "--config", "power_network"], 0),
@@ -724,17 +731,29 @@ _MAIN_THEN_LIST_SCIPY = (
     (["eps", "--config", "power_network"], 0),
     (["simulate", "--config", "power_network", "--emit", "csv", "--out"], 0),
     (["synth", "--config", "tracking.cfg"], 0),
-], ids=["demo", "check", "synth", "eps", "simulate", "synth-tracking"])
+    (["check", "--config", RANDOM_CFG], 0),
+    (["synth", "--config", RANDOM_CFG], 0),
+    (["eps", "--config", RANDOM_CFG], 0),
+    (["simulate", "--config", RANDOM_CFG] + _SIM_RANDOM, 0),
+], ids=["demo", "check", "synth", "eps", "simulate", "synth-tracking",
+        "check-random", "synth-random", "eps-random", "simulate-random"])
 def test_cli_hot_path_loads_no_scipy(tmp_path, argv, exit_code):
     """The built-in network's commands run on numpy alone, also when they
     synthesize a node's gains (the tracking demo's ground node), and only
-    a command that writes a CSV builds the formatter's tables."""
+    a command that writes a CSV builds the formatter's tables.  So do
+    those of a random network, whose edges need the balanced normal form
+    and the Riccati solution, and whose eps search tracks the crossing."""
+    argv, on_random = list(argv), RANDOM_CFG in argv
     if argv[-1] == "--out":
-        argv = argv + [str(tmp_path)]
-    if argv[-1] == "tracking.cfg":
-        argv = argv[:-1] + [str(tmp_path / argv[-1])]
+        argv.append(str(tmp_path))
+    if "tracking.cfg" in argv:
+        argv[argv.index("tracking.cfg")] = str(tmp_path / "tracking.cfg")
         (tmp_path / "tracking.cfg").write_text(
             format_config(demo_power_network("tracking")))
+    if on_random:
+        argv[argv.index(RANDOM_CFG)] = str(tmp_path / RANDOM_CFG)
+        (tmp_path / RANDOM_CFG).write_text(format_config(random_network(
+            100, n_nodes=5, m_edges=6, dims=3, regime="sync")))
     proc = subprocess.run(
         [sys.executable, "-c", _MAIN_THEN_LIST_SCIPY] + argv,
         capture_output=True, text=True, env=_child_env(), timeout=300)
@@ -746,8 +765,12 @@ def test_cli_hot_path_loads_no_scipy(tmp_path, argv, exit_code):
     assert lines[-2] == f"after run: (False, {1 if writes_csv else None})"
     if argv[0] == "demo":
         assert proc.stdout.count("[pass] golden") == 5
+    if argv[0] == "eps":
+        assert "eps_crossing = " in proc.stdout
+        assert ("nan" in proc.stdout) != on_random
     if writes_csv:
-        assert (tmp_path / "power_network.csv").stat().st_size > 0
+        name = "random-100" if on_random else "power_network"
+        assert (tmp_path / f"{name}.csv").stat().st_size > 0
 
 
 def test_benchmark_hooks_resolve(monkeypatch):

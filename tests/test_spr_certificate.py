@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopnet.analysis import (
@@ -162,6 +162,9 @@ def test_similarity_keeps_feasibility(edge_seed, t_seed):
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+# a Riccati solution Y with eigenvalues 2e-5 to 5 (P has condition 9e5),
+# whose slack needs Y refined to working precision
+@example(141, 0)
 @settings(max_examples=40, deadline=None)
 def test_input_output_change_keeps_certificate(edge_seed, s_seed):
     edge = generic_edge(edge_seed)
