@@ -4,10 +4,11 @@ Everything here is a small dense-linear-algebra routine with an explicit
 numerical contract: solvers check their residuals, certificate constructors
 re-verify the inequalities they claim before returning, and every strict
 inequality carries a certified slack.  Tolerances are module constants.
-Every routine on a pipeline path is numpy alone: the SPR certificates
-balance by a port of LAPACK's dgebal scaling and solve their Riccati and
-Lyapunov equations by the matrix sign function.  scipy is imported only
-inside :func:`lyapunov_solve`, for :func:`lemma1_certificate`.
+Every routine is numpy alone: the SPR certificates balance by a port of
+LAPACK's dgebal scaling and solve their Riccati equations by the matrix
+sign function, and every Lyapunov equation, in the Riccati refinement,
+the definite Riccati storages and :func:`lyapunov_solve`, is solved by
+one matrix-sign kernel, :func:`_lyapunov`.
 """
 
 import warnings
@@ -29,10 +30,10 @@ from .errors import (
     ValidationError,
 )
 from .topology import (
-    RANK_RTOL,
     block_diag,
     full_column_rank,
     full_row_rank,
+    matrix_rank,
     null_space,
 )
 
@@ -156,7 +157,7 @@ class Certificate:
 
     ``slack`` is the margin of the strict inequality the certificate
     witnesses (0 for purely semidefinite identities); ``kind`` is one of
-    ``lyapunov``, ``spr``, ``passivity``, ``marginal_spectrum``, ``lemma1``.
+    ``spr``, ``passivity``, ``marginal_spectrum`` or ``lemma1``.
     ``bound``: the largest violation its check accepted, when it has one.
     """
 
@@ -257,13 +258,17 @@ def spectral_abscissa(a):
 
 
 def lyapunov_solve(a, q):
-    """Solve ``P A + A.T P = -Q`` for symmetric P.
+    """Solve ``P A + A.T P = -Q`` for symmetric P and a Hurwitz A, by the
+    matrix-sign kernel :func:`_lyapunov` with up to two rounds of
+    iterative refinement.
 
     Raises
     ------
     SingularPencil
         If A and -A.T share an eigenvalue (the operator is singular), or
         the residual exceeds ``SOLVE_RESID_RTOL * ||Q||``.
+    NotHurwitz
+        If A is not Hurwitz but no two of its eigenvalues sum to zero.
     """
     a = _as_square(a, "A")
     q = _as_square(q, "Q")
@@ -274,17 +279,16 @@ def lyapunov_solve(a, q):
     pair_sums = np.abs(lam[:, None] + lam[None, :])
     if pair_sums.min() <= 1e-12 * scale:
         raise SingularPencil("A and -A.T share an eigenvalue")
-    import scipy.linalg
-
-    q = np.asarray(q, dtype=float)
-    p = _sym(scipy.linalg.solve_continuous_lyapunov(a.T, -q))
+    if (absc := lam.real.max()) >= 0:
+        raise NotHurwitz(f"A has spectral abscissa {absc:.3e}")
+    p = _lyapunov(a[None], q[None])[0]
     bound = SOLVE_RESID_RTOL * max(1.0, np.linalg.norm(q))
-    # one round of iterative refinement recovers digits on stiff scales
+    # iterative refinement recovers digits on stiff scales
     for _ in range(2):
         res_mat = p @ a + a.T @ p + q
         if np.linalg.norm(res_mat) <= 0.5 * bound:
             break
-        p = _sym(p - scipy.linalg.solve_continuous_lyapunov(a.T, res_mat))
+        p = _sym(p + _lyapunov(a[None], res_mat[None])[0])
     resid = np.linalg.norm(p @ a + a.T @ p + q)
     if resid > bound:
         raise SingularPencil(
@@ -379,7 +383,7 @@ def marginal_eig(s, require_simple=True):
             i = np.flatnonzero(close.any(axis=1))[0]
             raise RepeatedEigenvalue(
                 f"eigenvalue {lam[i]:.6g} has multiplicity > 1")
-    if _rank_c(vec) < s.shape[0]:
+    if matrix_rank(vec) < s.shape[0]:
         raise SpectrumNotMarginal(
             "defective marginal spectrum (not semisimple)")
     return lam, vec
@@ -698,6 +702,17 @@ def _matrix_sign(a):
     return x
 
 
+def _lyapunov(a, q):
+    """The P with ``A.T P + P A = -Q`` for each Hurwitz A of a stack, from
+    ``sign([[A.T, Q], [0, -A]]) = [[-I, 2 P], [0, I]]`` (Roberts, Int. J.
+    Control 1980).  Q broadcasts against the stack."""
+    r = a.shape[-1]
+    w = _matrix_sign(np.concatenate([
+        np.concatenate([_mT(a), np.broadcast_to(q, a.shape)], -1),
+        np.concatenate([np.zeros_like(a), -a], -1)], -2))
+    return _sym(0.5 * w[..., :r, r:])
+
+
 def _riccati_solution(h):
     """The stabilizing solution Y of each Riccati Hamiltonian of a stack
     (Byers, Linear Algebra Appl. 1987): with W = sign(H), the stable
@@ -707,7 +722,10 @@ def _riccati_solution(h):
     That Y is accurate to about ``SIGN_RTOL``; one Newton step on the
     Riccati equation (Kleinman, IEEE Trans. Autom. Control 1968), kept
     where it lowers the residual, brings it to working precision, which
-    the slack of a nearly singular Y needs."""
+    the slack of a nearly singular Y needs.  The step solves ``A_cl.T dY +
+    dY A_cl = -residual(Y)`` by :func:`_lyapunov`: A_cl = A_bar + S Y has
+    the stable half of H's spectrum, which the test that built H keeps
+    off the imaginary axis."""
     r = h.shape[-1] // 2
     w = _matrix_sign(h) + np.eye(2 * r)
     q, t = np.linalg.qr(w[..., r:])
@@ -717,30 +735,10 @@ def _riccati_solution(h):
     def residual(y):
         return _mT(abar) @ y + y @ abar + y @ s @ y + qc
 
-    # A_cl.T dY + dY A_cl = -res with A_cl = A_bar + S Y, on row-major
-    # vec(dY): kron(A_cl.T, I) + kron(I, A_cl.T)
-    act, eye = _mT(abar + s @ y), np.eye(r)
-    lyap = (act[:, :, None, :, None] * eye[:, None, :] +
-            eye[:, None, :, None] * act[:, None, :, None, :])
-    try:
-        dy = np.linalg.solve(lyap.reshape(-1, r * r, r * r),
-                             -residual(y).reshape(-1, r * r, 1))
-    except np.linalg.LinAlgError:  # some A_cl has eigenvalues summing to 0
-        return y if len(h) == 1 else np.concatenate(
-            [_riccati_solution(h[i:i + 1]) for i in range(len(h))])
-    new = _sym(y + dy.reshape(y.shape))
+    new = _sym(y + _lyapunov(abar + s @ y, residual(y)))
     better = np.abs(residual(new)).max(axis=(-2, -1)) < \
         np.abs(residual(y)).max(axis=(-2, -1))
     return np.where(better[:, None, None], new, y)
-
-
-def _stable_lyapunov(a):
-    """The Y with ``A.T Y + Y A = -I`` for a Hurwitz A, from ``sign([[A.T,
-    I], [0, -A]]) = [[-I, 2 Y], [0, I]]``."""
-    r = len(a)
-    w = _matrix_sign(np.block([[a.T, np.eye(r)], [np.zeros((r, r)), -a]])[
-        None])[0]
-    return _sym(0.5 * w[:r, r:])
 
 
 def _riccati_interior(y, h, k):
@@ -754,7 +752,7 @@ def _riccati_interior(y, h, k):
     if lam[0] > 1e-12 * lam[-1]:
         return y
     r, s = len(y), h[:len(y), len(y):]
-    y_l = _stable_lyapunov(h[:r, :r] + s @ y)
+    y_l = _lyapunov((h[:r, :r] + s @ y)[None], np.eye(r))[0]
     return y + y_l / (2.0 * np.linalg.eigvalsh(_sym(y_l @ s @ y_l))[-1] +
                       np.linalg.eigvalsh(y_l)[-1] / np.linalg.eigvalsh(k)[0])
 
@@ -766,9 +764,10 @@ def checked_storage(p, a, b, c, margin=None, what="storage",
     ``P A + A.T P`` is congruent to M = N + N.T.  A strict storage (edges,
     state loops) needs ``lambda_max(M) < -margin``, i.e. ``P A + A.T P <
     -margin P``; otherwise ``lambda_max(M) <= PASSIVITY_TOL ||N||_2``.  ``P
-    B = C.T`` is checked as ``L.T B = L^{-1} C.T``, entrywise relative.
-    Similarity moves N by an orthogonal congruence only, so the verdict and
-    the slack ``-lambda_max(M)`` (a decay rate) ignore the coordinates.
+    B = C.T`` is checked as ``L.T B = L^{-1} C.T``, entrywise relative to
+    the larger side.  Similarity moves N by an orthogonal congruence only,
+    so the verdict and the slack ``-lambda_max(M)`` (a decay rate) ignore
+    the coordinates.
     """
     p = _sym(_as_square(p, what))
     if not np.isfinite(p).all():
@@ -778,14 +777,15 @@ def checked_storage(p, a, b, c, margin=None, what="storage",
     except np.linalg.LinAlgError:
         raise error(f"{what} is not positive definite") from None
     li = np.linalg.inv(l)
-    n, lb = l.T @ a @ li.T, l.T @ b
+    n, lb, ct = l.T @ a @ li.T, l.T @ b, li @ c.T
     lmax = float(np.linalg.eigvalsh(n + n.T)[-1])
     bound = PASSIVITY_TOL * _norm2(n) if margin is None else -margin
     if not (lmax <= bound if margin is None else lmax < bound):
         raise error(f"{what} inequality fails: lambda_max {lmax:.3e}, bound "
                     f"{bound:.3e}")
-    if not (eq := np.abs(lb - li @ c.T).max() / np.abs(lb).max()) <= \
-            PASSIVITY_TOL:
+    # two zero sides (B = 0 and C = 0) pass
+    side = max(np.abs(lb).max(), np.abs(ct).max()) or 1.0
+    if not (eq := np.abs(lb - ct).max() / side) <= PASSIVITY_TOL:
         raise error(f"{what} violates P B = C^T (relative residual "
                     f"{eq:.2e})")
     return Certificate(P=p, slack=-lmax, bound=bound,
@@ -810,7 +810,7 @@ def controllable(a, b):
     n = a.shape[0]
     for lam in np.linalg.eigvals(a):
         m = np.hstack([a - lam * np.eye(n), b])
-        if _rank_c(m) < n:
+        if matrix_rank(m) < n:
             return False
     return True
 
@@ -818,13 +818,6 @@ def controllable(a, b):
 def observable(a, c):
     return controllable(np.asarray(a, dtype=float).T,
                         np.atleast_2d(np.asarray(c, dtype=float)).T)
-
-
-def _rank_c(m):
-    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 def node_normal_form(a, b, c):

@@ -140,8 +140,8 @@ def assemble(regime, network, cset, maps=None, eps=None):
         raise ValidationError(
             "regime", f"controller set was built for {cset.regime!r}")
     eps = cset.eps if eps is None else float(eps)
-    if eps < 0:
-        raise ValidationError("eps", "coupling gain must be >= 0")
+    if not 0 <= eps < np.inf:
+        raise ValidationError("eps", "coupling gain must be finite, >= 0")
     dyn, _ = _hat_lists(network, cset)
     topo = network.topology
     exo = cset.exo
@@ -487,8 +487,8 @@ def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
     NoStableEps
         If no probe in the grid is stable.
     """
-    if eps_hi <= 0:
-        raise ValidationError("eps_hi", "search ceiling must be > 0")
+    if not 0 < eps_hi < np.inf:
+        raise ValidationError("eps_hi", "search ceiling must be finite, > 0")
 
     pencil = _error_pencil(network, cset, maps)
     grid = np.geomspace(eps_hi * 1e-4, eps_hi, n_probes)

@@ -266,8 +266,9 @@ def integrate(cl, x0, t_end, dt, store_every=None):
     NonFiniteState
         On overflow, reporting the first bad step.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValidationError("dt/t_end", "must be positive")
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not 0 < value < np.inf:
+            raise ValidationError(name, "must be positive and finite")
     x0 = np.array(x0, dtype=float).ravel()
     if x0.size != cl.n_states:
         raise DimensionMismatch(

@@ -18,7 +18,6 @@ from .analysis import (
     Exosystem,
     STRICT_MARGIN,
     _raised,
-    _rank_c,
     _spr_checked,
     _spr_riccati_test,
     _stacked_forms,
@@ -50,6 +49,7 @@ from .topology import (
     assemble_weighted_blocks,
     block_diag,
     check_connected,
+    matrix_rank,
 )
 
 REGIMES = ("tracking", "sync", "cooperation", "master_slave")
@@ -164,7 +164,7 @@ def validate_internal_model(im, s):
         raise InternalModelViolated("(G1, G2) is not controllable")
     eye = np.eye(im.c)
     for lam in marginal_eig(s, require_simple=True)[0]:
-        held = im.c - _rank_c(lam * eye - im.G1)
+        held = im.c - matrix_rank(lam * eye - im.G1)
         if held < im.copies:
             raise InternalModelViolated(
                 f"G1 holds {held} of {im.copies} copies of the reference "

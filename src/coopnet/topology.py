@@ -27,8 +27,9 @@ RANK_RTOL = 1e-10
 
 
 def matrix_rank(a):
-    """Rank of ``a`` at the relative singular-value threshold RANK_RTOL."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    """Rank of ``a``, real or complex, at the relative singular-value
+    threshold RANK_RTOL."""
+    a = np.atleast_2d(np.asarray(a))
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)

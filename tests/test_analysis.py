@@ -65,6 +65,13 @@ def test_lyapunov_marginal_rejected():
         lyapunov_solve(ROT, np.eye(2))
 
 
+def test_lyapunov_unstable_rejected():
+    """No two eigenvalues sum to zero, so the equation has a solution, but
+    A is not Hurwitz: the abscissa is named."""
+    with pytest.raises(NotHurwitz, match="abscissa 1.000e"):
+        lyapunov_solve(np.diag([1.0, -2.0]), np.eye(2))
+
+
 def test_sylvester_scalar():
     assert np.allclose(sylvester_solve([[-1.0]], [[0.0]], [[2.0]]), [[2.0]])
 
@@ -423,6 +430,24 @@ def test_lemma1_rejects_bad_cross_identity():
         lemma1_certificate(
             w1=[[-1.0]], w2=[[1.0]], w3=[[1.0]], w4=[[-1.0]], w5=[[0.0]],
             p_w=[[1.0]], q_w=[[1.0]])
+
+
+def test_lemma1_certifies_decoupled_blocks():
+    """W2 = W3 = 0: both sides of P_w W2 = -W3.T Q_w are zero."""
+    cert, eps_bar = lemma1_certificate(
+        w1=-np.eye(2), w2=np.zeros((2, 1)), w3=np.zeros((1, 2)),
+        w4=[[-1.0]], w5=np.zeros((2, 1)), p_w=np.eye(2), q_w=[[1.0]])
+    # P_r = I/2, eps1 = 2, a_r = 1/2, a_w = 1 -> eps_bar = min(1, 2/2.25)
+    assert np.isclose(eps_bar, 2.0 / 2.25)
+    assert np.allclose(cert.P, np.diag([1.0 + eps_bar / 2] * 2 + [1.0]))
+    assert cert.slack > 0
+
+
+def test_lemma1_rejects_zero_w2_with_nonzero_w3():
+    with pytest.raises(HypothesisViolated, match="P B = C"):
+        lemma1_certificate(
+            w1=-np.eye(2), w2=np.zeros((2, 1)), w3=[[1.0, 0.0]],
+            w4=[[-1.0]], w5=np.zeros((2, 1)), p_w=np.eye(2), q_w=[[1.0]])
 
 
 def random_lemma1_instance(seed, n1=2, n2=2):

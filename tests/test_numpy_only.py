@@ -72,6 +72,26 @@ def test_acceptance_recipe_runs_without_scipy():
     assert all(int(row[2]) > 0 and row[3] == "5" for row in rows)
 
 
+# the block-interconnection certificate of Lemma 1 and its Lyapunov solve
+_LEMMA1 = """
+import numpy as np
+from coopnet.analysis import lemma1_certificate, lyapunov_solve
+p = lyapunov_solve([[-1.0, 2.0], [0.0, -3.0]], np.eye(2))
+assert np.abs(p @ [[-1.0, 2.0], [0.0, -3.0]] + [[-1.0, 0.0], [2.0, -3.0]] @ p
+              + np.eye(2)).max() <= 1e-12
+cert, eps_bar = lemma1_certificate([[-1.0]], [[1.0]], [[-1.0]], [[-1.0]],
+                                   [[0.0]], [[1.0]], [[1.0]])
+print(cert.kind, eps_bar)
+"""
+
+
+def test_lemma1_certificate_runs_without_scipy():
+    proc = _run_without_scipy(_LEMMA1)
+    assert proc.returncode == 0, proc.stderr
+    kind, eps_bar = proc.stdout.split()
+    assert kind == "lemma1" and abs(float(eps_bar) - 0.5) <= 1e-12
+
+
 def _scipy_imports(tree):
     for node in ast.walk(tree):
         names = ([a.name for a in node.names] if isinstance(node, ast.Import)
@@ -81,19 +101,13 @@ def _scipy_imports(tree):
             yield node
 
 
-def test_only_lyapunov_solve_imports_scipy():
-    """scipy is imported by ``analysis.lyapunov_solve`` alone, whose only
-    caller, ``lemma1_certificate``, is on no pipeline path."""
+def test_no_module_imports_scipy():
+    """No module of the package imports scipy, at module level or inside a
+    function."""
     importers = []
     for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
-        # the function around each import; ast.walk visits outer functions
-        # first, so the innermost one is kept
-        where = {id(node): func.name for func in ast.walk(tree)
-                 if isinstance(func, ast.FunctionDef)
-                 for node in _scipy_imports(func)}
-        importers += [f"{os.path.basename(path)}:"
-                      f"{where.get(id(node), '<module>')}"
+        importers += [f"{os.path.basename(path)}:{node.lineno}"
                       for node in _scipy_imports(tree)]
-    assert importers == ["analysis.py:lyapunov_solve"]
+    assert importers == []

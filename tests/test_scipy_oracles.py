@@ -7,8 +7,8 @@ replace, which are imported inside the tests only.
   balances and under power-of-two changes of units;
 - ``analysis._riccati_solution`` (the matrix sign) gives the Riccati
   solution of an ordered real Schur form, Y = Z2 Z1^{-1};
-- ``analysis._stable_lyapunov`` gives ``solve_continuous_lyapunov``'s Y_L
-  on an edge whose Riccati solution is only semidefinite.
+- ``analysis._lyapunov`` gives ``solve_continuous_lyapunov``'s Y_L on an
+  edge whose Riccati solution is only semidefinite.
 
 The panel is every edge, node and node state loop certified by
 ``assumption_report`` on the ring30 network and on
@@ -154,22 +154,25 @@ def test_semidefinite_riccati_edge_matches_scipy_lyapunov(monkeypatch):
     """The third state of this edge is neither driven nor seen, so the
     Riccati solution is singular and ``_riccati_interior`` moves it inside
     by Y_L with ``A_cl.T Y_L + Y_L A_cl = -I``, here from the matrix
-    sign."""
+    sign.  The Newton step of the Riccati solution calls the same kernel,
+    with its residual as Q."""
     import scipy.linalg
 
-    calls, real = [], analysis._stable_lyapunov
+    calls, real = [], analysis._lyapunov
 
-    def spy(a):
-        calls.append((a, real(a)))
-        return calls[-1][1]
+    def spy(a, q):
+        calls.append((a, np.broadcast_to(q, a.shape), real(a, q)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(analysis, "_stable_lyapunov", spy)
+    monkeypatch.setattr(analysis, "_lyapunov", spy)
     edge = edge_system(E=[[-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0],
                           [0.0, 0.0, -2.0]],
                        F=[[1.0], [0.0], [0.0]], G=[[1.0, 0.0, 0.0]])
     cert = spr_certificate(edge)
     assert cert.slack > analysis.STRICT_MARGIN
-    assert len(calls) == 1
-    a_cl, y_l = calls[0]
+    with_identity = [(a[0], p[0]) for a, q, p in calls
+                     if np.array_equal(q, np.eye(a.shape[-1])[None])]
+    assert len(with_identity) == 1
+    a_cl, y_l = with_identity[0]
     want = scipy.linalg.solve_continuous_lyapunov(a_cl.T, -np.eye(len(a_cl)))
     assert np.linalg.norm(y_l - want) <= 1e-12 * np.linalg.norm(want)

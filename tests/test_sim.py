@@ -381,6 +381,24 @@ def test_integrate_requires_matching_grid():
                   store_every=7)
 
 
+@pytest.mark.parametrize("arg", ["t_end", "dt", "eps", "eps_hi"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_horizon_step_or_gain_names_the_argument(arg, value):
+    """The library rejects what the config parser rejects."""
+    rz = realize(random_network(seed=0, regime="tracking"))
+    net, cset, maps = rz.network, rz.cset, rz.maps
+    call = {
+        "t_end": lambda: integrate(_Plain([[-1.0]]), [1.0], t_end=value,
+                                   dt=1e-3),
+        "dt": lambda: integrate(_Plain([[-1.0]]), [1.0], t_end=1.0,
+                                dt=value),
+        "eps": lambda: assemble("tracking", net, cset, maps, eps=value),
+        "eps_hi": lambda: epsilon_star(net, cset, maps, eps_hi=value),
+    }[arg]
+    with pytest.raises(ValidationError, match=rf"^{arg}: .*finite"):
+        call()
+
+
 def test_suggest_dt_resolves_fastest_mode():
     cl = _Plain(np.diag([-1.0, -1000.0]))
     assert suggest_dt(cl) == pytest.approx(1e-4, rel=1e-6)

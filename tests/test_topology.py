@@ -27,6 +27,13 @@ from coopnet.topology import (
 TRIANGLE = [(1, 2), (1, 3), (2, 3)]
 
 
+def test_matrix_rank_of_a_complex_matrix():
+    """The second row is 1j times the first; the real parts alone have
+    rank 2."""
+    assert matrix_rank([[1.0, 1j], [1j, -1.0]]) == 1
+    assert matrix_rank([[1.0, 0.0], [0.0, -1.0]]) == 2
+
+
 def test_incidence_triangle_matches_reference():
     h = incidence_from_edge_list(TRIANGLE, 3)
     assert np.array_equal(
