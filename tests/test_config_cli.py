@@ -1,3 +1,5 @@
+import ast
+import glob
 import importlib.resources
 import os
 import subprocess
@@ -856,6 +858,34 @@ def test_formatter_tables_are_built_on_first_use():
          "g._tables.cache_info().currsize)"],
         capture_output=True, text=True, env=_child_env(), timeout=300)
     assert proc.stdout.split() == ["False", "0"], proc.stderr
+
+
+def _module_level_imports(tree):
+    """The import statements a module runs when it is imported: all of them
+    outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_at_module_level():
+    """scipy is never imported on import of the package."""
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in _module_level_imports(tree):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else [node.module or ""])
+            if any(n.split(".")[0] == "scipy" for n in names):
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert not offenders, f"module-level scipy imports: {offenders}"
 
 
 @pytest.mark.parametrize("unbuffered", [True, False],
