@@ -11,6 +11,7 @@ the definite Riccati storages and :func:`lyapunov_solve`, is solved by
 one matrix-sign kernel, :func:`_lyapunov`.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -205,8 +206,9 @@ def build_exosystem(S, Q_eta, Q_v=None, P_eta=None):
     """Validate A2 for ``S`` and assemble the exosystem record.
 
     When ``P_eta`` is not supplied it is :func:`marginal_spectrum_certificate`
-    of ``S``; when it is, ``S`` passes :func:`marginal_eig` and both
-    properties of ``P_eta`` are verified.  ``Q_v`` defaults to ``Q_eta``.
+    of ``S``; when it is, ``S`` passes :func:`marginal_eig` and ``P_eta``
+    passes :func:`checked_storage` as a lossless storage of ``S``.  ``Q_v``
+    defaults to ``Q_eta``.
     """
     S = _as_square(S, "S")
     Q_eta = np.atleast_2d(np.asarray(Q_eta, dtype=float))
@@ -218,13 +220,11 @@ def build_exosystem(S, Q_eta, Q_v=None, P_eta=None):
     if P_eta is None:
         P_eta = marginal_spectrum_certificate(S).P
     else:
-        P_eta = _sym(_as_square(P_eta, "P_eta"))
         marginal_eig(S, require_simple=True)  # still enforce A2 on S
-        scale = max(1.0, _norm2(P_eta) * _norm2(S))
-        if np.linalg.eigvalsh(P_eta)[0] <= 0:
-            raise ValidationError("P_eta", "not positive definite")
-        if np.abs(P_eta @ S + S.T @ P_eta).max() > 1e-10 * scale:
-            raise ValidationError("P_eta", "P S + S'P != 0")
+        none = np.zeros((S.shape[0], 0))
+        P_eta = checked_storage(P_eta, S, none, none.T, what="P_eta",
+                                error=functools.partial(ValidationError,
+                                                        "P_eta")).P
     B_eta = np.linalg.solve(P_eta, Q_eta.T)
     if not observable(S, Q_eta):
         warnings.warn(
@@ -395,20 +395,16 @@ def marginal_spectrum_certificate(s):
     ``P = Re(V^{-H} V^{-1})`` for V of :func:`marginal_eig`: ``V^H P V = I``
     commutes with the imaginary ``diag(lam)``.  Each conjugate pair of V is
     a unitary change of the real columns ``sqrt(2) [Re x, Im x]``, so the
-    product is real up to rounding.  Both properties are re-verified.
+    product is real up to rounding.  Both properties are re-verified by
+    :func:`checked_storage`; the slack is P's smallest eigenvalue.
     """
     s = _as_square(s, "S")
     vi = np.linalg.inv(marginal_eig(s, require_simple=True)[1])
-    p = _sym((vi.conj().T @ vi).real)
-    resid = np.abs(p @ s + s.T @ p).max()
-    bound = 1e-10 * max(1.0, _norm2(p) * _norm2(s))
-    if resid > bound:
-        raise CertificateFailed(
-            f"marginal certificate residual {resid:.2e} > {bound:.2e}")
-    slack = float(np.linalg.eigvalsh(p)[0])
-    if slack <= 0:
-        raise CertificateFailed("marginal certificate not positive definite")
-    return Certificate(P=p, slack=slack, kind="marginal_spectrum")
+    none = np.zeros((s.shape[0], 0))
+    p = checked_storage((vi.conj().T @ vi).real, s, none, none.T,
+                        what="marginal certificate").P
+    return Certificate(P=p, slack=float(np.linalg.eigvalsh(p)[0]),
+                       kind="marginal_spectrum")
 
 
 def marginal_kernel_certificate(g1):
@@ -416,16 +412,14 @@ def marginal_kernel_certificate(g1):
 
     The dual of :func:`marginal_spectrum_certificate`, ``P = Re(V V^H)``;
     repeated eigenvalues are allowed, as the p-copy internal model repeats
-    the reference spectrum.  The residual is re-verified.
+    the reference spectrum.  P is re-verified by :func:`checked_storage`
+    as a lossless storage of G1.T.
     """
     g1 = _as_square(g1, "G1")
     v = marginal_eig(g1, require_simple=False)[1]
-    p = _sym((v @ v.conj().T).real)
-    resid = np.abs(g1 @ p + p @ g1.T).max()
-    if resid > 1e-10 * max(1.0, _norm2(p) * _norm2(g1)):
-        raise CertificateFailed(
-            f"marginal kernel residual {resid:.2e} too large")
-    return p
+    none = np.zeros((g1.shape[0], 0))
+    return checked_storage((v @ v.conj().T).real, g1.T, none, none.T,
+                           what="marginal kernel certificate").P
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +761,11 @@ def checked_storage(p, a, b, c, margin=None, what="storage",
     B = C.T`` is checked as ``L.T B = L^{-1} C.T``, entrywise relative to
     the larger side.  Similarity moves N by an orthogonal congruence only,
     so the verdict and the slack ``-lambda_max(M)`` (a decay rate) ignore
-    the coordinates.
+    the coordinates.  With no input (B and C of zero columns) and an A that
+    :func:`marginal_eig` admits, the storage is lossless, ``P A + A.T P =
+    0``: each eigenvector x of A gives ``x^H (P A + A.T P) x = 2 Re(lambda)
+    x^H P x = 0``, and a negative semidefinite matrix with all of these zero
+    is 0.
     """
     p = _sym(_as_square(p, what))
     if not np.isfinite(p).all():
@@ -783,9 +781,9 @@ def checked_storage(p, a, b, c, margin=None, what="storage",
     if not (lmax <= bound if margin is None else lmax < bound):
         raise error(f"{what} inequality fails: lambda_max {lmax:.3e}, bound "
                     f"{bound:.3e}")
-    # two zero sides (B = 0 and C = 0) pass
-    side = max(np.abs(lb).max(), np.abs(ct).max()) or 1.0
-    if not (eq := np.abs(lb - ct).max() / side) <= PASSIVITY_TOL:
+    # two zero sides (B = 0 and C = 0, or no input at all) pass
+    side = np.abs(np.hstack([lb, ct])).max(initial=0.0) or 1.0
+    if not (eq := np.abs(lb - ct).max(initial=0.0) / side) <= PASSIVITY_TOL:
         raise error(f"{what} violates P B = C^T (relative residual "
                     f"{eq:.2e})")
     return Certificate(P=p, slack=-lmax, bound=bound,

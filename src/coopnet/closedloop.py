@@ -89,9 +89,9 @@ class ClosedLoop:
     ``eps``.  The leading node/controller and edge block of ``A_full`` is
     the node/edge block of A0.  The output maps extract stacked node
     outputs y, neighboring inputs v and references from the
-    simulation-form state.  ``node_roles`` holds each node's role, and
-    ``err_kind`` what it regulates: a node's error is that signal minus
-    its reference.
+    simulation-form state, ``p`` rows per node.  ``node_roles`` holds the
+    role of each node of ``node_ids``, and ``err_kind`` what it regulates:
+    a node's error is that signal minus its reference.
     """
 
     regime: str
@@ -103,14 +103,24 @@ class ClosedLoop:
     y_map: np.ndarray
     v_map: np.ndarray
     ref_map: np.ndarray
-    node_ids: tuple
-    p: int
-    err_kind: dict
     node_roles: tuple
 
     @property
     def n_states(self):
         return self.A_full.shape[0]
+
+    @property
+    def node_ids(self):
+        return tuple(range(1, len(self.node_roles) + 1))
+
+    @property
+    def p(self):
+        return self.y_map.shape[0] // len(self.node_roles)
+
+    @property
+    def err_kind(self):
+        return {i: NODE_ROLES[r].regulates
+                for i, r in zip(self.node_ids, self.node_roles)}
 
 
 def _hat_lists(network, cset):
@@ -198,7 +208,6 @@ def assemble(regime, network, cset, maps=None, eps=None):
     a_full[n_ref:, n_ref:] = block_diag([exo.S] * ((lay.size - n_ref) // q))
 
     # ----- output maps ------------------------------------------------------
-    node_ids = tuple(i + 1 for i in range(topo.N))
     y_map = np.zeros((topo.N * p, lay.size))
     v_map = np.zeros((topo.N * p, lay.size))
     ref_map = np.zeros((topo.N * p, lay.size))
@@ -214,14 +223,12 @@ def assemble(regime, network, cset, maps=None, eps=None):
             ref_map[rows, lay.sl("exo_state", i + 1)] = exo.Q_v
         else:
             ref_map[rows, lay.sl(role.generator, i + 1)] = exo.Q_eta
-    err_kind = {i + 1: role.regulates for i, role in enumerate(roles)}
 
     return ClosedLoop(
         regime=regime, eps=eps, A_full=a_full, index_map=tuple(lay.entries),
         A_error=pencil.A0 + eps * pencil.A1,
         error_index_map=pencil.index_map,
         y_map=y_map, v_map=v_map, ref_map=ref_map,
-        node_ids=node_ids, p=p, err_kind=err_kind,
         node_roles=cset.node_roles)
 
 
@@ -304,6 +311,8 @@ _NEWTON_STEPS = 16
 _NEWTON_TOL = 1e-12
 #: eigenvalue branches tracked before the search falls back to bisection
 _BRANCHES = 3
+#: log-spaced gains of the scan, from ``1e-4 eps_hi`` to ``eps_hi``
+_PROBES = 16
 
 
 @dataclass(frozen=True)
@@ -453,7 +462,7 @@ def _crossing(pencil, lo, hi, lam_hi):
     return None
 
 
-def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
+def epsilon_star(network, cset, maps, eps_hi):
     """Largest stable coupling gain in (0, eps_hi], to relative width
     ``BRACKET_REL_WIDTH``.
 
@@ -461,7 +470,7 @@ def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
     (built once, as a pencil) has spectral abscissa below
     ``-STABILITY_TOL``.  The search runs in three steps:
 
-    1. *Scan from the top.*  The log-spaced grid of ``n_probes`` gains is
+    1. *Scan from the top.*  The log-spaced grid of ``_PROBES`` gains is
        eigen-decomposed from the ceiling down, stopping at the first
        stable probe k, the largest stable one.  If that is the ceiling, it
        is the result, with ``crossed`` False.
@@ -491,7 +500,7 @@ def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
         raise ValidationError("eps_hi", "search ceiling must be finite, > 0")
 
     pencil = _error_pencil(network, cset, maps)
-    grid = np.geomspace(eps_hi * 1e-4, eps_hi, n_probes)
+    grid = np.geomspace(eps_hi * 1e-4, eps_hi, _PROBES)
     top = []  # rightmost eigenvalues, from the ceiling down
     for eps in grid[::-1]:
         top.append(rightmost_eigenvalue(pencil.A0 + eps * pencil.A1))
@@ -501,10 +510,10 @@ def epsilon_star(network, cset, maps, eps_hi, n_probes=16):
         raise NoStableEps(
             f"no stable coupling gain among probes in "
             f"[{grid[0]:.3e}, {grid[-1]:.3e}]")
-    k = n_probes - len(top)
+    k = _PROBES - len(top)
     fields = dict(probes=tuple(grid[k:]),
                   probe_abscissas=tuple(lam.real for lam in reversed(top)))
-    if k == n_probes - 1:
+    if k == _PROBES - 1:
         return EpsilonStar(
             eps_bisect=float(grid[-1]), abscissa_at_bisect=top[0].real,
             crossed=False, eps_crossing=np.nan, omega_crossing=np.nan,

@@ -78,10 +78,6 @@ class Network:
     def n_nodes(self):
         return self.topology.N
 
-    @property
-    def m_edges(self):
-        return self.topology.M
-
     def dynamic_indices(self):
         """0-based indices of nodes that carry dynamics."""
         return [i for i, nd in enumerate(self.nodes) if not is_static(nd)]

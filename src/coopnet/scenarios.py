@@ -54,10 +54,6 @@ class Scenario:
     def n_nodes(self):
         return len(self.nodes)
 
-    @property
-    def m_edges(self):
-        return len(self.edges)
-
     def topology(self):
         return Topology.from_edge_list(self.edge_ends, self.n_nodes)
 
@@ -90,14 +86,14 @@ class Realized:
     cl: object
 
 
-def realize(scn, eps=None):
-    """Build controllers, regulation maps and the closed loop for a scenario."""
+def realize(scn):
+    """Build controllers, regulation maps and the closed loop for a scenario,
+    at its coupling gain ``scn.eps``."""
     scn.validate()
     network = scn.network()
     exo = scn.exosystem()
-    eps_val = scn.eps if eps is None else float(eps)
     cset = build_controllers(network, exo, scn.regime, roles=scn.roles,
-                             eps=eps_val, gains=scn.gains)
+                             eps=scn.eps, gains=scn.gains)
     maps = build_maps(network, cset)
     cl = assemble(scn.regime, network, cset, maps)
     return Realized(scenario=scn, network=network, cset=cset, maps=maps,
@@ -108,14 +104,12 @@ def realize(scn, eps=None):
 # the three-node electrical network
 
 
-def demo_power_network(ground_mode="exact"):
+def demo_power_network():
     """Two current-controlled sources and a grounded node over RL branches.
 
     Nodes 1 and 2 are slave sources (capacitor voltage dynamics, neighbor
     current as coupling input) with the hand-tuned gains; node 3 is the
-    ground master.  ``ground_mode="exact"`` pins the ground output exactly
-    (no state); ``"tracking"`` gives the ground a small capacitor node with
-    synthesized high-gain tracking instead.
+    ground master, a static node whose output is pinned exactly (no state).
     """
     w = 100.0 * math.pi
     s = np.array([[0.0, -w], [w, 0.0]])
@@ -126,12 +120,6 @@ def demo_power_network(ground_mode="exact"):
     c_f1, c_f2 = 50e-6, 30e-6
     node1 = node_system(A=[[0.0]], B=[[1.0 / c_f1]], C=[[1.0]])
     node2 = node_system(A=[[0.0]], B=[[1.0 / c_f2]], C=[[1.0]])
-    if ground_mode == "exact":
-        node3 = StaticNode(p=1)
-    elif ground_mode == "tracking":
-        node3 = node_system(A=[[0.0]], B=[[1.0 / 50e-6]], C=[[1.0]])
-    else:
-        raise ValidationError("ground_mode", f"unknown mode {ground_mode!r}")
 
     r12, l12 = 0.05, 0.01e-3
     r13, l13 = 9.0, 1e-3
@@ -154,7 +142,7 @@ def demo_power_network(ground_mode="exact"):
     }
     return Scenario(
         name="power_network",
-        nodes=(node1, node2, node3),
+        nodes=(node1, node2, StaticNode(p=1)),
         edges=edges,
         edge_ends=edge_ends,
         S=s, Q_eta=q_eta, Q_v=q_v, P_eta=p_eta,

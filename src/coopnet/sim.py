@@ -144,11 +144,12 @@ def suggest_dt(cl):
 
 def _pick_store_every(n_steps, store_every):
     if store_every is not None:
-        s = int(store_every)
-        if s < 1 or n_steps % s:
+        s = store_every
+        if not (1 <= s < np.inf and s == int(s) and n_steps % int(s) == 0):
             raise ValidationError(
-                "store_every", f"must divide the {n_steps} steps")
-        return s
+                "store_every", f"must be a whole number dividing the "
+                f"{n_steps} steps")
+        return int(s)
     target = max(1, int(np.ceil(n_steps / MAX_STORED)))
     for s in range(min(target, n_steps), 0, -1):
         if n_steps % s == 0:
@@ -253,10 +254,10 @@ def integrate(cl, x0, t_end, dt, store_every=None):
     """Sample the closed loop from ``x0`` every ``dt`` up to ``t_end``.
 
     Samples are stored every ``store_every`` steps (chosen automatically to
-    cap storage when omitted; must divide the step count).  They are exact
-    to rounding on any grid: each is e^{A dt store_every} times the last.
-    Only the signals are formed (see :func:`_observe`); the states are
-    formed when the result's ``states`` is first read.
+    cap storage when omitted; a whole number dividing the step count).
+    They are exact to rounding on any grid: each is e^{A dt store_every}
+    times the last.  Only the signals are formed (see :func:`_observe`);
+    the states are formed when the result's ``states`` is first read.
 
     Raises
     ------
@@ -294,21 +295,21 @@ def integrate(cl, x0, t_end, dt, store_every=None):
     y, v, refs = (
         dict(zip(cl.node_ids, block))
         for block in signals.T.reshape(3, len(cl.node_ids), cl.p, -1))
-    errors = {i: (y if cl.err_kind[i] == "output" else v)[i] - refs[i]
-              for i in cl.node_ids}
+    errors = {i: (y if kind == "output" else v)[i] - refs[i]
+              for i, kind in cl.err_kind.items()}
     return SimResult(t=t, y=y, v=v, refs=refs, errors=errors,
                      regime=cl.regime, dt=float(dt), store_every=s,
                      _loop=(step, x0))
 
 
-def initial_state(cl, nu0=None, eta0=None, etabar0=None, node0=None,
-                  controller0=None, edge0=None):
-    """Build the simulation-form initial state from per-entity values.
+def initial_state(cl, nu0=None, eta0=None, etabar0=None):
+    """Build the simulation-form initial state from per-node values.
 
-    Each dict maps 1-based ids to initial vectors; unspecified blocks start
-    at zero.  ``eta0``/``nu0``/``etabar0`` seed only the blocks the node's
-    role owns (``seeds`` in :data:`coopnet.synthesis.NODE_ROLES`): ``eta0``
-    the reference generator of a node regulating its output, ``nu0`` the
+    Each dict maps 1-based node ids to initial vectors; every other block
+    (node, controller and edge states included) starts at zero.
+    ``eta0``/``nu0``/``etabar0`` seed only the blocks the node's role owns
+    (``seeds`` in :data:`coopnet.synthesis.NODE_ROLES`): ``eta0`` the
+    reference generator of a node regulating its output, ``nu0`` the
     command and ``etabar0`` the reference generator of one regulating its
     neighboring input.  Any other pairing raises ValidationError.
     """
@@ -340,12 +341,6 @@ def initial_state(cl, nu0=None, eta0=None, etabar0=None, node0=None,
                     f"{role.regulates}; it takes only "
                     f"{' and '.join(role.seeds)}")
             fill(role.seeds[name], i, val, name)
-    for i, val in (node0 or {}).items():
-        fill("node_state", i, val, "node0")
-    for i, val in (controller0 or {}).items():
-        fill("controller_state", i, val, "controller0")
-    for j, val in (edge0 or {}).items():
-        fill("edge_state", j, val, "edge0")
     return x0
 
 

@@ -4,25 +4,27 @@ import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
+#: chart width and height in pixels, most points drawn per series (a longer
+#: series is strided down to it) and grid lines per axis
+_WIDTH, _HEIGHT, _MAX_POINTS, _TICKS = 920, 360, 2000, 6
 
 
-def _ticks(lo, hi, n=6):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return raw
+    return np.linspace(lo, hi, _TICKS)
 
 
 def _fmt(v):
     return f"{v:.4g}"
 
 
-def line_chart(path, t, series, title="", x_label="t [s]", y_label="",
-               width=920, height=360, max_points=2000):
-    """Write a polyline chart of ``series`` (label -> 1-D array) vs ``t``."""
+def line_chart(path, t, series, title="", y_label=""):
+    """Write a polyline chart of ``series`` (label -> 1-D array) vs time
+    ``t`` in seconds."""
     t = np.asarray(t, dtype=float)
     items = list(series.items())
-    stride = max(1, int(np.ceil(t.size / max_points)))
+    stride = max(1, int(np.ceil(t.size / _MAX_POINTS)))
     tt = t[::stride]
     data = [(label, np.asarray(y, dtype=float).ravel()[::stride])
             for label, y in items]
@@ -33,7 +35,7 @@ def line_chart(path, t, series, title="", x_label="t [s]", y_label="",
     x_lo, x_hi = float(tt[0]), float(tt[-1]) if tt.size > 1 else \
         (float(tt[0]) + 1.0)
     ml, mr, mt, mb = 70, 160, 34, 44
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def sx(x):
         return ml + pw * (x - x_lo) / max(x_hi - x_lo, 1e-300)
@@ -41,9 +43,9 @@ def line_chart(path, t, series, title="", x_label="t [s]", y_label="",
     def sy(y):
         return mt + ph * (1.0 - (y - y_lo) / max(y_hi - y_lo, 1e-300))
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{height}" viewBox="0 0 {width} {height}">',
-           f'<rect width="{width}" height="{height}" fill="white"/>',
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+           f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+           f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
            f'<text x="{ml}" y="20" font-family="monospace" font-size="13" '
            f'fill="#333">{title}</text>']
     # axes and grid
@@ -63,9 +65,9 @@ def line_chart(path, t, series, title="", x_label="t [s]", y_label="",
                    f'text-anchor="end">{_fmt(yv)}</text>')
     out.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
                f'fill="none" stroke="#333" stroke-width="1"/>')
-    out.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" '
+    out.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 8}" '
                f'font-family="monospace" font-size="11" fill="#333" '
-               f'text-anchor="middle">{x_label}</text>')
+               f'text-anchor="middle">t [s]</text>')
     if y_label:
         out.append(f'<text x="16" y="{mt + ph / 2:.1f}" '
                    f'font-family="monospace" font-size="11" fill="#333" '

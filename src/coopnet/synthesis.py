@@ -85,14 +85,20 @@ class InternalModel:
 
     G1: np.ndarray
     G2: np.ndarray
-    copies: int
-    block_dim: int
     minimal_poly_coeffs: tuple
 
     @property
     def c(self):
         """Controller state dimension."""
         return self.G1.shape[0]
+
+    @property
+    def copies(self):
+        return self.G2.shape[1]
+
+    @property
+    def block_dim(self):
+        return len(self.minimal_poly_coeffs)
 
     @functools.cached_property
     def scaled_gains(self):
@@ -145,8 +151,7 @@ def internal_model_from_matrices(g1, g2, s):
     g2 = np.atleast_2d(np.asarray(g2, dtype=float))
     s = np.atleast_2d(np.asarray(s, dtype=float))
     coeffs = minimal_polynomial_coeffs(s)
-    im = InternalModel(G1=g1, G2=g2, copies=g2.shape[1],
-                       block_dim=len(coeffs), minimal_poly_coeffs=coeffs)
+    im = InternalModel(G1=g1, G2=g2, minimal_poly_coeffs=coeffs)
     return validate_internal_model(im, s)
 
 
@@ -693,8 +698,15 @@ class ControllerSet:
     G_S: np.ndarray = None
     G_B: np.ndarray = None
     G_Q: np.ndarray = None
-    slaves: tuple = ()
-    masters: tuple = ()
+
+    @property
+    def slaves(self):
+        return tuple(i for i, r in enumerate(self.node_roles) if r == "slave")
+
+    @property
+    def masters(self):
+        return tuple(i for i, r in enumerate(self.node_roles)
+                     if r == "master")
 
 
 @dataclass(frozen=True)
@@ -883,9 +895,7 @@ def assumption_report(network, exo, regime, roles=None, eps=0.0, gains=None,
     cset = ControllerSet(
         regime=regime, eps=float(eps), controllers=tuple(controllers),
         exo=exo, edge_certificates=tuple(edge_certs), node_roles=node_roles,
-        G_S=g_s, G_B=g_b, G_Q=g_q,
-        slaves=tuple(i for i, r in enumerate(node_roles) if r == "slave"),
-        masters=tuple(i for i, r in enumerate(node_roles) if r == "master"))
+        G_S=g_s, G_B=g_b, G_Q=g_q)
     return results, cset
 
 

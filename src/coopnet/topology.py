@@ -10,7 +10,7 @@ all-ones vector, and ``Hbar = T @ H`` is the reduced incidence used whenever
 the network-average mode is split off.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,7 +188,6 @@ class Topology:
     H: np.ndarray
     T: np.ndarray
     Hbar: np.ndarray
-    edge_ends: tuple = field(default=())
 
     @classmethod
     def from_edge_list(cls, edges, n_nodes):
@@ -200,8 +199,7 @@ class Topology:
         else:
             t = np.zeros((0, 1))
             hbar = np.zeros((0, len(edges)))
-        return cls(N=int(n_nodes), M=len(edges), H=h, T=t, Hbar=hbar,
-                   edge_ends=tuple((int(a), int(b)) for a, b in edges))
+        return cls(N=int(n_nodes), M=len(edges), H=h, T=t, Hbar=hbar)
 
     @property
     def connected(self):

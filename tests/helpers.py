@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from coopnet.analysis import node_system
 from coopnet.errors import ValidationError
+from coopnet.scenarios import demo_power_network
 
 
 def with_zero_sum(scn):
@@ -21,6 +23,15 @@ def with_zero_sum(scn):
         total = total + vec
     nu0[scn.n_nodes] = -total
     return replace(scn, nu0=nu0)
+
+
+def tracking_ground_demo():
+    """The power-network demo with a dynamic ground: node 3 is a small
+    capacitor node with synthesized high-gain tracking in place of the
+    static master pinned exactly."""
+    scn = demo_power_network()
+    ground = node_system(A=[[0.0]], B=[[1.0 / 50e-6]], C=[[1.0]])
+    return replace(scn, nodes=scn.nodes[:2] + (ground,)).validate()
 
 
 def flip_first_edge(scn):

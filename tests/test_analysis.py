@@ -27,6 +27,7 @@ from coopnet.errors import (
     RepeatedEigenvalue,
     SingularPencil,
     SpectrumNotMarginal,
+    ValidationError,
 )
 from coopnet.scenarios import demo_power_network, random_network, realize
 
@@ -240,6 +241,14 @@ def test_build_exosystem_injection_matrix():
     exo = build_exosystem(ROT, Q_eta=[[0.0, 1.0]], Q_v=[[1.0, 0.0]])
     assert np.allclose(exo.P_eta, np.eye(2), atol=1e-10)
     assert np.allclose(exo.B_eta, [[0.0], [1.0]], atol=1e-10)
+
+
+@pytest.mark.parametrize("p_eta", [np.diag([1.0, -1.0]), np.diag([1.0, 2.0])],
+                         ids=["indefinite", "not-lossless"])
+def test_build_exosystem_rejects_a_supplied_p_eta(p_eta):
+    """A supplied P_eta must be a positive definite lossless storage of S."""
+    with pytest.raises(ValidationError, match=r"^P_eta: "):
+        build_exosystem(ROT, Q_eta=[[0.0, 1.0]], P_eta=p_eta)
 
 
 # ---------------------------------------------------------------------------

@@ -227,15 +227,16 @@ def test_epsilon_star_single_node_insensitive_to_gain():
     assert absc(0.01) == absc(100.0) == est.abscissa_at_bisect
 
 
-def test_epsilon_star_no_stable_probe():
+def test_epsilon_star_no_stable_probe(monkeypatch):
     net, exo, _ = two_node_toy()
     cset = build_controllers(net, exo, "sync", eps=1.0)
     maps = build_maps(net, cset)
     est = epsilon_star(net, cset, maps, eps_hi=50.0)
     if est.eps_bisect < 50.0:
+        monkeypatch.setattr(closedloop, "_PROBES", 3)
         with pytest.raises(NoStableEps):
             # grid entirely above the boundary
-            epsilon_star(net, cset, maps, eps_hi=1e12, n_probes=3)
+            epsilon_star(net, cset, maps, eps_hi=1e12)
 
 
 def test_lemma1_certifies_block_split_at_small_gain():
@@ -273,9 +274,9 @@ def test_demo_error_abscissa_regression():
         -1.1648108262697718, abs=1e-6)
 
 
-def _assert_error_spectrum_inside_full(cl, n_extra):
-    """spec(A_full) = spec(A_error) plus ``n_extra`` marginal modes, matched
-    one to one."""
+def _assert_error_spectrum_inside_full(cl, s, n_extra):
+    """spec(A_full) = spec(A_error) plus ``n_extra`` eigenvalues of the
+    exosystem ``s``, matched one to one."""
     lam_err = np.linalg.eigvals(cl.A_error)
     lam_full = np.linalg.eigvals(cl.A_full)
     assert lam_full.size - lam_err.size == n_extra
@@ -285,12 +286,17 @@ def _assert_error_spectrum_inside_full(cl, n_extra):
     assert cost[rows, cols].max(initial=0.0) <= 1e-10
     extra = np.delete(lam_full, cols)
     assert extra.size == n_extra
-    assert np.abs(extra.real).max(initial=0.0) <= 1e-9
+    lam_s = np.linalg.eigvals(s)
+    gap = np.abs(extra[:, None] - lam_s[None, :]).min(axis=1, initial=np.inf)
+    assert (gap <= 1e-9 * np.maximum(1.0, np.abs(extra))).all()
 
 
 def test_spectral_identity_demo():
     # the three autonomous reference/command generators, q = 2 each
-    _assert_error_spectrum_inside_full(realize(demo_power_network()).cl, 6)
+    rz = realize(demo_power_network())
+    for eps in (rz.cset.eps, 0.05):
+        cl = assemble("master_slave", rz.network, rz.cset, rz.maps, eps=eps)
+        _assert_error_spectrum_inside_full(cl, rz.cset.exo.S, 6)
 
 
 # extra modes (N = 5, q = 2): tracking and master-slave keep one autonomous
@@ -304,9 +310,9 @@ def test_spectral_identity_random(seed, regime, n_extra):
     scn = random_network(seed, n_nodes=5, m_edges=6, dims=3, regime=regime)
     rz = realize(scn)
     est = epsilon_star(rz.network, rz.cset, rz.maps, eps_hi=10.0)
-    cl = assemble(regime, rz.network, rz.cset, rz.maps,
-                  eps=0.5 * est.eps_bisect)
-    _assert_error_spectrum_inside_full(cl, n_extra)
+    for eps in (0.5 * est.eps_bisect, 0.05):
+        cl = assemble(regime, rz.network, rz.cset, rz.maps, eps=eps)
+        _assert_error_spectrum_inside_full(cl, rz.cset.exo.S, n_extra)
 
 
 def _spectral_distance(a, b):

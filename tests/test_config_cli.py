@@ -18,7 +18,7 @@ from coopnet.errors import ParseError, ValidationError
 from coopnet.scenarios import demo_power_network, random_network
 from coopnet.network import is_static
 
-from helpers import with_zero_sum
+from helpers import tracking_ground_demo, with_zero_sum
 
 
 def test_roundtrip_demo_scenario():
@@ -194,7 +194,7 @@ def test_cli_check_names_why_a_synthesized_node_fails(tmp_path, capsys,
                                                       node, cause):
     """The tracking demo's ground node is synthesized: a node that is not
     hyper-minimum-phase there fails A5 with its cause."""
-    text = format_config(demo_power_network("tracking"))
+    text = format_config(tracking_ground_demo())
     assert _GROUND_NODE in text
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text.replace(_GROUND_NODE, "[node 3]\n" + node))
@@ -749,7 +749,7 @@ def test_cli_hot_path_loads_no_scipy(tmp_path, argv, exit_code):
     if "tracking.cfg" in argv:
         argv[argv.index("tracking.cfg")] = str(tmp_path / "tracking.cfg")
         (tmp_path / "tracking.cfg").write_text(
-            format_config(demo_power_network("tracking")))
+            format_config(tracking_ground_demo()))
     if on_random:
         argv[argv.index(RANDOM_CFG)] = str(tmp_path / RANDOM_CFG)
         (tmp_path / RANDOM_CFG).write_text(format_config(random_network(

@@ -11,7 +11,7 @@ from coopnet.scenarios import (
 )
 from coopnet.synthesis import assumption_report
 
-from helpers import with_zero_sum
+from helpers import tracking_ground_demo, with_zero_sum
 
 W = 100.0 * np.pi
 
@@ -50,7 +50,7 @@ def test_demo_parameters():
 
 
 def test_demo_tracking_ground_mode_is_dynamic():
-    scn = demo_power_network(ground_mode="tracking")
+    scn = tracking_ground_demo()
     assert not is_static(scn.nodes[2])
     rz = realize(scn)
     from coopnet.analysis import spectral_abscissa

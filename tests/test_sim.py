@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -331,7 +333,7 @@ def _full_demo_run():
 def _ring30_run():
     # eps = 0.1 is about half the ring's boundary gain 0.179
     scn = ring30()
-    cl = realize(scn, eps=0.1).cl
+    cl = realize(replace(scn, eps=0.1)).cl
     return cl, initial_state(cl, nu0=scn.nu0, eta0=scn.eta0), scn.dt, \
         scn.t_end
 
@@ -376,9 +378,11 @@ def test_integrate_allocates_its_result_and_no_states():
 
 
 def test_integrate_requires_matching_grid():
-    with pytest.raises(ValidationError):
-        integrate(_Plain([[-1.0]]), [1.0], t_end=1.0, dt=1e-3,
-                  store_every=7)
+    # 1000 steps: store_every must be a whole number dividing them
+    for store_every in (7, 0, 2.5, np.nan, np.inf):
+        with pytest.raises(ValidationError, match=r"^store_every: "):
+            integrate(_Plain([[-1.0]]), [1.0], t_end=1.0, dt=1e-3,
+                      store_every=store_every)
 
 
 @pytest.mark.parametrize("arg", ["t_end", "dt", "eps", "eps_hi"])
@@ -438,7 +442,7 @@ def test_edge_flows_cancel_over_nodes():
 
 def test_zero_sum_commands_conserved():
     scn = with_zero_sum(random_network(seed=21, regime="cooperation"))
-    rz = realize(scn, eps=0.2)
+    rz = realize(replace(scn, eps=0.2))
     x0 = initial_state(rz.cl, nu0=scn.nu0)
     res = integrate(rz.cl, x0, t_end=20.0, dt=1e-2)
     nu_slices = [(e.offset, e.length) for e in rz.cl.index_map
@@ -449,7 +453,7 @@ def test_zero_sum_commands_conserved():
 
 def _coop_loop():
     scn = with_zero_sum(random_network(seed=21, regime="cooperation"))
-    rz = realize(scn, eps=0.2)
+    rz = realize(replace(scn, eps=0.2))
     return rz.cl, initial_state(rz.cl, nu0=scn.nu0), 1e-2
 
 
@@ -498,7 +502,7 @@ def test_error_trajectories_survive_flips_and_relabelling(make, eps_hi,
                            eps_hi=eps_hi).eps_bisect / 2.0
 
     def errors(s):
-        cl = realize(s, eps=eps).cl
+        cl = realize(replace(s, eps=eps)).cl
         assert spectral_abscissa(cl.A_error) < 0
         x0 = initial_state(cl, nu0=s.nu0, eta0=s.eta0, etabar0=s.etabar0)
         return integrate(cl, x0, t_end=t_end, dt=dt).errors
@@ -646,7 +650,7 @@ def test_prediction_rejects_non_uniform_grid():
 def test_cooperation_bias_two_equal_commands():
     scn = random_network(seed=21, n_nodes=2, m_edges=1,
                          regime="cooperation")
-    rz = realize(scn, eps=0.2)
+    rz = realize(replace(scn, eps=0.2))
     t = np.array([0.0])
     c = np.array([0.3, -0.7])
     pred = steady_state_prediction(rz.cset, t, nu0={1: c, 2: c})
