@@ -221,6 +221,8 @@ def build_exosystem(S, Q_eta, Q_v=None, P_eta=None):
         P_eta = marginal_spectrum_certificate(S).P
     else:
         marginal_eig(S, require_simple=True)  # still enforce A2 on S
+        if not np.isfinite(P_eta := _as_square(P_eta, "P_eta")).all():
+            raise ValidationError("P_eta", "entries must be finite")
         none = np.zeros((S.shape[0], 0))
         P_eta = checked_storage(P_eta, S, none, none.T, what="P_eta",
                                 error=functools.partial(ValidationError,

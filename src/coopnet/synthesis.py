@@ -96,10 +96,6 @@ class InternalModel:
     def copies(self):
         return self.G2.shape[1]
 
-    @property
-    def block_dim(self):
-        return len(self.minimal_poly_coeffs)
-
     @functools.cached_property
     def scaled_gains(self):
         """``(P_g, K)``: the marginal-kernel certificate P_g of G1 and, for

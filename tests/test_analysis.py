@@ -243,8 +243,10 @@ def test_build_exosystem_injection_matrix():
     assert np.allclose(exo.B_eta, [[0.0], [1.0]], atol=1e-10)
 
 
-@pytest.mark.parametrize("p_eta", [np.diag([1.0, -1.0]), np.diag([1.0, 2.0])],
-                         ids=["indefinite", "not-lossless"])
+@pytest.mark.parametrize(
+    "p_eta", [np.diag([1.0, -1.0]), np.diag([1.0, 2.0]),
+              np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])],
+    ids=["indefinite", "not-lossless", "nan", "inf"])
 def test_build_exosystem_rejects_a_supplied_p_eta(p_eta):
     """A supplied P_eta must be a positive definite lossless storage of S."""
     with pytest.raises(ValidationError, match=r"^P_eta: "):

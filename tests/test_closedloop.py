@@ -286,6 +286,7 @@ def _assert_error_spectrum_inside_full(cl, s, n_extra):
     assert cost[rows, cols].max(initial=0.0) <= 1e-10
     extra = np.delete(lam_full, cols)
     assert extra.size == n_extra
+    assert np.abs(extra.real).max(initial=0.0) <= 1e-9
     lam_s = np.linalg.eigvals(s)
     gap = np.abs(extra[:, None] - lam_s[None, :]).min(axis=1, initial=np.inf)
     assert (gap <= 1e-9 * np.maximum(1.0, np.abs(extra))).all()

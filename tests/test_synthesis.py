@@ -82,7 +82,7 @@ def test_p_copy_two_copies_block_structure():
 def test_user_internal_model_accepted():
     # non-companion realization used by the demo's first node
     im = internal_model_from_matrices(ROT, [[1.0], [1.0]], ROT)
-    assert im.copies == 1 and im.block_dim == 2
+    assert im.copies == 1 and len(im.minimal_poly_coeffs) == 2
 
 
 def test_user_internal_model_rejects_uncontrollable():
