@@ -34,11 +34,13 @@ BUILTIN_SCENARIOS = {
 DEMO_ERR_THRESHOLD = 1e-2
 #: metrics window of the demo report, seconds
 DEMO_WINDOW = 0.1
-#: rows formatted per write in :func:`write_csv`.  Formatting the demo's
-#: 200,001 x 13 table took 0.27-0.34 s with 1024 rows (fastest and median
-#: of 9 passes, 2-core x86 host, one BLAS thread), 0.28-0.37 s with 2048,
-#: 0.31-0.36 s with 4096, 0.30-0.38 s with 512 and 0.36-0.48 s with 256;
-#: a block's temporaries grow with its rows
+#: rows formatted per write in :func:`write_csv`.  Writing the demo's
+#: 200,001 x 13 table, each time in a fresh process after the demo's run
+#: (fastest and median of 9 passes, 2-core x86 host, one BLAS thread),
+#: took 0.34-0.41 s with 1024 rows, 0.34-0.37 s with 2048, 0.35-0.42 s
+#: with 512, 0.38-0.41 s with 256 and 0.41-0.45 s with 4096; in 15 more
+#: alternating passes 1024 rows beat 2048 in 13.  A block's buffers grow
+#: with its rows
 CSV_BLOCK_ROWS = 1024
 #: exit code when the reader of stdout goes away: 128 + SIGPIPE, what a
 #: shell reports for a writer the signal ends
@@ -101,7 +103,7 @@ def write_csv(path, result):
     ``%.17g`` would write it, so the file round-trips losslessly.
     """
     # imported here: only the commands that write a CSV pay for it
-    from ._g17 import format_rows
+    from ._g17 import RowFormatter
 
     node_ids = sorted(result.y)
     p = next(iter(result.y.values())).shape[0]
@@ -116,13 +118,17 @@ def write_csv(path, result):
         for tag in ("y", "v", "ref", "err"):
             for k in range(p):
                 cols.append(table[tag][i][k])
+    # one block of rows at a time: no copy of the whole table is held, and
+    # every block is formatted in the same buffers
+    block = np.empty((CSV_BLOCK_ROWS, len(cols)))
+    format_block = RowFormatter(CSV_BLOCK_ROWS, len(cols))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
-        # one block of rows at a time: no copy of the whole table is held
         for start in range(0, len(result.t), CSV_BLOCK_ROWS):
-            stop = start + CSV_BLOCK_ROWS
-            fh.write(format_rows(np.column_stack([c[start:stop]
-                                                  for c in cols])))
+            rows = block[:len(result.t) - start]
+            np.stack([c[start:start + len(rows)] for c in cols], axis=1,
+                     out=rows)
+            fh.writelines(format_block(rows))
     return path
 
 

@@ -12,7 +12,9 @@ starts with the table, laid out sample by sample.  With w about
 sqrt(samples / rows of M) the table and the starts each hold about
 sqrt(samples) vectors, so the signals are the only large array.  The
 state samples of a run are formed from Phi only when ``SimResult.states``
-is first read.  Each error is a regulated signal minus its reference.
+is first read.  Each error is a regulated signal minus its reference; a
+run keeps the regulated signals (views of the others), and the errors are
+formed when ``SimResult.errors`` is first read, like the states.
 """
 
 from dataclasses import dataclass, field
@@ -48,24 +50,25 @@ MAX_STORED = 200_000
 class SimResult:
     """Stored trajectories of one closed-loop run.
 
-    ``y``, ``v``, ``refs`` and ``errors`` are per-node p x T arrays on the
-    uniform stored grid ``t``, keyed by 1-based node id; ``y``, ``v`` and
-    ``refs`` are views of one sample-major signal array.  ``errors`` are
-    in each node's native regulated coordinates (output error for
-    tracking/sync/master nodes, neighboring input error for
-    cooperation/slave nodes).
+    ``y``, ``v``, ``refs`` and ``regulated`` are per-node p x T arrays on
+    the uniform stored grid ``t``, keyed by 1-based node id; ``y``, ``v``
+    and ``refs`` are views of one sample-major signal array.  ``regulated``
+    holds each node's regulated signal (``y`` for tracking/sync/master
+    nodes, ``v`` for cooperation/slave nodes; views of them).
 
-    ``states`` (n_total x T) is not formed by :func:`integrate`: the
-    first read steps the run's one-step map e^{A dt store_every} from its
-    initial state (:func:`_state_samples`), and later reads return the same
-    array.  A result built without a run (no ``_loop``) has no states.
+    ``errors`` (regulated minus reference, per node) and ``states``
+    (n_total x T) are not formed by :func:`integrate`: each is formed on
+    its first read, and later reads return the same arrays.  The states
+    are stepped by the run's one-step map e^{A dt store_every} from its
+    initial state (:func:`_state_samples`); a result built without a run
+    (no ``_loop``) has no states.
     """
 
     t: np.ndarray
     y: dict
     v: dict
     refs: dict
-    errors: dict
+    regulated: dict
     regime: str
     dt: float
     store_every: int
@@ -75,6 +78,10 @@ class SimResult:
     @property
     def t_end(self):
         return float(self.t[-1])
+
+    @cached_property
+    def errors(self):
+        return {i: reg - self.refs[i] for i, reg in self.regulated.items()}
 
     @cached_property
     def states(self):
@@ -291,13 +298,15 @@ def integrate(cl, x0, t_end, dt, store_every=None):
         signals = _observe(step, maps, x0[:, None], n_stored)[0]
     except NonFiniteState as exc:
         raise NonFiniteState(exc.step * s) from None
-    t = np.arange(n_stored + 1) * (dt * s)
+    # a float grid scaled in place: no integer grid is made and freed
+    t = np.arange(n_stored + 1, dtype=float)
+    t *= dt * s
     y, v, refs = (
         dict(zip(cl.node_ids, block))
         for block in signals.T.reshape(3, len(cl.node_ids), cl.p, -1))
-    errors = {i: (y if kind == "output" else v)[i] - refs[i]
-              for i, kind in cl.err_kind.items()}
-    return SimResult(t=t, y=y, v=v, refs=refs, errors=errors,
+    regulated = {i: (y if kind == "output" else v)[i]
+                 for i, kind in cl.err_kind.items()}
+    return SimResult(t=t, y=y, v=v, refs=refs, regulated=regulated,
                      regime=cl.regime, dt=float(dt), store_every=s,
                      _loop=(step, x0))
 
@@ -451,7 +460,9 @@ def error_metrics(result, window):
     """Per-node max/RMS error over the trailing window plus a decay flag.
 
     The decay flag is true when the trailing-window max is below the
-    leading-window max (same width at the start of the run).
+    leading-window max (same width at the start of the run).  Only the
+    errors of the two windows are formed, one node at a time: the result's
+    ``errors`` are not read, so an unread result stays without them.
 
     Raises
     ------
@@ -470,11 +481,12 @@ def error_metrics(result, window):
     if first == t.size or stop == 0:
         raise EmptyWindow("window contains no stored samples")
     metrics = {}
-    for node_id, err in result.errors.items():
-        # contiguous, so the mean sums in the order of a row-major copy
-        trail = np.ascontiguousarray(err[:, first:])
+    for node_id, reg in result.regulated.items():
+        ref = result.refs[node_id]
+        # row-major, so the mean sums in the order of a row-major copy
+        trail = np.subtract(reg[:, first:], ref[:, first:], order="C")
         tmax = float(np.abs(trail).max(initial=0.0))
-        lmax = float(np.abs(err[:, :stop]).max(initial=0.0))
+        lmax = float(np.abs(reg[:, :stop] - ref[:, :stop]).max(initial=0.0))
         rms = float(np.sqrt(np.mean(trail ** 2)))
         metrics[node_id] = NodeMetrics(max_error=tmax, rms_error=rms,
                                        decayed=bool(tmax < lmax))

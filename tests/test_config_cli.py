@@ -590,7 +590,10 @@ def _is_tie(value):
 def test_format_rows_certifies_all_but_ties():
     """Only values the scaling cannot certify leave the fast path: of the
     finite values in its range, exactly the ties."""
-    from coopnet._g17 import _digits, _tables
+    from coopnet._g17 import RowFormatter
+
+    def _digits(x):
+        return RowFormatter(1, x.size)._digits(x)
 
     rng = np.random.default_rng(5)
     x = np.concatenate([
@@ -598,9 +601,9 @@ def test_format_rows_certifies_all_but_ties():
         np.geomspace(1e-280, 1e280, 20000), [0.0, -0.0, 2.0 ** -25]])
     ties = np.array([_is_tie(v) for v in x])
     assert 0 < ties.sum() < 100
-    assert np.array_equal(_digits(x, _tables()[0])[2], ~ties)
+    assert np.array_equal(_digits(x)[2], ~ties)
     outside = [np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300]
-    assert not _digits(np.array(outside), _tables()[0])[2].any()
+    assert not _digits(np.array(outside))[2].any()
 
 
 def test_write_csv_mixes_fast_and_fallback_rows(tmp_path):
@@ -858,6 +861,45 @@ def test_formatter_tables_are_built_on_first_use():
          "g._tables.cache_info().currsize)"],
         capture_output=True, text=True, env=_child_env(), timeout=300)
     assert proc.stdout.split() == ["False", "0"], proc.stderr
+
+
+# builds a 200,001-sample result of three nodes (13 CSV columns) without
+# freeing a large array, so glibc's mmap and trim thresholds keep their
+# defaults, then prints the minor page faults of writing it as CSV
+_CSV_FAULTS = (
+    "import resource, sys\n"
+    "import numpy as np\n"
+    "from coopnet.cli import write_csv\n"
+    "from coopnet.sim import SimResult\n"
+    "t = np.arange(200_001, dtype=float)\n"
+    "t *= 5e-6\n"
+    "signals = np.empty((9, t.size))\n"
+    "for k, row in enumerate(signals):\n"
+    "    np.multiply(t, 100.0 * (k + 1), out=row)\n"
+    "    np.sin(row, out=row)\n"
+    "y, v, refs = ({i: signals[3 * j + i - 1:3 * j + i] for i in (1, 2, 3)}\n"
+    "              for j in range(3))\n"
+    "res = SimResult(t=t, y=y, v=v, refs=refs, regulated=v,\n"
+    "                regime='cooperation', dt=1e-6, store_every=5)\n"
+    "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+    "write_csv(sys.argv[1], res)\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the minor page faults of Linux")
+def test_write_csv_faults_its_buffers_in_once(tmp_path):
+    """In a fresh interpreter whose heap thresholds are at their defaults,
+    writing a 200,001 x 13 table faults in its block buffers once, not once
+    a block (about 120,000 faults when each block allocates its arrays)."""
+    path = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CSV_FAULTS, str(path)], capture_output=True,
+        text=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5000
+    with open(path, "rb") as fh:
+        assert sum(1 for _ in fh) == 200_002
 
 
 def _module_level_imports(tree):

@@ -20,6 +20,7 @@ from coopnet.scenarios import (
 )
 from coopnet.sim import (
     _STARTS_PER_PRODUCT,
+    NodeMetrics,
     _STATE_BLOCK,
     _block_width,
     _expm,
@@ -358,23 +359,50 @@ def test_states_are_formed_on_first_read(run):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_integrate_allocates_its_result_and_no_states():
-    """On the demo, integrate's traced peak is what its result keeps (the
-    signals, errors and grid, 13 of every sample's 19 state values) plus
-    under 1 %: no state buffer is formed, not even transiently."""
+def _traced(f):
+    """f() and the (kept, peak) bytes tracemalloc traces while it runs."""
     import tracemalloc
 
-    cl, x0, dt, t_end = _full_demo_run()
     tracemalloc.start()
     try:
-        res = integrate(cl, x0, t_end=t_end, dt=dt)
-        kept, peak = tracemalloc.get_traced_memory()
+        value = f()
+        return value, tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def test_integrate_allocates_its_result_and_no_states():
+    """On the demo, integrate's traced peak is what its result keeps (the
+    signals and the grid, 10 of every sample's 19 state values) plus under
+    1 %: no state buffer and no error array is formed, not even
+    transiently."""
+    cl, x0, dt, t_end = _full_demo_run()
+    res, (kept, peak) = _traced(lambda: integrate(cl, x0, t_end=t_end, dt=dt))
     state_bytes = cl.n_states * res.t.size * 8
     assert peak <= 1.01 * kept
     assert peak < 0.7 * state_bytes
-    assert "states" not in res.__dict__
+    assert "states" not in res.__dict__ and "errors" not in res.__dict__
+
+
+def test_error_metrics_form_only_their_windows():
+    """On an unread demo result, error_metrics over a 0.1 s window of the
+    1 s run peaks below one node's full error row."""
+    cl, x0, dt, t_end = _full_demo_run()
+    res = integrate(cl, x0, t_end=t_end, dt=dt)
+    _, (_, peak) = _traced(lambda: error_metrics(res, window=0.1))
+    assert peak < res.t.size * 8
+    assert "errors" not in res.__dict__
+
+
+def test_first_errors_read_allocates_the_errors():
+    """The first read of ``errors`` allocates the N p T doubles of the
+    errors, within 1 %, and keeps them."""
+    cl, x0, dt, t_end = _full_demo_run()
+    res = integrate(cl, x0, t_end=t_end, dt=dt)
+    _, (kept, peak) = _traced(lambda: res.errors)
+    error_bytes = len(cl.node_ids) * cl.p * res.t.size * 8
+    assert abs(kept - error_bytes) <= 0.01 * error_bytes
+    assert peak <= 1.01 * error_bytes
 
 
 def test_integrate_requires_matching_grid():
@@ -477,7 +505,9 @@ def test_stored_signals_are_the_maps_times_the_states(loop):
                               regulated - res.refs[node_id])
 
 
-@pytest.mark.parametrize("make, eps_hi, t_end, dt", [
+# the demo at its pinned gain, and one 5-node random network per regime at
+# half its boundary gain (below ``eps_hi``)
+_NETWORK_RUNS = pytest.mark.parametrize("make, eps_hi, t_end, dt", [
     (demo_power_network, None, 0.05, 1e-6),
     (lambda: random_network(0, n_nodes=5, m_edges=6, dims=3,
                             regime="tracking"), 10.0, 5.0, 1e-2),
@@ -489,23 +519,61 @@ def test_stored_signals_are_the_maps_times_the_states(loop):
                             regime="master_slave"), 10.0, 5.0, 1e-2)],
     ids=["demo", "tracking-0", "sync-100", "cooperation-200",
          "master_slave-300"])
+
+
+def _run_gain(scn, eps_hi):
+    """The pinned gain without a ceiling, else half the boundary gain."""
+    if eps_hi is None:
+        return scn.eps
+    rz = realize(scn)
+    return epsilon_star(rz.network, rz.cset, rz.maps,
+                        eps_hi=eps_hi).eps_bisect / 2.0
+
+
+def _network_run(scn, eps, t_end, dt):
+    cl = realize(replace(scn, eps=eps)).cl
+    assert spectral_abscissa(cl.A_error) < 0
+    x0 = initial_state(cl, nu0=scn.nu0, eta0=scn.eta0, etabar0=scn.etabar0)
+    return cl, integrate(cl, x0, t_end=t_end, dt=dt)
+
+
+@_NETWORK_RUNS
+def test_errors_are_formed_on_first_read(make, eps_hi, t_end, dt):
+    """integrate keeps the regulated signals, not the errors.  The first
+    read of ``errors`` forms regulated minus reference bit for bit, and
+    later reads return the same arrays; error_metrics forms only its
+    windows, with the metrics of the full errors bit for bit."""
+    scn = make()
+    cl, res = _network_run(scn, _run_gain(scn, eps_hi), t_end, dt)
+    assert "errors" not in res.__dict__
+    window = 0.1 * t_end
+    metrics = error_metrics(res, window=window)
+    assert "errors" not in res.__dict__
+    errors = res.errors
+    assert res.errors is errors and list(errors) == list(cl.err_kind)
+    for i, kind in cl.err_kind.items():
+        want = (res.y if kind == "output" else res.v)[i] - res.refs[i]
+        assert errors[i].tobytes() == want.tobytes()
+        assert res.errors[i] is errors[i]
+    trail, lead = res.t >= res.t[-1] - window, res.t <= res.t[0] + window
+    for i, err in errors.items():
+        tail = err[:, trail]
+        tmax = float(np.abs(tail).max())
+        assert metrics[i] == NodeMetrics(
+            max_error=tmax, rms_error=float(np.sqrt(np.mean(tail ** 2))),
+            decayed=bool(tmax < np.abs(err[:, lead]).max()))
+
+
+@_NETWORK_RUNS
 def test_error_trajectories_survive_flips_and_relabelling(make, eps_hi,
                                                           t_end, dt):
     # flipping an edge negates its state and leaves every neighboring input
-    # alone; relabelling moves node i's trajectories to node i + 1.  The
-    # demo runs at its pinned gain, the others at half their boundary.
+    # alone; relabelling moves node i's trajectories to node i + 1
     scn = make()
-    eps = scn.eps
-    if eps_hi is not None:
-        rz = realize(scn)
-        eps = epsilon_star(rz.network, rz.cset, rz.maps,
-                           eps_hi=eps_hi).eps_bisect / 2.0
+    eps = _run_gain(scn, eps_hi)
 
     def errors(s):
-        cl = realize(replace(s, eps=eps)).cl
-        assert spectral_abscissa(cl.A_error) < 0
-        x0 = initial_state(cl, nu0=s.nu0, eta0=s.eta0, etabar0=s.etabar0)
-        return integrate(cl, x0, t_end=t_end, dt=dt).errors
+        return _network_run(s, eps, t_end, dt)[1].errors
 
     base = errors(scn)
     n = scn.n_nodes
@@ -679,11 +747,13 @@ def test_demo_command_references_are_the_stated_sinusoids():
 
 
 def _result_with_error(t, err):
+    """A result whose node 1 has the error ``err``: its regulated signal is
+    ``err`` and its reference zero, and err - 0.0 is err bit for bit."""
     from coopnet.sim import SimResult
 
-    err = np.atleast_2d(err)
-    zero = {1: err}
-    return SimResult(t=t, y=zero, v=zero, refs=zero, errors={1: err},
+    err = {1: np.atleast_2d(err)}
+    zero = {1: np.zeros_like(err[1])}
+    return SimResult(t=t, y=err, v=err, refs=zero, regulated=err,
                      regime="tracking", dt=float(t[1] - t[0]), store_every=1)
 
 
