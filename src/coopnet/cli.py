@@ -100,13 +100,15 @@ def write_csv(path, result):
 
     Columns: ``t`` then per node (node-major) ``y<i>_<k>``, ``v<i>_<k>``,
     ``ref<i>_<k>``, ``err<i>_<k>``; every value is written as C's
-    ``%.17g`` would write it, so the file round-trips losslessly.
+    ``%.17g`` would write it, so the file round-trips losslessly.  The
+    result's ``y``, ``v`` and ``errors`` are formed here when they have
+    not been read before.
     """
     # imported here: only the commands that write a CSV pay for it
     from ._g17 import RowFormatter
 
-    node_ids = sorted(result.y)
-    p = next(iter(result.y.values())).shape[0]
+    node_ids = sorted(result.regulated)
+    p = next(iter(result.regulated.values())).shape[0]
     header = ["t"]
     for i in node_ids:
         for tag in ("y", "v", "ref", "err"):
@@ -133,7 +135,8 @@ def write_csv(path, result):
 
 
 def write_plots(out_dir, result, base="run"):
-    """Three panels: errors over the run, trailing errors, trailing signals."""
+    """Three panels: errors over the run, trailing errors, and each node's
+    trailing regulated signal (``y`` or ``v``) against its reference."""
     t = result.t
     errors = {f"err{i}_{k + 1}": result.errors[i][k]
               for i in sorted(result.errors)
@@ -148,13 +151,14 @@ def write_plots(out_dir, result, base="run"):
         errors_tail, title="regulation errors (trailing window)",
         y_label="error"))
     signals = {}
-    for i in sorted(result.v):
-        for k in range(result.v[i].shape[0]):
-            signals[f"v{i}_{k + 1}"] = result.v[i][k][tail]
+    for i in sorted(result.regulated):
+        tag = "y" if result.err_kind[i] == "output" else "v"
+        for k in range(result.regulated[i].shape[0]):
+            signals[f"{tag}{i}_{k + 1}"] = result.regulated[i][k][tail]
             signals[f"ref{i}_{k + 1}"] = result.refs[i][k][tail]
     paths.append(svg.line_chart(
         os.path.join(out_dir, f"{base}_signals_tail.svg"), t[tail], signals,
-        title="neighboring inputs vs references (trailing window)",
+        title="regulated signals vs references (trailing window)",
         y_label="signal"))
     return paths
 

@@ -10,11 +10,13 @@ M Phi^i for i < w, steps only the block-start states x_{bw} =
 Phi^{w b} x_0, and forms the signal samples as matrix products of the
 starts with the table, laid out sample by sample.  With w about
 sqrt(samples / rows of M) the table and the starts each hold about
-sqrt(samples) vectors, so the signals are the only large array.  The
-state samples of a run are formed from Phi only when ``SimResult.states``
-is first read.  Each error is a regulated signal minus its reference; a
-run keeps the regulated signals (views of the others), and the errors are
-formed when ``SimResult.errors`` is first read, like the states.
+sqrt(samples) vectors, so the signals are the only large array.
+
+A run stores two signals per node: the one it regulates (its output or its
+neighboring input) and its reference.  Everything else is formed from them
+or from the run's one-step map when ``SimResult`` is first asked for it:
+the errors (regulated minus reference), the outputs ``y`` and neighboring
+inputs ``v`` of the nodes that do not regulate them, and the states.
 """
 
 from dataclasses import dataclass, field
@@ -42,7 +44,11 @@ _STATE_BLOCK = 64
 #: memory by 2 MB
 _STARTS_PER_PRODUCT = 256
 
-#: most samples ``integrate`` stores when ``store_every`` is not given
+#: most intervals between the samples ``integrate`` stores when
+#: ``store_every`` is not given, so at most MAX_STORED + 1 samples: it
+#: stores every s-th step for the smallest divisor s of the step count at
+#: or above steps / MAX_STORED, and rejects a step count whose only such
+#: divisor is the step count itself
 MAX_STORED = 200_000
 
 
@@ -50,29 +56,34 @@ MAX_STORED = 200_000
 class SimResult:
     """Stored trajectories of one closed-loop run.
 
-    ``y``, ``v``, ``refs`` and ``regulated`` are per-node p x T arrays on
-    the uniform stored grid ``t``, keyed by 1-based node id; ``y``, ``v``
-    and ``refs`` are views of one sample-major signal array.  ``regulated``
-    holds each node's regulated signal (``y`` for tracking/sync/master
-    nodes, ``v`` for cooperation/slave nodes; views of them).
+    ``regulated`` and ``refs`` are per-node p x T arrays on the uniform
+    stored grid ``t``, keyed by 1-based node id in the order of the
+    closed loop's map rows, and views of one sample-major signal array:
+    each node's regulated signal and its reference.  ``err_kind`` names
+    what each node regulates, ``"output"`` (tracking/sync/master nodes)
+    or ``"input"`` (cooperation/slave nodes).
 
-    ``errors`` (regulated minus reference, per node) and ``states``
-    (n_total x T) are not formed by :func:`integrate`: each is formed on
-    its first read, and later reads return the same arrays.  The states
-    are stepped by the run's one-step map e^{A dt store_every} from its
-    initial state (:func:`_state_samples`); a result built without a run
-    (no ``_loop``) has no states.
+    Nothing else is formed by :func:`integrate`.  Each of the following is
+    formed on its first read, and later reads return the same arrays:
+    ``errors`` (regulated minus reference, per node); ``y`` and ``v``,
+    each node's output and neighboring input, where a node regulating
+    that signal gives its ``regulated`` array itself and the other nodes'
+    rows are observed in one pass over the run; and ``states``
+    (n_total x T), stepped by the run's one-step map e^{A dt store_every}
+    from its initial state (:func:`_state_samples`).  A result built
+    without a run (no ``_loop``) has no states, and only the ``y`` or
+    ``v`` that every node regulates.
     """
 
     t: np.ndarray
-    y: dict
-    v: dict
-    refs: dict
     regulated: dict
+    refs: dict
+    err_kind: dict
     regime: str
     dt: float
     store_every: int
-    #: (one-step map, initial state) of the run, which ``states`` steps
+    #: (one-step map, initial state, output maps by ``err_kind`` value) of
+    #: the run, which ``states``, ``y`` and ``v`` observe
     _loop: tuple = field(default=None, repr=False)
 
     @property
@@ -84,11 +95,37 @@ class SimResult:
         return {i: reg - self.refs[i] for i, reg in self.regulated.items()}
 
     @cached_property
+    def y(self):
+        return self._signal("output")
+
+    @cached_property
+    def v(self):
+        return self._signal("input")
+
+    @cached_property
     def states(self):
+        step, x0, _ = self._checked_loop()
+        return _state_samples(step, x0, self.t.size - 1)
+
+    def _checked_loop(self):
         if self._loop is None:
             raise AttributeError("this result carries no closed loop")
-        step, x0 = self._loop
-        return _state_samples(step, x0, self.t.size - 1)
+        return self._loop
+
+    def _signal(self, kind):
+        """Each node's ``kind`` signal: a node regulating it gives its
+        ``regulated`` array, and the others' rows are observed together."""
+        ids = list(self.err_kind)
+        others = [k for k, i in enumerate(ids) if self.err_kind[i] != kind]
+        rows = {}
+        if others:
+            step, x0, maps = self._checked_loop()
+            out = maps[kind].reshape(len(ids), -1, x0.size)[others]
+            samples = _observe_run(step, out.reshape(-1, x0.size), x0,
+                                   self.t.size - 1, self.store_every)
+            rows = dict(zip((ids[k] for k in others),
+                            samples.T.reshape(out.shape[:2] + (-1,))))
+        return {i: rows[i] if i in rows else self.regulated[i] for i in ids}
 
 
 #: numerator coefficients of the [13/13] Padé approximant of e^x
@@ -157,11 +194,16 @@ def _pick_store_every(n_steps, store_every):
                 "store_every", f"must be a whole number dividing the "
                 f"{n_steps} steps")
         return int(s)
-    target = max(1, int(np.ceil(n_steps / MAX_STORED)))
-    for s in range(min(target, n_steps), 0, -1):
-        if n_steps % s == 0:
-            return s
-    return 1
+    target = -(-n_steps // MAX_STORED)
+    # divisors come in pairs (k, n / k) with k up to sqrt(n)
+    s = min(d for k in range(1, int(n_steps ** 0.5) + 2) if n_steps % k == 0
+            for d in (k, n_steps // k) if d >= target)
+    if s == n_steps > MAX_STORED:
+        raise ValidationError(
+            "t_end", f"its {n_steps} steps have no divisor from {target} to "
+            f"{n_steps - 1} that stores at most {MAX_STORED + 1} samples; "
+            f"change t_end or dt, or set simulation.store_every")
+    return s
 
 
 def _block_width(n, r):
@@ -239,6 +281,16 @@ def _raise_first_non_finite(step, starts, samples, w, lo, hi, n):
                 raise NonFiniteState(j)
 
 
+def _observe_run(step, out, x0, n, every):
+    """Signals ``out`` of one run from the state ``x0`` (:func:`_observe`),
+    as an (n + 1, r) array, with NonFiniteState naming the integration
+    step: a stored sample is ``every`` steps."""
+    try:
+        return _observe(step, out, x0[:, None], n)[0]
+    except NonFiniteState as exc:
+        raise NonFiniteState(exc.step * every) from None
+
+
 def _state_samples(step, x0, n):
     """x_j = step^j x0 for j = 0..n, as an n_x x (n + 1) view of a
     sample-major buffer.  The first w = ``_STATE_BLOCK`` samples are
@@ -260,14 +312,19 @@ def _state_samples(step, x0, n):
 def integrate(cl, x0, t_end, dt, store_every=None):
     """Sample the closed loop from ``x0`` every ``dt`` up to ``t_end``.
 
-    Samples are stored every ``store_every`` steps (chosen automatically to
-    cap storage when omitted; a whole number dividing the step count).
+    Samples are stored every ``store_every`` steps (a whole number dividing
+    the step count; when omitted, the smallest divisor that stores at most
+    ``MAX_STORED + 1`` samples).
     They are exact to rounding on any grid: each is e^{A dt store_every}
-    times the last.  Only the signals are formed (see :func:`_observe`);
-    the states are formed when the result's ``states`` is first read.
+    times the last.  Only each node's regulated signal and reference are
+    formed (see :func:`_observe`); the rest of :class:`SimResult` is formed
+    when it is first read.
 
     Raises
     ------
+    ValidationError
+        Naming ``t_end`` when ``store_every`` is omitted and no divisor
+        but the step count itself caps the stored samples.
     UnstableLoop
         If the error system has a growing mode (spectral abscissa of
         ``A_error`` above ``STABILITY_TOL``); marginal loops integrate.
@@ -292,23 +349,21 @@ def integrate(cl, x0, t_end, dt, store_every=None):
             f"the stable coupling gains with `coopnet eps`")
     s = _pick_store_every(n_steps, store_every)
     n_stored = n_steps // s
-    maps = np.vstack([cl.y_map, cl.v_map, cl.ref_map])
+    ids, kinds = cl.node_ids, cl.err_kind
+    maps = {"output": cl.y_map, "input": cl.v_map}
+    rows = [maps[kinds[i]][k * cl.p:(k + 1) * cl.p] for k, i in enumerate(ids)]
     step = _expm(cl.A_full * (dt * s))
-    try:
-        signals = _observe(step, maps, x0[:, None], n_stored)[0]
-    except NonFiniteState as exc:
-        raise NonFiniteState(exc.step * s) from None
+    signals = _observe_run(step, np.vstack(rows + [cl.ref_map]), x0,
+                           n_stored, s)
     # a float grid scaled in place: no integer grid is made and freed
     t = np.arange(n_stored + 1, dtype=float)
     t *= dt * s
-    y, v, refs = (
-        dict(zip(cl.node_ids, block))
-        for block in signals.T.reshape(3, len(cl.node_ids), cl.p, -1))
-    regulated = {i: (y if kind == "output" else v)[i]
-                 for i, kind in cl.err_kind.items()}
-    return SimResult(t=t, y=y, v=v, refs=refs, regulated=regulated,
+    regulated, refs = (
+        dict(zip(ids, block))
+        for block in signals.T.reshape(2, len(ids), cl.p, -1))
+    return SimResult(t=t, regulated=regulated, refs=refs, err_kind=kinds,
                      regime=cl.regime, dt=float(dt), store_every=s,
-                     _loop=(step, x0))
+                     _loop=(step, x0, maps))
 
 
 def initial_state(cl, nu0=None, eta0=None, etabar0=None):

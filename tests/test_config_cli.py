@@ -426,6 +426,78 @@ def test_demo_charts_match_the_per_point_polylines(tmp_path, monkeypatch):
             (tmp_path / "ref" / name).read_bytes(), name
 
 
+def _signals_panel(monkeypatch, argv):
+    """The title and series names of the trailing signals panel that
+    ``main(argv)`` draws."""
+    panels = {}
+    real = svg.line_chart
+
+    def keep(path, t, series, title="", y_label=""):
+        panels[os.path.basename(path)] = title, list(series)
+        return real(path, t, series, title=title, y_label=y_label)
+
+    monkeypatch.setattr(svg, "line_chart", keep)
+    main(argv)
+    panel, = (v for k, v in panels.items() if k.endswith("_signals_tail.svg"))
+    return panel
+
+
+def test_signals_panel_draws_each_regulated_signal(tmp_path, monkeypatch):
+    """Each node's regulated signal against its reference: the demo's
+    slaves 1 and 2 regulate their neighboring inputs and master 3 its
+    output; every node of a tracking network regulates its output."""
+    title, names = _signals_panel(monkeypatch, [
+        "demo", "--t-end", "0.02", "--out", str(tmp_path / "demo"),
+        "--emit", "csv+svg"])
+    assert title == "regulated signals vs references (trailing window)"
+    assert names == ["v1_1", "ref1_1", "v2_1", "ref2_1", "y3_1", "ref3_1"]
+    from dataclasses import replace
+
+    from coopnet.scenarios import realize
+
+    scn = replace(random_network(seed=3, regime="tracking"), dt=1e-2,
+                  t_end=2.0)
+    cfg = tmp_path / "scn.cfg"
+    cfg.write_text(format_config(scn))
+    cl = realize(scn).cl
+    _, names = _signals_panel(monkeypatch, [
+        "simulate", "--config", str(cfg), "--out", str(tmp_path / "track"),
+        "--emit", "csv+svg"])
+    assert names == [f"{tag}{i}_{k + 1}" for i in cl.node_ids
+                     for k in range(cl.p) for tag in ("y", "ref")]
+
+
+def test_cli_demo_prime_step_count_above_the_cap_exits_3(capsys):
+    """0.999983 s of 1 us steps: 999,983 steps, a prime, so no grid of
+    whole steps keeps the stored-sample cap."""
+    assert main(["demo", "--t-end", "0.999983"]) == 3
+    err = capsys.readouterr().err
+    assert "t_end: its 999983 steps" in err
+    assert "simulation.store_every" in err
+
+
+def test_cli_demo_keeps_two_signals_per_node(capsys):
+    """The traced peak of ``coopnet demo`` stays below 0.8 of what the
+    run's 3 N p signal rows and its grid would take: it keeps each node's
+    regulated signal and reference, 2 N p rows."""
+    import tracemalloc
+
+    from coopnet.scenarios import realize
+    from coopnet.sim import _pick_store_every
+
+    scn = demo_power_network()
+    cl = realize(scn).cl
+    n_steps = round(scn.t_end / scn.dt)
+    samples = n_steps // _pick_store_every(n_steps, None) + 1
+    tracemalloc.start()
+    try:
+        assert main(["demo"]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * (3 * len(cl.node_ids) * cl.p + 1) * samples * 8
+
+
 def test_cli_demo_short_horizon_fails_threshold(capsys):
     code = main(["demo", "--t-end", "0.02"])
     out = capsys.readouterr().out
@@ -510,7 +582,7 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     sig[1][0, :4] = [0.0, -0.0, np.inf, np.nan]
     res = SimpleNamespace(
         t=np.linspace(0.0, 1.0, n_rows), y=sig, v=sig, refs=sig,
-        errors=sig)
+        errors=sig, regulated=sig)
     path = write_csv(tmp_path / "x.csv", res)
     cols = [res.t] + [sig[i][k] for i in (1, 2) for _ in range(4)
                       for k in range(2)]
@@ -621,7 +693,7 @@ def test_write_csv_mixes_fast_and_fallback_rows(tmp_path):
                            n_rows - 1), odd):
         sig[1][0, row] = value
     res = SimpleNamespace(t=np.linspace(0.0, 1.0, n_rows), y=sig, v=sig,
-                          refs=sig, errors=sig)
+                          refs=sig, errors=sig, regulated=sig)
     path = write_csv(tmp_path / "x.csv", res)
     rows = np.column_stack([res.t] + [sig[1][0]] * 4)
     with open(path, "rb") as fh:
@@ -863,24 +935,27 @@ def test_formatter_tables_are_built_on_first_use():
     assert proc.stdout.split() == ["False", "0"], proc.stderr
 
 
-# builds a 200,001-sample result of three nodes (13 CSV columns) without
-# freeing a large array, so glibc's mmap and trim thresholds keep their
-# defaults, then prints the minor page faults of writing it as CSV
+# integrates a 200,001-sample run of three cooperation nodes (13 CSV
+# columns; each node's output, neighboring input and reference are the
+# sine, the cosine and a mix of one oscillator) without freeing a large
+# array, so glibc's mmap and trim thresholds keep their defaults, then
+# prints the minor page faults of writing it as CSV, which forms the
+# outputs and the errors of the run
 _CSV_FAULTS = (
     "import resource, sys\n"
+    "from types import SimpleNamespace\n"
     "import numpy as np\n"
     "from coopnet.cli import write_csv\n"
-    "from coopnet.sim import SimResult\n"
-    "t = np.arange(200_001, dtype=float)\n"
-    "t *= 5e-6\n"
-    "signals = np.empty((9, t.size))\n"
-    "for k, row in enumerate(signals):\n"
-    "    np.multiply(t, 100.0 * (k + 1), out=row)\n"
-    "    np.sin(row, out=row)\n"
-    "y, v, refs = ({i: signals[3 * j + i - 1:3 * j + i] for i in (1, 2, 3)}\n"
-    "              for j in range(3))\n"
-    "res = SimResult(t=t, y=y, v=v, refs=refs, regulated=v,\n"
-    "                regime='cooperation', dt=1e-6, store_every=5)\n"
+    "from coopnet.sim import integrate\n"
+    "a = np.zeros((6, 6))\n"
+    "a[[0, 2, 4], [1, 3, 5]] = [-100.0, -200.0, -300.0]\n"
+    "a[[1, 3, 5], [0, 2, 4]] = [100.0, 200.0, 300.0]\n"
+    "cos, sin = np.eye(6)[0::2], np.eye(6)[1::2]\n"
+    "cl = SimpleNamespace(\n"
+    "    A_full=a, A_error=a, n_states=6, eps=1.0, regime='cooperation',\n"
+    "    node_ids=(1, 2, 3), p=1, err_kind=dict.fromkeys((1, 2, 3), 'input'),\n"
+    "    y_map=sin, v_map=cos, ref_map=sin + 0.5 * cos)\n"
+    "res = integrate(cl, np.tile([1.0, 0.0], 3), t_end=1.0, dt=1e-6)\n"
     "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
     "write_csv(sys.argv[1], res)\n"
     "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
@@ -891,7 +966,8 @@ _CSV_FAULTS = (
 def test_write_csv_faults_its_buffers_in_once(tmp_path):
     """In a fresh interpreter whose heap thresholds are at their defaults,
     writing a 200,001 x 13 table faults in its block buffers once, not once
-    a block (about 120,000 faults when each block allocates its arrays)."""
+    a block (about 120,000 faults when each block allocates its arrays),
+    also when it forms outputs and errors the run has not formed."""
     path = tmp_path / "x.csv"
     proc = subprocess.run(
         [sys.executable, "-c", _CSV_FAULTS, str(path)], capture_output=True,

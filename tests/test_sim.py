@@ -20,11 +20,13 @@ from coopnet.scenarios import (
 )
 from coopnet.sim import (
     _STARTS_PER_PRODUCT,
+    MAX_STORED,
     NodeMetrics,
     _STATE_BLOCK,
     _block_width,
     _expm,
     _observe,
+    _pick_store_every,
     error_metrics,
     initial_state,
     integrate,
@@ -227,8 +229,9 @@ def _non_finite_step(store_every, bad, dt=1e-4, t_end=0.3):
 
 
 def _signal_width(n_steps, store_every):
-    # the block width of integrate's kernel for _Plain's three signals
-    return _block_width(n_steps // store_every, 3)
+    # the block width of integrate's kernel for _Plain's two signals, the
+    # regulated one and the reference
+    return _block_width(n_steps // store_every, 2)
 
 
 @pytest.mark.parametrize("store_every", [1, 3])
@@ -248,14 +251,41 @@ def test_non_finite_step_is_exact_at_a_block_start(store_every):
 
 @pytest.mark.parametrize("store_every", [1, 3])
 def test_non_finite_step_is_exact_in_a_later_product(store_every):
-    # 30,000 stored samples make more block starts than one product takes;
+    # 40,000 stored samples make more block starts than one product takes;
     # the overflow lands inside a block of the second product
     dt = 1e-5 / store_every
-    width = _signal_width(30_000 * store_every, store_every)
-    blocks = -(-30_001 // width)
+    width = _signal_width(40_000 * store_every, store_every)
+    blocks = -(-40_001 // width)
     assert blocks > _STARTS_PER_PRODUCT + 20
     bad = width * (_STARTS_PER_PRODUCT + 20) + width // 2
-    assert _non_finite_step(store_every, bad, dt=dt) == bad * store_every
+    assert _non_finite_step(store_every, bad, dt=dt, t_end=0.4) == \
+        bad * store_every
+
+
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_non_finite_unformed_row_names_the_step_integrate_names(store_every):
+    """A gain that overflows the neighboring input, not the state, first
+    at stored sample ``bad``: integrate keeps the finite output, and the
+    first read of ``v`` names the step that integrate names when the
+    neighboring input is the regulated signal."""
+    dt, bad, a = 1e-4, 700, [[-1.0, 1e6], [0.0, -1.0]]
+    r_s = scipy.linalg.expm(np.array(a) * (dt * store_every))
+    x = np.array([0.0, 1.0])
+    for _ in range(bad):
+        x = r_s @ x
+    gain = np.finfo(float).max / x[0] * (1.0 + 1e-6)
+    lazy, regulated = _Plain(a), _Plain(a)
+    lazy.y_map = np.array([[1.0, 0.0]])
+    lazy.v_map = regulated.v_map = np.array([[gain, 0.0]])
+    regulated.err_kind = {1: "input"}
+    x0 = np.array([0.0, 1.0])
+    res = integrate(lazy, x0, t_end=0.3, dt=dt, store_every=store_every)
+    assert np.isfinite(res.y[1]).all()
+    with pytest.raises(NonFiniteState) as unformed:
+        res.v
+    with pytest.raises(NonFiniteState) as stored:
+        integrate(regulated, x0, t_end=0.3, dt=dt, store_every=store_every)
+    assert unformed.value.step == stored.value.step == bad * store_every
 
 
 @pytest.fixture(scope="module")
@@ -372,16 +402,36 @@ def _traced(f):
 
 
 def test_integrate_allocates_its_result_and_no_states():
-    """On the demo, integrate's traced peak is what its result keeps (the
-    signals and the grid, 10 of every sample's 19 state values) plus under
-    1 %: no state buffer and no error array is formed, not even
+    """On the demo, integrate's traced peak is what its result keeps (two
+    signal rows per node, its regulated signal and its reference, and the
+    grid: 7 of every sample's 19 state values) plus under 1 %: no state
+    buffer, no unregulated signal and no error array is formed, not even
     transiently."""
     cl, x0, dt, t_end = _full_demo_run()
     res, (kept, peak) = _traced(lambda: integrate(cl, x0, t_end=t_end, dt=dt))
     state_bytes = cl.n_states * res.t.size * 8
     assert peak <= 1.01 * kept
     assert peak < 0.7 * state_bytes
-    assert "states" not in res.__dict__ and "errors" not in res.__dict__
+    assert not {"states", "errors", "y", "v"} & set(res.__dict__)
+
+
+@pytest.mark.parametrize("n_steps, every", [
+    (200_000, 1), (10 ** 6, 5), (1_000_001, 101), (2 * 10 ** 6, 10),
+    (8 * 10 ** 6, 40)])
+def test_default_store_every_keeps_the_cap(n_steps, every):
+    """The smallest divisor of the step count at or above steps /
+    MAX_STORED: 1,000,001 = 101 x 9,901 steps store 9,902 samples."""
+    assert _pick_store_every(n_steps, None) == every
+    assert n_steps // every <= MAX_STORED
+
+
+def test_prime_step_count_above_the_cap_names_t_end():
+    """999,983 steps are prime: no grid of whole steps but the two ends
+    keeps the cap, and the error points at simulation.store_every."""
+    with pytest.raises(ValidationError,
+                       match=r"^t_end: its 999983 steps .*store_every"):
+        _pick_store_every(999_983, None)
+    assert _pick_store_every(999_983, 1) == 1
 
 
 def test_error_metrics_form_only_their_windows():
@@ -562,6 +612,41 @@ def test_errors_are_formed_on_first_read(make, eps_hi, t_end, dt):
         assert metrics[i] == NodeMetrics(
             max_error=tmax, rms_error=float(np.sqrt(np.mean(tail ** 2))),
             decayed=bool(tmax < np.abs(err[:, lead]).max()))
+
+
+@_NETWORK_RUNS
+def test_outputs_and_inputs_are_formed_on_first_read(make, eps_hi, t_end,
+                                                     dt):
+    """integrate keeps each node's regulated signal and reference only.
+    The first read of ``y`` or ``v`` gives a node regulating that signal
+    its ``regulated`` array itself, and the other nodes' rows equal a
+    direct observation of their map rows; reading ``v`` before ``y``
+    gives the same arrays."""
+    scn = make()
+    eps = _run_gain(scn, eps_hi)
+    cl, res = _network_run(scn, eps, t_end, dt)
+    assert not {"y", "v"} & set(res.__dict__)
+    step = _expm(cl.A_full * (dt * res.store_every))
+    x0 = initial_state(cl, nu0=scn.nu0, eta0=scn.eta0, etabar0=scn.etabar0)
+    p = cl.p
+    for name, kind, gains in (("y", "output", cl.y_map),
+                              ("v", "input", cl.v_map)):
+        signals = getattr(res, name)
+        assert getattr(res, name) is signals
+        assert list(signals) == list(cl.node_ids)
+        for k, i in enumerate(cl.node_ids):
+            if cl.err_kind[i] == kind:
+                assert signals[i] is res.regulated[i]
+                continue
+            want = _observe(step, gains[k * p:(k + 1) * p], x0[:, None],
+                            res.t.size - 1)[0].T
+            assert np.abs(signals[i] - want).max() <= \
+                1e-13 * np.abs(want).max()
+    _, other = _network_run(scn, eps, t_end, dt)
+    v, y = other.v, other.y
+    for i in cl.node_ids:
+        assert v[i].tobytes() == res.v[i].tobytes()
+        assert y[i].tobytes() == res.y[i].tobytes()
 
 
 @_NETWORK_RUNS
@@ -753,7 +838,7 @@ def _result_with_error(t, err):
 
     err = {1: np.atleast_2d(err)}
     zero = {1: np.zeros_like(err[1])}
-    return SimResult(t=t, y=err, v=err, refs=zero, regulated=err,
+    return SimResult(t=t, regulated=err, refs=zero, err_kind={1: "output"},
                      regime="tracking", dt=float(t[1] - t[0]), store_every=1)
 
 
