@@ -34,6 +34,8 @@ BUILTIN_SCENARIOS = {
 DEMO_ERR_THRESHOLD = 1e-2
 #: metrics window of the demo report, seconds
 DEMO_WINDOW = 0.1
+#: horizon at which the demo's checks pass at its pinned gain, seconds
+DEMO_PASSING_HORIZON = 8.0
 #: rows formatted per write in :func:`write_csv`.  Writing the demo's
 #: 200,001 x 13 table, each time in a fresh process after the demo's run
 #: (fastest and median of 9 passes, 2-core x86 host, one BLAS thread),
@@ -252,8 +254,7 @@ def cmd_simulate(args):
     rz = scenarios.realize(scn)
     x0 = initial_state(rz.cl, nu0=scn.nu0, eta0=scn.eta0,
                        etabar0=scn.etabar0)
-    result = integrate(rz.cl, x0, t_end=scn.t_end, dt=scn.dt,
-                       store_every=scn.store_every)
+    result = integrate(rz.cl, x0, t_end=scn.t_end, dt=scn.dt)
     t = result.t
     # at least two stored steps, at most the stored horizon
     window = min(max(0.1 * scn.t_end, 2 * (t[1] - t[0])), t[-1] - t[0])
@@ -291,9 +292,10 @@ def _load_golden():
 
 def cmd_demo(args):
     scn = scenarios.demo_power_network()
+    pinned_gain = getattr(args, "eps", None) in (None, scn.eps)
     pinned = (getattr(args, "dt", None) in (None, scn.dt) and
               getattr(args, "t_end", None) in (None, scn.t_end) and
-              getattr(args, "eps", None) in (None, scn.eps))
+              pinned_gain)
     scn = _apply_overrides(scn, args)
     # realize raises AssumptionFailed (exit 1) when any check fails
     rz = scenarios.realize(scn)
@@ -352,10 +354,12 @@ def cmd_demo(args):
             for path in write_plots(args.out, result, base="demo"):
                 print(f"wrote {path}")
     if not ok:
+        # a longer horizon is known to pass only at the pinned gain
+        hint = (f"; try --t-end {DEMO_PASSING_HORIZON:g}"
+                if pinned_gain and scn.t_end < DEMO_PASSING_HORIZON else "")
         print(f"demo checks FAILED (see lines above; the trailing error at "
               f"the {scn.t_end:g} s horizon is dominated by the slowest "
-              f"error mode {absc:.4f} +/- {abs(mode.imag):.2f}j; "
-              f"try --t-end 8)")
+              f"error mode {absc:.4f} +/- {abs(mode.imag):.2f}j{hint})")
         return 2
     print("demo checks passed")
     return 0

@@ -23,15 +23,15 @@ _EXO_KEYS = {"S", "Q_eta", "Q_v", "P_eta"}
 _NODE_KEYS = {"A", "B", "C", "D", "ground"}
 _CTRL_KEYS = {"K_x", "K_zeta", "G1", "G2", "synthesize"}
 _EDGE_KEYS = {"E", "F", "G"}
-_SIM_KEYS = {"dt", "t_end", "store_every"}
+_SIM_KEYS = {"dt", "t_end"}
 _TOPO_KEYS = {"H"}
 _REF_RE = re.compile(r"^(nu|eta|etabar)(\d+)$")
 
 
-def _parse_number(text, field, kind=float):
-    """One finite ``kind`` value, else ValidationError naming ``field``."""
+def _parse_number(text, field):
+    """One finite float, else ValidationError naming ``field``."""
     try:
-        val = kind(text)
+        val = float(text)
     except ValueError as exc:
         raise ValidationError(field, f"bad number {text!r}") from exc
     if not np.isfinite(val):
@@ -271,10 +271,9 @@ def parse_config(text):
             vec = _parse_matrix(value, f"references.{key}").ravel()
             {"nu": nu0, "eta": eta0, "etabar": etabar0}[kind][idx] = vec
 
-    sim = {"dt": 1e-3, "t_end": 1.0, "store_every": None}
+    sim = {"dt": 1e-3, "t_end": 1.0}
     for key, (value, _) in (sim_kv or {}).items():
-        sim[key] = _parse_number(value, f"simulation.{key}",
-                                 int if key == "store_every" else float)
+        sim[key] = _parse_number(value, f"simulation.{key}")
 
     scn = Scenario(
         name=name, nodes=tuple(nodes), edges=tuple(edges),
@@ -336,6 +335,4 @@ def format_config(scn):
         lines += ["", "[references]"] + refs
     lines += ["", "[simulation]", f"dt = {scn.dt:.17g}",
               f"t_end = {scn.t_end:.17g}"]
-    if scn.store_every is not None:
-        lines.append(f"store_every = {scn.store_every}")
     return "\n".join(lines) + "\n"

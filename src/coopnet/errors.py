@@ -151,8 +151,9 @@ class UnstableLoop(NumericalFailure):
 
 
 class NonFiniteState(NumericalFailure):
-    """Simulation overflowed; carries the first bad step index."""
+    """Simulation overflowed; carries the index of the first stored sample
+    that is not finite."""
 
-    def __init__(self, step, message=""):
+    def __init__(self, step):
         self.step = step
-        super().__init__(message or f"non-finite state at step {step}")
+        super().__init__(f"non-finite state at stored sample {step}")

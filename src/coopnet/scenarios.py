@@ -48,7 +48,6 @@ class Scenario:
     etabar0: dict = field(default_factory=dict)
     dt: float = 1e-3
     t_end: float = 1.0
-    store_every: int = None
 
     @property
     def n_nodes(self):

@@ -12,11 +12,13 @@ starts with the table, laid out sample by sample.  With w about
 sqrt(samples / rows of M) the table and the starts each hold about
 sqrt(samples) vectors, so the signals are the only large array.
 
-A run stores two signals per node: the one it regulates (its output or its
-neighboring input) and its reference.  Everything else is formed from them
-or from the run's one-step map when ``SimResult`` is first asked for it:
-the errors (regulated minus reference), the outputs ``y`` and neighboring
-inputs ``v`` of the nodes that do not regulate them, and the states.
+A run of any whole number of steps is stored on one uniform grid of at
+most ``MAX_STORED`` intervals (:func:`integrate`).  It stores two signals
+per node: the one it regulates (its output or its neighboring input) and
+its reference.  Everything else is formed from them or from the run's
+one-step map when ``SimResult`` is first asked for it: the errors
+(regulated minus reference), the outputs ``y`` and neighboring inputs
+``v`` of the nodes that do not regulate them, and the states.
 """
 
 from dataclasses import dataclass, field
@@ -44,11 +46,10 @@ _STATE_BLOCK = 64
 #: memory by 2 MB
 _STARTS_PER_PRODUCT = 256
 
-#: most intervals between the samples ``integrate`` stores when
-#: ``store_every`` is not given, so at most MAX_STORED + 1 samples: it
-#: stores every s-th step for the smallest divisor s of the step count at
-#: or above steps / MAX_STORED, and rejects a step count whose only such
-#: divisor is the step count itself
+#: most intervals between the samples ``integrate`` stores, so at most
+#: MAX_STORED + 1 samples: a run of more steps stores ceil(steps / s)
+#: intervals for s = ceil(steps / MAX_STORED), more than MAX_STORED / 2
+#: of them, each s steps long when s divides the step count
 MAX_STORED = 200_000
 
 
@@ -69,26 +70,21 @@ class SimResult:
     each node's output and neighboring input, where a node regulating
     that signal gives its ``regulated`` array itself and the other nodes'
     rows are observed in one pass over the run; and ``states``
-    (n_total x T), stepped by the run's one-step map e^{A dt store_every}
-    from its initial state (:func:`_state_samples`).  A result built
-    without a run (no ``_loop``) has no states, and only the ``y`` or
-    ``v`` that every node regulates.
+    (n_total x T), stepped by the run's one-step map e^{A h}, for the grid
+    spacing h, from its initial state (:func:`_state_samples`).  A result
+    built without a run (no ``_loop``) has no states, and only the ``y``
+    or ``v`` that every node regulates.
     """
 
     t: np.ndarray
     regulated: dict
     refs: dict
     err_kind: dict
-    regime: str
-    dt: float
-    store_every: int
+    #: steps of the run per stored interval, steps / (t.size - 1)
+    store_every: float
     #: (one-step map, initial state, output maps by ``err_kind`` value) of
     #: the run, which ``states``, ``y`` and ``v`` observe
     _loop: tuple = field(default=None, repr=False)
-
-    @property
-    def t_end(self):
-        return float(self.t[-1])
 
     @cached_property
     def errors(self):
@@ -121,8 +117,8 @@ class SimResult:
         if others:
             step, x0, maps = self._checked_loop()
             out = maps[kind].reshape(len(ids), -1, x0.size)[others]
-            samples = _observe_run(step, out.reshape(-1, x0.size), x0,
-                                   self.t.size - 1, self.store_every)
+            samples = _observe(step, out.reshape(-1, x0.size), x0[:, None],
+                               self.t.size - 1)[0]
             rows = dict(zip((ids[k] for k in others),
                             samples.T.reshape(out.shape[:2] + (-1,))))
         return {i: rows[i] if i in rows else self.regulated[i] for i in ids}
@@ -184,26 +180,6 @@ def suggest_dt(cl):
     lam = np.linalg.eigvals(cl.A_full)
     fast = float(np.abs(lam).max(initial=0.0))
     return 0.1 / max(1.0, fast)
-
-
-def _pick_store_every(n_steps, store_every):
-    if store_every is not None:
-        s = store_every
-        if not (1 <= s < np.inf and s == int(s) and n_steps % int(s) == 0):
-            raise ValidationError(
-                "store_every", f"must be a whole number dividing the "
-                f"{n_steps} steps")
-        return int(s)
-    target = -(-n_steps // MAX_STORED)
-    # divisors come in pairs (k, n / k) with k up to sqrt(n)
-    s = min(d for k in range(1, int(n_steps ** 0.5) + 2) if n_steps % k == 0
-            for d in (k, n_steps // k) if d >= target)
-    if s == n_steps > MAX_STORED:
-        raise ValidationError(
-            "t_end", f"its {n_steps} steps have no divisor from {target} to "
-            f"{n_steps - 1} that stores at most {MAX_STORED + 1} samples; "
-            f"change t_end or dt, or set simulation.store_every")
-    return s
 
 
 def _block_width(n, r):
@@ -281,16 +257,6 @@ def _raise_first_non_finite(step, starts, samples, w, lo, hi, n):
                 raise NonFiniteState(j)
 
 
-def _observe_run(step, out, x0, n, every):
-    """Signals ``out`` of one run from the state ``x0`` (:func:`_observe`),
-    as an (n + 1, r) array, with NonFiniteState naming the integration
-    step: a stored sample is ``every`` steps."""
-    try:
-        return _observe(step, out, x0[:, None], n)[0]
-    except NonFiniteState as exc:
-        raise NonFiniteState(exc.step * every) from None
-
-
 def _state_samples(step, x0, n):
     """x_j = step^j x0 for j = 0..n, as an n_x x (n + 1) view of a
     sample-major buffer.  The first w = ``_STATE_BLOCK`` samples are
@@ -309,27 +275,29 @@ def _state_samples(step, x0, n):
     return rows.T
 
 
-def integrate(cl, x0, t_end, dt, store_every=None):
-    """Sample the closed loop from ``x0`` every ``dt`` up to ``t_end``.
+def integrate(cl, x0, t_end, dt):
+    """Sample the closed loop from ``x0`` on a uniform grid up to ``t_end``,
+    a whole number of steps ``dt``.
 
-    Samples are stored every ``store_every`` steps (a whole number dividing
-    the step count; when omitted, the smallest divisor that stores at most
-    ``MAX_STORED + 1`` samples).
-    They are exact to rounding on any grid: each is e^{A dt store_every}
-    times the last.  Only each node's regulated signal and reference are
-    formed (see :func:`_observe`); the rest of :class:`SimResult` is formed
-    when it is first read.
+    The stored grid has n = ceil(steps / s) intervals of steps / n steps
+    each, for s = ceil(steps / ``MAX_STORED``): every step of a run of at
+    most ``MAX_STORED`` steps, every s-th step when s divides the step
+    count, and otherwise more than ``MAX_STORED / 2`` intervals whose ends
+    fall between steps.  Samples are exact to rounding on any grid: each
+    is e^{A h} times the last, for the spacing h.  Only each node's
+    regulated signal and reference are formed (see :func:`_observe`); the
+    rest of :class:`SimResult` is formed when it is first read.
 
     Raises
     ------
     ValidationError
-        Naming ``t_end`` when ``store_every`` is omitted and no divisor
-        but the step count itself caps the stored samples.
+        Naming ``t_end`` or ``dt`` when it is not positive and finite, or
+        ``t_end`` when it is not a whole number of steps.
     UnstableLoop
         If the error system has a growing mode (spectral abscissa of
         ``A_error`` above ``STABILITY_TOL``); marginal loops integrate.
     NonFiniteState
-        On overflow, reporting the first bad step.
+        On overflow, naming the first stored sample that is not finite.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not 0 < value < np.inf:
@@ -347,23 +315,24 @@ def integrate(cl, x0, t_end, dt, store_every=None):
             f"closed loop is unstable at eps={cl.eps:g}: A_error has "
             f"spectral abscissa {absc:+.4e}, a growing mode; find "
             f"the stable coupling gains with `coopnet eps`")
-    s = _pick_store_every(n_steps, store_every)
-    n_stored = n_steps // s
+    s = -(-n_steps // MAX_STORED)
+    n = -(-n_steps // s)
+    # steps per interval: s itself, to the bit, when s divides the steps
+    every = n_steps / n
     ids, kinds = cl.node_ids, cl.err_kind
     maps = {"output": cl.y_map, "input": cl.v_map}
     rows = [maps[kinds[i]][k * cl.p:(k + 1) * cl.p] for k, i in enumerate(ids)]
-    step = _expm(cl.A_full * (dt * s))
-    signals = _observe_run(step, np.vstack(rows + [cl.ref_map]), x0,
-                           n_stored, s)
+    step = _expm(cl.A_full * (dt * every))
+    signals = _observe(step, np.vstack(rows + [cl.ref_map]), x0[:, None],
+                       n)[0]
     # a float grid scaled in place: no integer grid is made and freed
-    t = np.arange(n_stored + 1, dtype=float)
-    t *= dt * s
+    t = np.arange(n + 1, dtype=float)
+    t *= dt * every
     regulated, refs = (
         dict(zip(ids, block))
         for block in signals.T.reshape(2, len(ids), cl.p, -1))
     return SimResult(t=t, regulated=regulated, refs=refs, err_kind=kinds,
-                     regime=cl.regime, dt=float(dt), store_every=s,
-                     _loop=(step, x0, maps))
+                     store_every=every, _loop=(step, x0, maps))
 
 
 def initial_state(cl, nu0=None, eta0=None, etabar0=None):

@@ -114,25 +114,27 @@ def test_bad_number_rejected():
         parse_config(text)
 
 
-@pytest.mark.parametrize("old, new, field", [
-    ("eps = 20", "eps = twenty", "scenario.eps"),
-    ("eps = 20", "eps = nan", "scenario.eps"),
-    ("dt = 9.9999999999999995e-07", "dt = 1e-6s", "simulation.dt"),
-    ("t_end = 1", "t_end = one", "simulation.t_end"),
-    ("t_end = 1", "t_end = inf", "simulation.t_end"),
-    ("t_end = 1", "t_end = 1\nstore_every = 2.5", "simulation.store_every"),
+@pytest.mark.parametrize("old, new, error, name", [
+    ("eps = 20", "eps = twenty", ValidationError, "scenario.eps"),
+    ("eps = 20", "eps = nan", ValidationError, "scenario.eps"),
+    ("dt = 9.9999999999999995e-07", "dt = 1e-6s", ValidationError,
+     "simulation.dt"),
+    ("t_end = 1", "t_end = one", ValidationError, "simulation.t_end"),
+    ("t_end = 1", "t_end = inf", ValidationError, "simulation.t_end"),
+    ("t_end = 1", "t_end = 1\nstore_every = 5", ParseError, "line 63"),
 ], ids=["eps", "eps-nan", "dt", "t_end", "t_end-inf", "store_every"])
-def test_bad_scalar_names_field(tmp_path, capsys, old, new, field):
+def test_bad_scalar_names_field(tmp_path, capsys, old, new, error, name):
     """A malformed or non-finite scalar is a configuration error (exit 3)
-    that names its field."""
+    that names its field; ``store_every``, a key the simulation section
+    does not have, is one that names its line."""
     text = _demo_text(**{old: new})
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(error) as exc:
         parse_config(text)
-    assert exc.value.field == field
+    assert str(exc.value).startswith(f"{name}: ")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main(["check", "--config", str(cfg)]) == 3
-    assert field in capsys.readouterr().err
+    assert name in capsys.readouterr().err
 
 
 def test_ground_node_with_matrices_rejected():
@@ -467,34 +469,43 @@ def test_signals_panel_draws_each_regulated_signal(tmp_path, monkeypatch):
                      for k in range(cl.p) for tag in ("y", "ref")]
 
 
-def test_cli_demo_prime_step_count_above_the_cap_exits_3(capsys):
-    """0.999983 s of 1 us steps: 999,983 steps, a prime, so no grid of
-    whole steps keeps the stored-sample cap."""
-    assert main(["demo", "--t-end", "0.999983"]) == 3
-    err = capsys.readouterr().err
-    assert "t_end: its 999983 steps" in err
-    assert "simulation.store_every" in err
+def test_cli_demo_prime_step_count_above_the_cap_exits_2(capsys):
+    """0.999983 s of 1 us steps: 999,983 steps, a prime, stored between
+    whole steps; the run completes and misses its thresholds like the
+    pinned 1 s run."""
+    assert main(["demo", "--t-end", "0.999983"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    for i in (1, 2):
+        assert f"  [FAIL] threshold_node{i}: max|v{i}-ref{i}| = " in out
+    assert out.count("over trailing 0.1 s of 0.999983 s") == 2
 
 
-def test_cli_demo_keeps_two_signals_per_node(capsys):
+def test_cli_demo_keeps_two_signals_per_node(capsys, monkeypatch):
     """The traced peak of ``coopnet demo`` stays below 0.8 of what the
     run's 3 N p signal rows and its grid would take: it keeps each node's
     regulated signal and reference, 2 N p rows."""
     import tracemalloc
 
+    from coopnet import cli
     from coopnet.scenarios import realize
-    from coopnet.sim import _pick_store_every
 
-    scn = demo_power_network()
-    cl = realize(scn).cl
-    n_steps = round(scn.t_end / scn.dt)
-    samples = n_steps // _pick_store_every(n_steps, None) + 1
+    cl = realize(demo_power_network()).cl
+    samples, cli_integrate = [], cli.integrate
+
+    def counted(*args, **kwargs):
+        res = cli_integrate(*args, **kwargs)
+        samples.append(res.t.size)
+        return res
+
+    monkeypatch.setattr(cli, "integrate", counted)
     tracemalloc.start()
     try:
         assert main(["demo"]) == 2
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    samples, = samples
     assert peak < 0.8 * (3 * len(cl.node_ids) * cl.p + 1) * samples * 8
 
 
@@ -513,6 +524,16 @@ def test_cli_demo_hint_names_the_run_horizon_and_mode(capsys):
     assert hint.startswith("demo checks FAILED")
     assert "at the 2 s horizon" in hint and "1 s" not in hint
     assert "mode -1.1648 +/- 314.30j" in hint and "try --t-end 8" in hint
+
+
+def test_cli_demo_hint_suggests_no_horizon_already_tried(capsys):
+    """At a gain other than the pinned one, the paper's 8 s horizon fails
+    too: the hint names the slowest error mode and suggests no horizon."""
+    assert main(["demo", "--t-end", "8", "--eps", "2"]) == 2
+    hint = capsys.readouterr().out.splitlines()[-1]
+    assert hint.startswith("demo checks FAILED")
+    assert "at the 8 s horizon" in hint and "slowest error mode" in hint
+    assert "--t-end" not in hint
 
 
 def test_cli_demo_paper_horizon_passes(capsys):

@@ -26,7 +26,6 @@ from coopnet.sim import (
     _block_width,
     _expm,
     _observe,
-    _pick_store_every,
     error_metrics,
     initial_state,
     integrate,
@@ -47,7 +46,6 @@ class _Plain:
         n = a.shape[0]
         self.A_full = a
         self.A_error = a
-        self.regime = "tracking"
         self.p = 1
         self.node_ids = (1,)
         self.y_map = np.zeros((1, n))
@@ -78,7 +76,7 @@ def test_integrate_matches_eigendecomposition_on_every_grid():
     lam, vec = np.linalg.eig(a)
     coef = np.linalg.solve(vec, x0)
     for dt in (0.8, 0.2, 0.02, 0.002):
-        res = integrate(_Plain(a), x0, t_end=0.8, dt=dt, store_every=1)
+        res = integrate(_Plain(a), x0, t_end=0.8, dt=dt)
         exact = (vec @ (np.exp(np.outer(lam, res.t)) * coef[:, None])).real
         err = np.linalg.norm(res.states - exact, axis=0)
         assert np.all(err <= 1e-12 * np.linalg.norm(exact, axis=0))
@@ -114,7 +112,7 @@ def test_coarse_grid_samples_the_demo_trajectory():
     cl, x0, _ = _demo_loop()
     fine = integrate(cl, x0, t_end=1.0, dt=1e-6)
     coarse = integrate(cl, x0, t_end=1.0, dt=1e-4)
-    every = round(1e-4 / (fine.dt * fine.store_every))
+    every = round(1e-4 / fine.t[1])
     assert np.abs(coarse.t - fine.t[::every]).max() <= 1e-15
     expect = fine.states[:, ::every]
     assert np.abs(coarse.states - expect).max() <= \
@@ -183,13 +181,13 @@ def _random_loop():
 def test_blocked_propagation_matches_sequential_loop(loop, n_stored):
     cl, x0, dt = loop()
     s = 3
-    res = integrate(cl, x0, t_end=n_stored * s * dt, dt=dt, store_every=s)
+    res = integrate(cl, x0, t_end=n_stored * s * dt, dt=dt * s)
     assert "states" not in res.__dict__
     r_s = scipy.linalg.expm(cl.A_full * (dt * s))
     expect = _sequential(r_s, x0, n_stored)
     assert res.states.shape == expect.shape
     assert np.abs(res.states - expect).max() <= 1e-10 * np.abs(expect).max()
-    assert res.store_every == s
+    assert res.store_every == 1
     assert np.array_equal(res.t, np.arange(n_stored + 1) * (dt * s))
 
 
@@ -215,61 +213,75 @@ def _first_non_finite(r_s, x0, n):
     return None
 
 
-def _non_finite_step(store_every, bad, dt=1e-4, t_end=0.3):
-    """The step integrate names for a stable but non-normal loop whose
-    first component passes through ~1e6 t x2, with x0 scaled to overflow
-    first at stored sample ``bad``."""
+def _non_finite_step(every, bad, dt=1e-4, t_end=0.3):
+    """The stored sample integrate names, on a grid of steps ``dt *
+    every``, for a stable but non-normal loop whose first component passes
+    through ~1e6 t x2, with x0 scaled to overflow first at stored sample
+    ``bad``."""
     cl = _Plain([[-1.0, 1e6], [0.0, -1.0]])
-    r_s = scipy.linalg.expm(cl.A_full * (dt * store_every))
+    r_s = scipy.linalg.expm(cl.A_full * (dt * every))
     x0 = _overflowing_start(r_s, bad)
     assert _first_non_finite(r_s, x0, bad + 1) == bad
     with pytest.raises(NonFiniteState) as exc:
-        integrate(cl, x0, t_end=t_end, dt=dt, store_every=store_every)
+        integrate(cl, x0, t_end=t_end, dt=dt * every)
     return exc.value.step
 
 
-def _signal_width(n_steps, store_every):
+def _signal_width(n_stored):
     # the block width of integrate's kernel for _Plain's two signals, the
     # regulated one and the reference
-    return _block_width(n_steps // store_every, 2)
+    return _block_width(n_stored, 2)
 
 
-@pytest.mark.parametrize("store_every", [1, 3])
-def test_non_finite_step_is_exact_inside_a_block(store_every):
+@pytest.mark.parametrize("every", [1, 3])
+def test_non_finite_step_is_exact_inside_a_block(every):
     # one sample after the start of the fourth block, and inside it
-    width = _signal_width(3000, store_every)
+    width = _signal_width(3000 // every)
     assert width > 2
     for bad in (3 * width + 1, 3 * width + width // 2):
-        assert _non_finite_step(store_every, bad) == bad * store_every
+        assert _non_finite_step(every, bad) == bad
 
 
-@pytest.mark.parametrize("store_every", [1, 3])
-def test_non_finite_step_is_exact_at_a_block_start(store_every):
-    bad = 3 * _signal_width(3000, store_every)
-    assert _non_finite_step(store_every, bad) == bad * store_every
+@pytest.mark.parametrize("every", [1, 3])
+def test_non_finite_step_is_exact_at_a_block_start(every):
+    bad = 3 * _signal_width(3000 // every)
+    assert _non_finite_step(every, bad) == bad
 
 
-@pytest.mark.parametrize("store_every", [1, 3])
-def test_non_finite_step_is_exact_in_a_later_product(store_every):
+@pytest.mark.parametrize("every", [1, 3])
+def test_non_finite_step_is_exact_in_a_later_product(every):
     # 40,000 stored samples make more block starts than one product takes;
     # the overflow lands inside a block of the second product
-    dt = 1e-5 / store_every
-    width = _signal_width(40_000 * store_every, store_every)
+    dt = 1e-5 / every
+    width = _signal_width(40_000)
     blocks = -(-40_001 // width)
     assert blocks > _STARTS_PER_PRODUCT + 20
     bad = width * (_STARTS_PER_PRODUCT + 20) + width // 2
-    assert _non_finite_step(store_every, bad, dt=dt, t_end=0.4) == \
-        bad * store_every
+    assert _non_finite_step(every, bad, dt=dt, t_end=0.4) == bad
 
 
-@pytest.mark.parametrize("store_every", [1, 3])
-def test_non_finite_unformed_row_names_the_step_integrate_names(store_every):
+def test_non_finite_state_names_the_stored_sample():
+    """999,983 steps are stored as 199,997 intervals of 999,983 / 199,997
+    steps each, so a stored sample is no whole step: NonFiniteState names
+    the first stored sample that is not finite."""
+    cl = _Plain([[-1.0, 1e6], [0.0, -1.0]])
+    dt, n_steps, n, bad = 1e-6, 999_983, 199_997, 123_457
+    r_s = scipy.linalg.expm(cl.A_full * (dt * (n_steps / n)))
+    x0 = _overflowing_start(r_s, bad)
+    assert _first_non_finite(r_s, x0, bad + 1) == bad
+    with pytest.raises(NonFiniteState) as exc:
+        integrate(cl, x0, t_end=n_steps * dt, dt=dt)
+    assert exc.value.step == bad
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_non_finite_unformed_row_names_the_step_integrate_names(every):
     """A gain that overflows the neighboring input, not the state, first
     at stored sample ``bad``: integrate keeps the finite output, and the
-    first read of ``v`` names the step that integrate names when the
+    first read of ``v`` names the sample that integrate names when the
     neighboring input is the regulated signal."""
-    dt, bad, a = 1e-4, 700, [[-1.0, 1e6], [0.0, -1.0]]
-    r_s = scipy.linalg.expm(np.array(a) * (dt * store_every))
+    dt, bad, a = 1e-4 * every, 700, [[-1.0, 1e6], [0.0, -1.0]]
+    r_s = scipy.linalg.expm(np.array(a) * dt)
     x = np.array([0.0, 1.0])
     for _ in range(bad):
         x = r_s @ x
@@ -279,13 +291,13 @@ def test_non_finite_unformed_row_names_the_step_integrate_names(store_every):
     lazy.v_map = regulated.v_map = np.array([[gain, 0.0]])
     regulated.err_kind = {1: "input"}
     x0 = np.array([0.0, 1.0])
-    res = integrate(lazy, x0, t_end=0.3, dt=dt, store_every=store_every)
+    res = integrate(lazy, x0, t_end=0.3, dt=dt)
     assert np.isfinite(res.y[1]).all()
     with pytest.raises(NonFiniteState) as unformed:
         res.v
     with pytest.raises(NonFiniteState) as stored:
-        integrate(regulated, x0, t_end=0.3, dt=dt, store_every=store_every)
-    assert unformed.value.step == stored.value.step == bad * store_every
+        integrate(regulated, x0, t_end=0.3, dt=dt)
+    assert unformed.value.step == stored.value.step == bad
 
 
 @pytest.fixture(scope="module")
@@ -415,23 +427,38 @@ def test_integrate_allocates_its_result_and_no_states():
     assert not {"states", "errors", "y", "v"} & set(res.__dict__)
 
 
-@pytest.mark.parametrize("n_steps, every", [
-    (200_000, 1), (10 ** 6, 5), (1_000_001, 101), (2 * 10 ** 6, 10),
-    (8 * 10 ** 6, 40)])
-def test_default_store_every_keeps_the_cap(n_steps, every):
-    """The smallest divisor of the step count at or above steps /
-    MAX_STORED: 1,000,001 = 101 x 9,901 steps store 9,902 samples."""
-    assert _pick_store_every(n_steps, None) == every
-    assert n_steps // every <= MAX_STORED
+def test_stored_grid_follows_the_step_count():
+    """s = ceil(steps / MAX_STORED) and n = ceil(steps / s) intervals of
+    steps / n steps.  Where s does not divide the steps (999,983 is prime,
+    1,999,966 = 2 x 999,983, 1,000,001 = 101 x 9,901) the grid keeps more
+    than half the cap and ends at t_end; where it divides them (the demo's
+    10^6 steps, its 8 s run's 8 x 10^6) every s-th step is stored, bit for
+    bit."""
+    dt = 1e-6
+    for n_steps in (1_000_001, 999_983, 1_999_966, 200_001):
+        res = integrate(_Plain([[-1.0]]), [1.0], t_end=n_steps * dt, dt=dt)
+        n = res.t.size - 1
+        assert MAX_STORED / 2 < n <= MAX_STORED
+        assert abs(res.t[-1] - n_steps * dt) <= 1e-12 * n_steps * dt
+        assert res.store_every == n_steps / n
+    for n_steps, s in ((200_000, 1), (10 ** 6, 5), (1_600_000, 8),
+                       (8 * 10 ** 6, 40)):
+        res = integrate(_Plain([[-1.0]]), [1.0], t_end=n_steps * dt, dt=dt)
+        n = n_steps // s
+        assert res.store_every == s
+        assert res.t.tobytes() == (np.arange(n + 1) * (dt * s)).tobytes()
 
 
-def test_prime_step_count_above_the_cap_names_t_end():
-    """999,983 steps are prime: no grid of whole steps but the two ends
-    keeps the cap, and the error points at simulation.store_every."""
-    with pytest.raises(ValidationError,
-                       match=r"^t_end: its 999983 steps .*store_every"):
-        _pick_store_every(999_983, None)
-    assert _pick_store_every(999_983, 1) == 1
+def test_demo_between_whole_steps_reads_the_trailing_error():
+    """1.999966 s of 1 us steps store 199,997 intervals, not 3 samples:
+    the trailing 0.1 s errors are those of the 2 s run within 1e-3."""
+    cl, x0, dt = _demo_loop()
+    near, whole = (error_metrics(integrate(cl, x0, t_end=t_end, dt=dt),
+                                 window=0.1)
+                   for t_end in (1.999966, 2.0))
+    for i in (1, 2):
+        assert near[i].max_error == pytest.approx(whole[i].max_error,
+                                                  rel=1e-3)
 
 
 def test_error_metrics_form_only_their_windows():
@@ -453,14 +480,6 @@ def test_first_errors_read_allocates_the_errors():
     error_bytes = len(cl.node_ids) * cl.p * res.t.size * 8
     assert abs(kept - error_bytes) <= 0.01 * error_bytes
     assert peak <= 1.01 * error_bytes
-
-
-def test_integrate_requires_matching_grid():
-    # 1000 steps: store_every must be a whole number dividing them
-    for store_every in (7, 0, 2.5, np.nan, np.inf):
-        with pytest.raises(ValidationError, match=r"^store_every: "):
-            integrate(_Plain([[-1.0]]), [1.0], t_end=1.0, dt=1e-3,
-                      store_every=store_every)
 
 
 @pytest.mark.parametrize("arg", ["t_end", "dt", "eps", "eps_hi"])
@@ -839,7 +858,7 @@ def _result_with_error(t, err):
     err = {1: np.atleast_2d(err)}
     zero = {1: np.zeros_like(err[1])}
     return SimResult(t=t, regulated=err, refs=zero, err_kind={1: "output"},
-                     regime="tracking", dt=float(t[1] - t[0]), store_every=1)
+                     store_every=1)
 
 
 def test_metrics_zero_error():
