@@ -431,9 +431,7 @@ def test_stored_grid_follows_the_step_count():
     """s = ceil(steps / MAX_STORED) and n = ceil(steps / s) intervals of
     steps / n steps.  Where s does not divide the steps (999,983 is prime,
     1,999,966 = 2 x 999,983, 1,000,001 = 101 x 9,901) the grid keeps more
-    than half the cap and ends at t_end; where it divides them (the demo's
-    10^6 steps, its 8 s run's 8 x 10^6) every s-th step is stored, bit for
-    bit."""
+    than half the cap and ends at t_end."""
     dt = 1e-6
     for n_steps in (1_000_001, 999_983, 1_999_966, 200_001):
         res = integrate(_Plain([[-1.0]]), [1.0], t_end=n_steps * dt, dt=dt)
@@ -441,12 +439,29 @@ def test_stored_grid_follows_the_step_count():
         assert MAX_STORED / 2 < n <= MAX_STORED
         assert abs(res.t[-1] - n_steps * dt) <= 1e-12 * n_steps * dt
         assert res.store_every == n_steps / n
-    for n_steps, s in ((200_000, 1), (10 ** 6, 5), (1_600_000, 8),
-                       (8 * 10 ** 6, 40)):
-        res = integrate(_Plain([[-1.0]]), [1.0], t_end=n_steps * dt, dt=dt)
-        n = n_steps // s
-        assert res.store_every == s
-        assert res.t.tobytes() == (np.arange(n + 1) * (dt * s)).tobytes()
+
+
+@pytest.mark.parametrize("n_steps, every", [
+    (200_000, 1), (10 ** 6, 5), (1_000_001, 101), (1_600_000, 8),
+    (2 * 10 ** 6, 10), (8 * 10 ** 6, 40)])
+def test_default_store_every_keeps_the_cap(n_steps, every):
+    """``every`` is the smallest divisor of the step count at or above
+    steps / MAX_STORED, the coarsest grid of whole steps that keeps the
+    cap.  The stored grid keeps the cap and no fewer intervals than that
+    one (1,000,001 = 101 x 9,901 steps store 166,667, not 9,901); where
+    ``every`` is ceil(steps / MAX_STORED) it is every ``every``-th step,
+    bit for bit."""
+    assert n_steps % every == 0
+    dt = 1e-6
+    res = integrate(_Plain([[-1.0]]), [1.0], t_end=n_steps * dt, dt=dt)
+    n = res.t.size - 1
+    assert n_steps // every <= n <= MAX_STORED
+    if every == -(-n_steps // MAX_STORED):
+        assert res.store_every == every
+        assert res.t.tobytes() == \
+            (np.arange(n_steps // every + 1) * (dt * every)).tobytes()
+    else:
+        assert n == 166_667
 
 
 def test_demo_between_whole_steps_reads_the_trailing_error():
