@@ -1,6 +1,6 @@
 """Exact ``%.17g`` text of float64 rows, built with numpy array operations.
 
-:func:`format_rows` returns, for a 2-D float array, the same bytes as
+A :class:`RowFormatter` returns, for a 2-D float array, the same bytes as
 formatting every row with the C-style template ``"%.17g,...,%.17g\\n"``.
 
 The 17 significant digits come from double-double scaling (Dekker, "A
@@ -336,9 +336,3 @@ def _text(slots):
     for lo in range(0, slots.shape[1], step):
         yield slots[:, lo:lo + step].T.tobytes().translate(None, b"\0")
 
-
-def format_rows(rows):
-    """The bytes of ``"%.17g,...,%.17g\\n" % row`` for every row of the 2-D
-    float array ``rows``, in order."""
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    return b"".join(RowFormatter(*rows.shape)(rows))

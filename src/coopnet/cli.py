@@ -88,6 +88,14 @@ def _apply_overrides(scn, args):
     return scn
 
 
+def _check_emit(args):
+    """ConfigError when ``--emit`` is given without ``--out``: the files
+    it names are written only into that directory."""
+    if args.emit is not None and args.out is None:
+        raise ConfigError(f"--emit {args.emit} writes its files into the "
+                          f"--out directory; give --out DIR")
+
+
 def _fmt_mat(mat):
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     return " | ".join("; ".join(f"{v:.10g}" for v in row) for row in mat)
@@ -250,6 +258,7 @@ def cmd_eps(args):
 
 
 def cmd_simulate(args):
+    _check_emit(args)
     scn = _apply_overrides(_load_scenario(args.config), args)
     rz = scenarios.realize(scn)
     x0 = initial_state(rz.cl, nu0=scn.nu0, eta0=scn.eta0,
@@ -291,6 +300,7 @@ def _load_golden():
 
 
 def cmd_demo(args):
+    _check_emit(args)
     scn = scenarios.demo_power_network()
     pinned_gain = getattr(args, "eps", None) in (None, scn.eps)
     pinned = (getattr(args, "dt", None) in (None, scn.dt) and
@@ -389,7 +399,9 @@ def build_parser():
             p.add_argument("--t-end", dest="t_end", type=float, default=None,
                            help="horizon override [s]")
             p.add_argument("--emit", choices=("csv", "csv+svg"),
-                           default="csv", help="artifact formats")
+                           default=None,
+                           help="artifact formats written into --out "
+                                "(default csv)")
 
     p = sub.add_parser("check", help="print the assumption report")
     add_common(p)

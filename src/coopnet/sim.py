@@ -13,15 +13,19 @@ sqrt(samples / rows of M) the table and the starts each hold about
 sqrt(samples) vectors, so the signals are the only large array.
 
 A run of any whole number of steps is stored on one uniform grid of at
-most ``MAX_STORED`` intervals (:func:`integrate`).  It stores two signals
+most ``MAX_STORED`` intervals (:func:`integrate`).  Its signals are two
 per node: the one it regulates (its output or its neighboring input) and
-its reference.  Everything else is formed from them or from the run's
-one-step map when ``SimResult`` is first asked for it: the errors
-(regulated minus reference), the outputs ``y`` and neighboring inputs
-``v`` of the nodes that do not regulate them, and the states.
+its reference.  The run forms and screens every product of them, then
+drops it: it keeps the grid, the block starts and the table.  Everything
+else is formed when ``SimResult`` is first asked for it: the regulated
+signals and the references, each by forming the run's products again;
+the errors (regulated minus reference); the outputs ``y`` and
+neighboring inputs ``v`` of the nodes that do not regulate them; and the
+states.  :func:`error_metrics` forms only the products that cover its
+two windows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,11 +44,13 @@ from .synthesis import NODE_ROLES, ZERO_SUM_TOL
 #: samples per block of the recurrence that forms ``SimResult.states``
 _STATE_BLOCK = 64
 
-#: most block starts one product of ``_observe`` takes: a longer product
-#: gains no speed but makes BLAS pack a larger operand, and on the
-#: 288-state ring taking all 1,334 starts at once raised the peak resident
-#: memory by 2 MB
-_STARTS_PER_PRODUCT = 256
+#: most block starts one product of ``_observe`` takes.  A run forms its
+#: signals again product by product, whole products only (a shorter
+#: product rounds some samples differently), so a window costs at least
+#: one product: on the demo (blocks of 183 samples of 6 signals) 64 starts
+#: make 0.56 MB, where 256 made 2.25 MB, more than one 1.6 MB signal row.
+#: A longer product gains no speed but makes BLAS pack a larger operand
+_STARTS_PER_PRODUCT = 64
 
 #: most intervals between the samples ``integrate`` stores, so at most
 #: MAX_STORED + 1 samples: a run of more steps stores ceil(steps / s)
@@ -53,38 +59,54 @@ _STARTS_PER_PRODUCT = 256
 MAX_STORED = 200_000
 
 
-@dataclass(frozen=True)
 class SimResult:
     """Stored trajectories of one closed-loop run.
 
-    ``regulated`` and ``refs`` are per-node p x T arrays on the uniform
-    stored grid ``t``, keyed by 1-based node id in the order of the
-    closed loop's map rows, and views of one sample-major signal array:
-    each node's regulated signal and its reference.  ``err_kind`` names
-    what each node regulates, ``"output"`` (tracking/sync/master nodes)
-    or ``"input"`` (cooperation/slave nodes).
+    ``t`` is the uniform stored grid.  ``regulated`` and ``refs`` are
+    per-node p x T arrays on it, keyed by 1-based node id in the order of
+    the closed loop's map rows: each node's regulated signal and its
+    reference.  ``err_kind`` names what each node regulates, ``"output"``
+    (tracking/sync/master nodes) or ``"input"`` (cooperation/slave nodes).
 
-    Nothing else is formed by :func:`integrate`.  Each of the following is
+    A result of :func:`integrate` keeps the grid and the block starts and
+    table of the products that formed the regulated signals and references
+    (see :func:`_observe`), not their samples.  Each of the following is
     formed on its first read, and later reads return the same arrays:
-    ``errors`` (regulated minus reference, per node); ``y`` and ``v``,
-    each node's output and neighboring input, where a node regulating
-    that signal gives its ``regulated`` array itself and the other nodes'
-    rows are observed in one pass over the run; and ``states``
-    (n_total x T), stepped by the run's one-step map e^{A h}, for the grid
-    spacing h, from its initial state (:func:`_state_samples`).  A result
-    built without a run (no ``_loop``) has no states, and only the ``y``
-    or ``v`` that every node regulates.
+    ``regulated`` and ``refs``, each alone, from the run's products formed
+    again whole, so bit for bit as the run formed them; ``errors``
+    (regulated minus reference, per node); ``y`` and ``v``, each node's
+    output and neighboring input, where a node regulating that signal
+    gives its ``regulated`` array itself and the other nodes' rows are
+    observed in one pass over the run; and ``states`` (n_total x T),
+    stepped by the run's one-step map e^{A h}, for the grid spacing h, from
+    its initial state (:func:`_state_samples`).  A result built from given
+    ``regulated`` and ``refs`` arrays, without a run, has no states, and
+    only the ``y`` or ``v`` that every node regulates.
     """
 
-    t: np.ndarray
-    regulated: dict
-    refs: dict
-    err_kind: dict
-    #: steps of the run per stored interval, steps / (t.size - 1)
-    store_every: float
-    #: (one-step map, initial state, output maps by ``err_kind`` value) of
-    #: the run, which ``states``, ``y`` and ``v`` observe
-    _loop: tuple = field(default=None, repr=False)
+    def __init__(self, t, regulated, refs, err_kind, store_every,
+                 _loop=None, _blocks=None):
+        self.t = t
+        self.err_kind = err_kind
+        #: steps of the run per stored interval, steps / (t.size - 1)
+        self.store_every = store_every
+        #: (one-step map, initial state, output maps by ``err_kind`` value)
+        #: of the run, which ``states``, ``y`` and ``v`` observe
+        self._loop = _loop
+        #: (table, block starts, block width) of the products of the run's
+        #: regulated signals and references, which ``regulated``, ``refs``
+        #: and :func:`error_metrics` form again
+        self._blocks = _blocks
+        if regulated is not None:
+            self.regulated, self.refs = regulated, refs
+
+    @cached_property
+    def regulated(self):
+        return self._rows("regulated", 0, self.t.size)
+
+    @cached_property
+    def refs(self):
+        return self._rows("refs", 0, self.t.size)
 
     @cached_property
     def errors(self):
@@ -122,6 +144,43 @@ class SimResult:
             rows = dict(zip((ids[k] for k in others),
                             samples.T.reshape(out.shape[:2] + (-1,))))
         return {i: rows[i] if i in rows else self.regulated[i] for i in ids}
+
+    def _window(self, first, stop):
+        """Each node's errors at samples first..stop-1, row-major: read
+        from the arrays of a result built from them, and otherwise formed
+        from only the run's products that cover those samples."""
+        if self._blocks is None:
+            return {i: np.subtract(reg[:, first:stop],
+                                   self.refs[i][:, first:stop], order="C")
+                    for i, reg in self.regulated.items()}
+        return self._rows("errors", first, stop)
+
+    def _rows(self, part, first, stop):
+        """Each node's ``part`` ("regulated", "refs" or their difference
+        "errors") at samples first..stop-1, a row-major p x (stop - first)
+        array.  Every product of the run that covers those samples is
+        formed again whole, from the same starts and table, into one
+        buffer, and the samples are copied out of it."""
+        table, starts, w = self._blocks
+        size, blocks = _STARTS_PER_PRODUCT, len(starts) - 1
+        # the signals: N p regulated rows, then N p reference rows
+        m = table.shape[1] // (2 * w)
+        rows = np.empty((m, stop - first))
+        buffer = np.empty((1, min(blocks, size), table.shape[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(first // w // size * size, -(-stop // w), size):
+                hi = min(lo + size, blocks)
+                formed = _products(table, starts, lo, hi,
+                                   buffer[:, :hi - lo])
+                a, b = max(first, lo * w), min(stop, hi * w)
+                piece = formed.reshape(-1, 2 * m)[a - lo * w:b - lo * w].T
+                into = rows[:, a - first:b - first]
+                if part == "errors":
+                    np.subtract(piece[:m], piece[m:], out=into)
+                else:
+                    into[...] = piece[m:] if part == "refs" else piece[:m]
+        ids = list(self.err_kind)
+        return dict(zip(ids, rows.reshape(len(ids), -1, stop - first)))
 
 
 #: numerator coefficients of the [13/13] Padé approximant of e^x
@@ -209,51 +268,82 @@ def _observe(step, out, x0, n, width=None):
         sample by sample.
     """
     x0 = np.asarray(x0, dtype=float)
+    k, r = x0.shape[1], out.shape[0]
+    w = _block_width(n, r) if width is None else width
+    blocks = -(-(n + 1) // w)
+    signals = np.empty((k, blocks, w * r))
+    _screened_blocks(step, out, x0, n, w, signals)
+    return signals.reshape(k, blocks * w, r)[:, :n + 1]
+
+
+def _screened_blocks(step, out, x0, n, w, signals=None):
+    """The table (n_x x w r) and the block starts (blocks + 1 x k x n_x)
+    of :func:`_observe` for samples 0..n of width w, with every product
+    formed and screened on the way: into ``signals[c, b]`` for block b of
+    column c, or, without ``signals``, into one buffer that each product
+    reuses and that is then dropped.
+
+    Raises NonFiniteState as :func:`_observe` does.
+    """
     n_x, k = x0.shape
     r = out.shape[0]
-    w = _block_width(n, r) if width is None else width
     blocks = -(-(n + 1) // w)
     # an overflow is reported as NonFiniteState, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        signals = np.empty((k, blocks, w * r))
-        samples = signals.reshape(k, blocks * w, r)
         table = np.empty((w, r, n_x))
         table[0] = out
         for i in range(1, w):
             np.matmul(table[i - 1], step, out=table[i])
         table = table.reshape(w * r, n_x).T
         jump = np.linalg.matrix_power(step, w).T
-        # starts[b] is x_{(lo + b) w}, transposed; the last closes block hi
-        starts = np.empty((min(blocks, _STARTS_PER_PRODUCT) + 1, k, n_x))
+        # starts[b] is x_{b w}, transposed; the last closes the last block
+        starts = np.empty((blocks + 1, k, n_x))
         starts[0] = x0.T
+        if signals is None:
+            buffer = np.empty((k, min(blocks, _STARTS_PER_PRODUCT), w * r))
         for lo in range(0, blocks, _STARTS_PER_PRODUCT):
             hi = min(lo + _STARTS_PER_PRODUCT, blocks)
-            for b in range(hi - lo):
+            for b in range(lo, hi):
                 np.matmul(starts[b], jump, out=starts[b + 1])
-            for c in range(k):
-                np.matmul(starts[:hi - lo, c], table, out=signals[c, lo:hi])
+            formed = _products(table, starts, lo, hi,
+                               buffer[:, :hi - lo] if signals is None
+                               else signals[:, lo:hi])
             # one sum screens each array: a NaN or inf makes it non-finite
             # (so may an overflow of finite values, which costs a closer look)
-            if not (np.isfinite(starts[:hi - lo + 1].sum())
-                    and np.isfinite(signals[:, lo:hi].sum())):
-                _raise_first_non_finite(step, starts, samples, w, lo, hi, n)
-            starts[0] = starts[hi - lo]
-    return samples[:, :n + 1]
+            if not (np.isfinite(starts[lo:hi + 1].sum())
+                    and np.isfinite(formed.sum())):
+                _raise_first_non_finite(step, starts[lo:hi + 1], formed, w,
+                                        lo, n)
+    return table, starts
 
 
-def _raise_first_non_finite(step, starts, samples, w, lo, hi, n):
-    """Step each of the blocks lo..hi-1 whose end state or signals are not
+def _products(table, starts, lo, hi, into):
+    """The samples of blocks lo..hi-1, one product of each column's starts
+    with the table, formed into ``into`` (k x (hi - lo) x w r), which is
+    returned: row b holds samples (lo + b) w .. (lo + b + 1) w - 1."""
+    for c in range(into.shape[0]):
+        np.matmul(starts[lo:hi, c], table, out=into[c])
+    return into
+
+
+def _raise_first_non_finite(step, starts, signals, w, lo, n):
+    """Step each block of one product whose end state or signals are not
     finite one sample at a time, and raise NonFiniteState at its first
-    sample j <= n whose state or signal is not finite."""
-    for b in range(lo, hi):
-        first = b * w
-        if np.isfinite(starts[b - lo + 1]).all() and \
-                np.isfinite(samples[:, first:first + w]).all():
+    sample j <= n whose state or signal is not finite.  ``signals[:, b]``
+    holds the samples of block lo + b, which ``starts[b]`` opens."""
+    k, blocks = signals.shape[:2]
+    samples = signals.reshape(k, blocks * w, -1)
+    for b in range(blocks):
+        first = (lo + b) * w
+        if np.isfinite(starts[b + 1]).all() and \
+                np.isfinite(signals[:, b]).all():
             continue
-        x = starts[b - lo]
-        for j in range(first + 1, min(first + w, n) + 1):
-            x = x @ step.T
-            if not (np.isfinite(x).all() and np.isfinite(samples[:, j]).all()):
+        x = starts[b]
+        for j in range(first, min(first + w, n + 1)):
+            if j > first:
+                x = x @ step.T
+            if j and not (np.isfinite(x).all() and
+                          np.isfinite(samples[:, j - lo * w]).all()):
                 raise NonFiniteState(j)
 
 
@@ -284,9 +374,10 @@ def integrate(cl, x0, t_end, dt):
     most ``MAX_STORED`` steps, every s-th step when s divides the step
     count, and otherwise more than ``MAX_STORED / 2`` intervals whose ends
     fall between steps.  Samples are exact to rounding on any grid: each
-    is e^{A h} times the last, for the spacing h.  Only each node's
-    regulated signal and reference are formed (see :func:`_observe`); the
-    rest of :class:`SimResult` is formed when it is first read.
+    is e^{A h} times the last, for the spacing h.  Each node's regulated
+    signal and reference are formed and screened product by product (see
+    :func:`_observe`), and only the block starts and the table are kept;
+    all of :class:`SimResult` but its grid is formed when it is first read.
 
     Raises
     ------
@@ -319,20 +410,19 @@ def integrate(cl, x0, t_end, dt):
     n = -(-n_steps // s)
     # steps per interval: s itself, to the bit, when s divides the steps
     every = n_steps / n
-    ids, kinds = cl.node_ids, cl.err_kind
     maps = {"output": cl.y_map, "input": cl.v_map}
-    rows = [maps[kinds[i]][k * cl.p:(k + 1) * cl.p] for k, i in enumerate(ids)]
+    rows = [maps[cl.err_kind[i]][k * cl.p:(k + 1) * cl.p]
+            for k, i in enumerate(cl.node_ids)]
     step = _expm(cl.A_full * (dt * every))
-    signals = _observe(step, np.vstack(rows + [cl.ref_map]), x0[:, None],
-                       n)[0]
+    out = np.vstack(rows + [cl.ref_map])
+    w = _block_width(n, out.shape[0])
+    table, starts = _screened_blocks(step, out, x0[:, None], n, w)
     # a float grid scaled in place: no integer grid is made and freed
     t = np.arange(n + 1, dtype=float)
     t *= dt * every
-    regulated, refs = (
-        dict(zip(ids, block))
-        for block in signals.T.reshape(2, len(ids), cl.p, -1))
-    return SimResult(t=t, regulated=regulated, refs=refs, err_kind=kinds,
-                     store_every=every, _loop=(step, x0, maps))
+    return SimResult(t=t, regulated=None, refs=None, err_kind=cl.err_kind,
+                     store_every=every, _loop=(step, x0, maps),
+                     _blocks=(table, starts, w))
 
 
 def initial_state(cl, nu0=None, eta0=None, etabar0=None):
@@ -485,8 +575,10 @@ def error_metrics(result, window):
 
     The decay flag is true when the trailing-window max is below the
     leading-window max (same width at the start of the run).  Only the
-    errors of the two windows are formed, one node at a time: the result's
-    ``errors`` are not read, so an unread result stays without them.
+    errors of the two windows are formed, one window at a time, from the
+    products of the run that cover them (:meth:`SimResult._window`): the
+    result's ``errors``, ``regulated`` and ``refs`` are not read, so an
+    unread result stays without them.
 
     Raises
     ------
@@ -504,14 +596,15 @@ def error_metrics(result, window):
     stop = int(np.searchsorted(t, t[0] + window, side="right"))
     if first == t.size or stop == 0:
         raise EmptyWindow("window contains no stored samples")
+    # one window at a time: the leading one is dropped before the trailing
+    # one is formed
+    lead = {i: float(np.abs(err).max(initial=0.0))
+            for i, err in result._window(0, stop).items()}
     metrics = {}
-    for node_id, reg in result.regulated.items():
-        ref = result.refs[node_id]
-        # row-major, so the mean sums in the order of a row-major copy
-        trail = np.subtract(reg[:, first:], ref[:, first:], order="C")
+    for node_id, trail in result._window(first, t.size).items():
         tmax = float(np.abs(trail).max(initial=0.0))
-        lmax = float(np.abs(reg[:, :stop] - ref[:, :stop]).max(initial=0.0))
+        # row-major, so the mean sums in the order of a row-major copy
         rms = float(np.sqrt(np.mean(trail ** 2)))
         metrics[node_id] = NodeMetrics(max_error=tmax, rms_error=rms,
-                                       decayed=bool(tmax < lmax))
+                                       decayed=bool(tmax < lead[node_id]))
     return metrics

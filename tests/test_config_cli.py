@@ -327,6 +327,30 @@ def test_cli_simulate_emits_svg(tmp_path):
     assert text.startswith("<svg") and "polyline" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "power_network", "--emit", "csv+svg"],
+    ["demo", "--emit", "csv"]], ids=["simulate", "demo"])
+def test_cli_emit_without_out_is_config_error(tmp_path, monkeypatch, capsys,
+                                              argv):
+    """``--emit`` writes only into ``--out``: without it the command stops
+    before it runs, exits 3 naming ``--out`` and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: --emit ") and "--out" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, name, code", [
+    (["simulate", "--config", "power_network", "--t-end", "0.01"],
+     "power_network.csv", 0),
+    (["demo", "--t-end", "0.02"], "demo.csv", 2)], ids=["simulate", "demo"])
+def test_cli_out_alone_writes_the_csv(tmp_path, capsys, argv, name, code):
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def _per_point_line_chart(path, t, series, title="", x_label="t [s]",
                           y_label="", width=920, height=360,
                           max_points=2000):
@@ -482,9 +506,9 @@ def test_cli_demo_prime_step_count_above_the_cap_exits_2(capsys):
 
 
 def test_cli_demo_keeps_two_signals_per_node(capsys, monkeypatch):
-    """The traced peak of ``coopnet demo`` stays below 0.8 of what the
-    run's 3 N p signal rows and its grid would take: it keeps each node's
-    regulated signal and reference, 2 N p rows."""
+    """The traced peak of ``coopnet demo`` stays below what its grid and
+    two of its p x T signal rows take: the run keeps no signal row, and
+    its metrics form only the products that cover their windows."""
     import tracemalloc
 
     from coopnet import cli
@@ -506,7 +530,7 @@ def test_cli_demo_keeps_two_signals_per_node(capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     samples, = samples
-    assert peak < 0.8 * (3 * len(cl.node_ids) * cl.p + 1) * samples * 8
+    assert peak < (2 * cl.p + 1) * samples * 8
 
 
 def test_cli_demo_short_horizon_fails_threshold(capsys):
@@ -661,13 +685,20 @@ def _g17_panel():
     return np.array(vals)
 
 
-def test_format_rows_matches_g17_on_a_deterministic_panel():
-    from coopnet._g17 import format_rows
+def _format_rows(rows):
+    """The bytes of ``"%.17g,...,%.17g\\n" % row`` for every row of the 2-D
+    float array ``rows``, through one formatter of the rows' shape."""
+    from coopnet._g17 import RowFormatter
 
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    return b"".join(RowFormatter(*rows.shape)(rows))
+
+
+def test_format_rows_matches_g17_on_a_deterministic_panel():
     panel = _g17_panel()
     for n_cols in (1, 7, 13):
         rows = _as_rows(panel, n_cols)
-        assert format_rows(rows) == _g17_oracle(rows)
+        assert _format_rows(rows) == _g17_oracle(rows)
 
 
 def _is_tie(value):
@@ -726,10 +757,8 @@ def test_write_csv_mixes_fast_and_fallback_rows(tmp_path):
        st.integers(min_value=1, max_value=9))
 @settings(max_examples=300, deadline=None)
 def test_format_rows_matches_g17_on_any_doubles(values, n_cols):
-    from coopnet._g17 import format_rows
-
     rows = _as_rows(values, n_cols)
-    assert format_rows(rows) == _g17_oracle(rows)
+    assert _format_rows(rows) == _g17_oracle(rows)
 
 
 def _layout_panel():
@@ -765,19 +794,17 @@ def test_format_rows_layout_panel_in_every_column_and_block():
     fallback row among them; split at every row, so the cases also meet
     block edges and blocks that hold only some of them, and one block per
     case holding only that case."""
-    from coopnet._g17 import format_rows
-
     vals = np.array(_layout_panel())
     rows = np.array([np.roll(vals, -c) for c in range(13)]).T  # (n, 13)
     rows[len(vals) // 2, 5] = np.nan  # a row from the template
     want = _g17_oracle(rows)
-    assert format_rows(rows) == want
+    assert _format_rows(rows) == want
     for k in range(1, len(rows)):
-        assert format_rows(rows[:k]) + format_rows(rows[k:]) == want
+        assert _format_rows(rows[:k]) + _format_rows(rows[k:]) == want
     for v in vals:
         block = np.full((2, 13), v)
-        assert format_rows(block) == _g17_oracle(block)
-    assert format_rows(np.empty((0, 13))) == b""
+        assert _format_rows(block) == _g17_oracle(block)
+    assert _format_rows(np.empty((0, 13))) == b""
 
 
 # ---------------------------------------------------------------------------

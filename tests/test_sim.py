@@ -300,6 +300,25 @@ def test_non_finite_unformed_row_names_the_step_integrate_names(every):
     assert unformed.value.step == stored.value.step == bad
 
 
+@pytest.mark.parametrize("every", [1, 3])
+def test_non_finite_signal_at_a_block_start_is_named(every):
+    """A gain that overflows the regulated signal, not the state, first at
+    the first sample of a block: integrate names that sample, not the one
+    after it."""
+    dt, a = 1e-4 * every, [[-1.0, 1e6], [0.0, -1.0]]
+    bad = 18 * _signal_width(3000 // every)
+    r_s = scipy.linalg.expm(np.array(a) * dt)
+    x = np.array([0.0, 1.0])
+    for _ in range(bad):
+        x = r_s @ x
+    cl = _Plain(a)
+    cl.v_map = np.array([[np.finfo(float).max / x[0] * (1.0 + 1e-6), 0.0]])
+    cl.err_kind = {1: "input"}
+    with pytest.raises(NonFiniteState) as exc:
+        integrate(cl, np.array([0.0, 1.0]), t_end=0.3, dt=dt)
+    assert exc.value.step == bad
+
+
 @pytest.fixture(scope="module")
 def demo_step():
     cl, x0, dt = _demo_loop()
@@ -347,7 +366,8 @@ def test_observe_products_follow_the_blocks(demo_step, monkeypatch, k):
     columns) steps each block start, and one product per column forms the
     samples of up to ``_STARTS_PER_PRODUCT`` blocks."""
     step, out, cols = _observed_case(demo_step, k, True)
-    n = 40_000
+    # about 1.4 products of blocks of four signals
+    n = _STARTS_PER_PRODUCT ** 2 // 2
     width = _block_width(n, out.shape[0])
     blocks = -(-(n + 1) // width)
     assert _STARTS_PER_PRODUCT < blocks < 2 * _STARTS_PER_PRODUCT
@@ -414,17 +434,74 @@ def _traced(f):
 
 
 def test_integrate_allocates_its_result_and_no_states():
-    """On the demo, integrate's traced peak is what its result keeps (two
-    signal rows per node, its regulated signal and its reference, and the
-    grid: 7 of every sample's 19 state values) plus under 1 %: no state
-    buffer, no unregulated signal and no error array is formed, not even
-    transiently."""
+    """On the demo, integrate keeps its grid and the block starts and the
+    table of its products, within 1 %, and its traced peak is under that
+    plus one product: no signal array, no state buffer and no error array
+    is formed, not even transiently."""
     cl, x0, dt, t_end = _full_demo_run()
     res, (kept, peak) = _traced(lambda: integrate(cl, x0, t_end=t_end, dt=dt))
-    state_bytes = cl.n_states * res.t.size * 8
-    assert peak <= 1.01 * kept
-    assert peak < 0.7 * state_bytes
-    assert not {"states", "errors", "y", "v"} & set(res.__dict__)
+    table, starts, _ = res._blocks
+    run_bytes = res.t.nbytes + starts.nbytes + table.nbytes
+    assert kept <= 1.01 * run_bytes
+    assert peak <= kept + _STARTS_PER_PRODUCT * table[0].nbytes
+    assert not {"states", "errors", "y", "v", "regulated", "refs"} & \
+        set(res.__dict__)
+
+
+@pytest.mark.parametrize("run", [_full_demo_run, _ring30_run],
+                         ids=["demo", "ring30"])
+def test_regulated_and_refs_are_formed_on_first_read(run):
+    """integrate keeps neither the regulated signals nor the references.
+    The first read of each forms, bit for bit, what the kernel observes
+    directly from the run's one-step map and its map rows, and later reads
+    return the same arrays."""
+    cl, x0, dt, t_end = run()
+    res = integrate(cl, x0, t_end=t_end, dt=dt)
+    assert not {"regulated", "refs"} & set(res.__dict__)
+    step = _expm(cl.A_full * (dt * res.store_every))
+    maps = {"output": cl.y_map, "input": cl.v_map}
+    p = cl.p
+    rows = [maps[cl.err_kind[i]][k * p:(k + 1) * p]
+            for k, i in enumerate(cl.node_ids)]
+    samples = _observe(step, np.vstack(rows + [cl.ref_map]), x0[:, None],
+                       res.t.size - 1)[0]
+    m = len(rows) * p
+    for name, columns in (("regulated", samples[:, :m]),
+                          ("refs", samples[:, m:])):
+        signals = getattr(res, name)
+        assert getattr(res, name) is signals
+        assert list(signals) == list(cl.node_ids)
+        for k, i in enumerate(cl.node_ids):
+            assert signals[i].tobytes() == \
+                np.ascontiguousarray(columns[:, k * p:(k + 1) * p].T).tobytes()
+
+
+def test_reading_regulated_does_not_form_refs():
+    """Each of ``regulated`` and ``refs`` is formed alone."""
+    cl, x0, dt, t_end = _full_demo_run()
+    res = integrate(cl, x0, t_end=t_end, dt=dt)
+    res.regulated
+    assert "refs" not in res.__dict__
+    assert not {"errors", "y", "v", "states"} & set(res.__dict__)
+
+
+def test_demo_command_path_peaks_below_one_regulated_row():
+    """The demo command's path, integrate and then error_metrics over
+    ``DEMO_WINDOW``, peaks above its grid by less than one node's
+    regulated row: each window is formed from only the products that cover
+    it, and the run's signals are never held whole."""
+    from coopnet.cli import DEMO_WINDOW
+
+    cl, x0, dt, t_end = _full_demo_run()
+
+    def demo_path():
+        res = integrate(cl, x0, t_end=t_end, dt=dt)
+        return res, error_metrics(res, window=DEMO_WINDOW)
+
+    (res, metrics), (_, peak) = _traced(demo_path)
+    assert list(metrics) == list(cl.node_ids)
+    assert peak - res.t.nbytes < cl.p * res.t.size * 8
+    assert not {"regulated", "refs", "errors"} & set(res.__dict__)
 
 
 def test_stored_grid_follows_the_step_count():
@@ -487,10 +564,12 @@ def test_error_metrics_form_only_their_windows():
 
 
 def test_first_errors_read_allocates_the_errors():
-    """The first read of ``errors`` allocates the N p T doubles of the
-    errors, within 1 %, and keeps them."""
+    """After ``regulated`` and ``refs`` have been read, the first read of
+    ``errors`` allocates the N p T doubles of the errors, within 1 %, and
+    keeps them."""
     cl, x0, dt, t_end = _full_demo_run()
     res = integrate(cl, x0, t_end=t_end, dt=dt)
+    res.regulated, res.refs
     _, (kept, peak) = _traced(lambda: res.errors)
     error_bytes = len(cl.node_ids) * cl.p * res.t.size * 8
     assert abs(kept - error_bytes) <= 0.01 * error_bytes
